@@ -380,6 +380,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         **_DATA_SCHEMA,
     }
     cfg = _resolve(args, schema)
+    if cfg["jobs"] < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {cfg['jobs']}")
 
     paths: list[Path] = [Path(p) for p in (cfg["data"] or [])]
     if cfg["data_dir"]:
@@ -505,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out-table", dest="out_table", help="text table path")
     p_cmp.add_argument("--logs-dir", dest="logs_dir",
                        help="write per-run training logs here")
-    p_cmp.add_argument("--jobs", type=int, help="parallel (cycle, optimizer) runs")
+    p_cmp.add_argument("--jobs", type=int, help="parallel training runs (default 1)")
     p_cmp.add_argument("--omit-timing", action="store_const", const=True,
                        dest="omit_timing",
                        help="zero the seconds column for byte-reproducible output")

@@ -10,10 +10,14 @@ test rows.
 from __future__ import annotations
 
 import csv
+import ctypes
 import time
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +170,9 @@ def train(
     return params, TrainingLog(entries=entries, best_epoch=entries[best].epoch)
 
 
+RunOutcome = tuple[float, float, TrainingLog]  # (mae, mse, log) of one run
+
+
 @dataclass
 class CrossValidationResult:
     fold_mae: list[float]
@@ -175,6 +182,45 @@ class CrossValidationResult:
     logs: list[TrainingLog]
 
 
+def run_fold(
+    layer_specs: list[LayerSpec],
+    raw_dm: DesignMatrix,
+    h: Hyperparameters,
+    algorithm: Algorithm,
+    folds: FoldSplit,
+    fold: int,
+) -> RunOutcome:
+    """One fold of cross-validation: a fresh model, seeded ``h.seed + fold``,
+    trained on the fold's rows and scored on its validation rows.
+
+    Normalization is fit on the fold's training partition only, so no
+    validation row influences the statistics it is scored under. Returns
+    (validation MAE, validation MSE, training log).
+    """
+    train_idx, val_idx = folds.assignments[fold]
+    if train_idx.max(initial=-1) >= len(raw_dm) or val_idx.max(initial=-1) >= len(
+        raw_dm
+    ):
+        raise InputError(f"fold {fold} indexes beyond the {len(raw_dm)} rows")
+    train_part = raw_dm.subset(train_idx)
+    val_part = raw_dm.subset(val_idx)
+    stats = fit_normalization(train_part)
+    val_normalized = apply_normalization(val_part, stats)
+    try:
+        params, log = train(
+            layer_specs,
+            apply_normalization(train_part, stats),
+            replace(h, seed=h.seed + fold),
+            algorithm,
+            val_dm=val_normalized,
+        )
+    except SocBenchError as exc:
+        exc.args = (f"fold {fold}: {exc}",)
+        raise
+    preds, _ = forward(params, val_normalized.features)
+    return loss_mae(preds, val_part.targets), loss_mse(preds, val_part.targets), log
+
+
 def cross_validate(
     layer_specs: list[LayerSpec],
     raw_dm: DesignMatrix,
@@ -182,42 +228,19 @@ def cross_validate(
     algorithm: Algorithm,
     folds: FoldSplit,
 ) -> CrossValidationResult:
-    """One fresh model per fold on unnormalized rows.
-
-    Normalization is re-fit on each fold's training partition, so no
-    validation row ever influences the statistics it is scored under.
-    """
-    fold_mae, fold_mse, logs = [], [], []
-    for fold, (train_idx, val_idx) in enumerate(folds.assignments):
-        if train_idx.max(initial=-1) >= len(raw_dm) or val_idx.max(initial=-1) >= len(
-            raw_dm
-        ):
-            raise InputError(f"fold {fold} indexes beyond the {len(raw_dm)} rows")
-        train_part = raw_dm.subset(train_idx)
-        val_part = raw_dm.subset(val_idx)
-        stats = fit_normalization(train_part)
-        fold_h = replace(h, seed=h.seed + fold)
-        try:
-            params, log = train(
-                layer_specs,
-                apply_normalization(train_part, stats),
-                fold_h,
-                algorithm,
-                val_dm=apply_normalization(val_part, stats),
-            )
-        except SocBenchError as exc:
-            exc.args = (f"fold {fold}: {exc}",)
-            raise
-        preds, _ = forward(params, apply_normalization(val_part, stats).features)
-        fold_mae.append(loss_mae(preds, val_part.targets))
-        fold_mse.append(loss_mse(preds, val_part.targets))
-        logs.append(log)
+    """One fresh model per fold on unnormalized rows (see ``run_fold``)."""
+    runs = [
+        run_fold(layer_specs, raw_dm, h, algorithm, folds, fold)
+        for fold in range(len(folds.assignments))
+    ]
+    fold_mae = [mae for mae, _, _ in runs]
+    fold_mse = [mse for _, mse, _ in runs]
     return CrossValidationResult(
         fold_mae=fold_mae,
         fold_mse=fold_mse,
         mean_mae=float(np.mean(fold_mae)),
         mean_mse=float(np.mean(fold_mse)),
-        logs=logs,
+        logs=[log for _, _, log in runs],
     )
 
 
@@ -242,6 +265,69 @@ def prepare_cycle(
     return cycle.name, build_design_matrix(cycle.records, soc, window)
 
 
+def _final_fit(
+    layer_specs: list[LayerSpec],
+    train_raw: DesignMatrix,
+    test_raw: DesignMatrix,
+    h: Hyperparameters,
+    algorithm: Algorithm,
+) -> RunOutcome:
+    """Fit on the whole training portion and score the held-out test rows."""
+    stats = fit_normalization(train_raw)
+    params, log = train(
+        layer_specs, apply_normalization(train_raw, stats), h, algorithm
+    )
+    preds, _ = forward(params, apply_normalization(test_raw, stats).features)
+    return loss_mae(preds, test_raw.targets), loss_mse(preds, test_raw.targets), log
+
+
+def _pair_runs(
+    raw_dm: DesignMatrix,
+    layer_specs: list[LayerSpec],
+    h: Hyperparameters,
+    algorithm: Algorithm,
+    k: int,
+    fold_mode: FoldMode,
+) -> list[Callable[[], RunOutcome]]:
+    """The training runs of one (cycle, optimizer) pair in log order: its k
+    fold runs, then the final fit.
+
+    A fold run builds its fold's subsets when it starts, so only running
+    tasks hold them.
+    """
+    train_raw, test_raw = chronological_split(raw_dm)
+    folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
+    runs = [
+        partial(run_fold, layer_specs, train_raw, h, algorithm, folds, fold)
+        for fold in range(k)
+    ]
+    runs.append(partial(_final_fit, layer_specs, train_raw, test_raw, h, algorithm))
+    return runs
+
+
+def _pair_result(
+    cycle_name: str,
+    algorithm: Algorithm,
+    h: Hyperparameters,
+    timed: list[tuple[RunOutcome, float]],
+) -> tuple[ExperimentResult, dict[str, TrainingLog]]:
+    """Combine a pair's timed runs (folds, then the final fit) into its
+    result: test metrics of the final fit, seconds summed over the runs."""
+    *fold_runs, ((mae, mse, final_log), _) = timed
+    logs = {f"fold{fold}": log for fold, ((_, _, log), _) in enumerate(fold_runs)}
+    logs["final"] = final_log
+    result = ExperimentResult(
+        cycle=cycle_name,
+        optimizer=algorithm,
+        mae=mae,
+        mse=mse,
+        rmse=float(np.sqrt(mse)),
+        seconds=sum(seconds for _, seconds in timed),
+        seed=h.seed,
+    )
+    return result, logs
+
+
 def run_single_experiment(
     cycle_name: str,
     raw_dm: DesignMatrix,
@@ -251,35 +337,88 @@ def run_single_experiment(
     k: int = 4,
     fold_mode: FoldMode = FoldMode.SHUFFLED,
 ) -> tuple[ExperimentResult, dict[str, TrainingLog]]:
-    """The full protocol for one (cycle, optimizer) pair."""
+    """The full protocol for one (cycle, optimizer) pair, run serially."""
+    runs = _pair_runs(raw_dm, layer_specs, h, algorithm, k, fold_mode)
+    return _pair_result(cycle_name, algorithm, h, _run_all(runs, jobs=1))
+
+
+# OpenBLAS thread-count entry points, tried in order: numpy's bundled
+# scipy-openblas, an ILP64 OpenBLAS, a plain OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+def _openblas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS loaded in this process,
+    found through the symbols it exports; None when there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(handle, get_name, None)
+            set_ = getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block and restore the previous
+    count after it; does nothing when no OpenBLAS is found.
+
+    Pool workers each run their own GEMMs, and BLAS threads of their own
+    would only contend with the other workers for the same cores.
+    """
+    api = _openblas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
+def _timed(run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
     started = time.perf_counter()
-    train_raw, test_raw = chronological_split(raw_dm)
+    outcome = run()
+    return outcome, time.perf_counter() - started
 
-    logs: dict[str, TrainingLog] = {}
-    folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
-    cv = cross_validate(layer_specs, train_raw, h, algorithm, folds)
-    for fold, log in enumerate(cv.logs):
-        logs[f"fold{fold}"] = log
 
-    stats = fit_normalization(train_raw)
-    params, final_log = train(
-        layer_specs, apply_normalization(train_raw, stats), h, algorithm
-    )
-    logs["final"] = final_log
+def _run_all(
+    runs: list[Callable[[], RunOutcome]], jobs: int
+) -> list[tuple[RunOutcome, float]]:
+    """Every run with its wall time, in task order, on ``jobs`` threads.
 
-    test_preds, _ = forward(params, apply_normalization(test_raw, stats).features)
-    mae = loss_mae(test_preds, test_raw.targets)
-    mse = loss_mse(test_preds, test_raw.targets)
-    result = ExperimentResult(
-        cycle=cycle_name,
-        optimizer=algorithm,
-        mae=mae,
-        mse=mse,
-        rmse=float(np.sqrt(mse)),
-        seconds=time.perf_counter() - started,
-        seed=h.seed,
-    )
-    return result, logs
+    Results are read in task order, so the error raised is that of the
+    earliest failing run, as in a serial loop; runs still queued then are
+    cancelled.
+    """
+    if jobs == 1:
+        return [_timed(run) for run in runs]
+    with _one_blas_thread():
+        pool = ThreadPoolExecutor(max_workers=jobs)
+        try:
+            futures = [pool.submit(_timed, run) for run in runs]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def run_comparison(
@@ -298,14 +437,18 @@ def run_comparison(
 ) -> ComparisonReport:
     """Evaluate every optimizer on every cycle.
 
-    A cycle that fails ingestion is skipped and recorded in the report;
-    results come back sorted by (cycle, optimizer) regardless of
-    scheduling, and are bit-identical for a fixed seed.
+    A cycle that fails ingestion is skipped and recorded in the report.
+    The unit of work is one training run (a fold or a final fit); with
+    ``jobs > 1`` the runs go to a thread pool while OpenBLAS is pinned to
+    one thread. Results come back sorted by (cycle, optimizer) regardless
+    of scheduling, and are bit-identical for a fixed seed.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")
     if not optimizers:
         raise InputError("need at least one optimizer")
+    if jobs < 1:
+        raise InputError(f"need jobs >= 1, got {jobs}")
     if layer_specs is None:
         layer_specs = mlp_specs(4, DEFAULT_HIDDEN)
 
@@ -325,24 +468,20 @@ def run_comparison(
         except SocBenchError as exc:
             failures.append((Path(path).stem, str(exc)))
 
-    def run_pair(pair):
-        name, raw_dm, algorithm = pair
-        eta = None if learning_rates is None else learning_rates.get(algorithm)
-        pair_h = h if eta is None else replace(h, eta=eta)
-        return run_single_experiment(
-            name, raw_dm, layer_specs, pair_h, algorithm, k=k, fold_mode=fold_mode
-        )
-
-    pairs = [(name, dm, alg) for name, dm in cycles for alg in optimizers]
-    if jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(run_pair, pairs))
-    else:
-        outcomes = [run_pair(p) for p in pairs]
+    pairs = []
+    for name, raw_dm in cycles:
+        for algorithm in optimizers:
+            eta = None if learning_rates is None else learning_rates.get(algorithm)
+            pair_h = h if eta is None else replace(h, eta=eta)
+            runs = _pair_runs(raw_dm, layer_specs, pair_h, algorithm, k, fold_mode)
+            pairs.append((name, algorithm, pair_h, runs))
+    timed = iter(_run_all([run for *_, runs in pairs for run in runs], jobs))
 
     results = []
     logs: dict[tuple[str, str, str], TrainingLog] = {}
-    for (name, _, algorithm), (result, pair_logs) in zip(pairs, outcomes):
+    for name, algorithm, pair_h, runs in pairs:
+        pair_timed = [next(timed) for _ in runs]
+        result, pair_logs = _pair_result(name, algorithm, pair_h, pair_timed)
         results.append(result)
         for run, log in pair_logs.items():
             logs[(name, algorithm.value, run)] = log

@@ -280,19 +280,24 @@ def load_model(path: str | Path):
         biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
         seed = int(doc["seed"])
         norm_doc = doc["normalization"]
+        norm = None
+        if norm_doc is not None:
+            norm = NormalizationStats(
+                means=np.asarray(norm_doc["means"], dtype=np.float64),
+                stds=np.asarray(norm_doc["stds"], dtype=np.float64),
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelMismatchError(f"malformed model file {path}: {exc}") from exc
 
     validate_layer_chain(specs)
+    if not len(specs) == len(weights) == len(biases):
+        raise ModelMismatchError(
+            f"model file {path}: {len(specs)} layer_specs but {len(weights)} "
+            f"weights and {len(biases)} biases"
+        )
     for spec, w, b in zip(specs, weights, biases):
         if w.shape != (spec.output_dim, spec.input_dim) or b.shape != (spec.output_dim,):
             raise ModelMismatchError(
                 f"model file {path}: stored arrays do not match layer_specs"
             )
-    norm = None
-    if norm_doc is not None:
-        norm = NormalizationStats(
-            means=np.asarray(norm_doc["means"], dtype=np.float64),
-            stds=np.asarray(norm_doc["stds"], dtype=np.float64),
-        )
     return NetworkParameters(specs=specs, weights=weights, biases=biases), norm, seed

@@ -347,6 +347,35 @@ class TestCompare:
         assert code == 2
         assert "no .csv" in err
 
+    def test_jobs_below_one_usage_error(self, cycle_file, tmp_path, capsys):
+        out = tmp_path / "r.csv"
+        base = ["compare", "--data", str(cycle_file), "--optimizers", "adamax",
+                "--epochs", "1", "--k", "2", "--hidden", "8", "--out", str(out)]
+        for jobs in ("0", "-2"):
+            code, _, err = run_cli(capsys, *base, "--jobs", jobs)
+            assert code == 2
+            assert "--jobs must be >= 1" in err
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("jobs=0\n", encoding="utf-8")
+        code, _, err = run_cli(capsys, *base, "--config", str(cfg))
+        assert code == 2
+        assert "--jobs must be >= 1" in err
+        assert not out.exists()
+
+    def test_divergence_under_jobs_matches_serial(self, cycle_file, tmp_path, capsys):
+        outcomes = []
+        for jobs in ("1", "2"):
+            code, _, err = run_cli(
+                capsys, "compare", "--data", str(cycle_file),
+                "--optimizers", "adamax,sgd", "--lr", "adamax=0.05,sgd=1e6",
+                "--epochs", "1", "--k", "2", "--hidden", "8", "--soc0", "90",
+                "--out", str(tmp_path / "r.csv"), "--jobs", jobs,
+            )
+            outcomes.append((code, err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == 3
+        assert "fold 0: training diverged" in outcomes[0][1]
+
     def test_logs_and_table_written(self, cycle_file, tmp_path, capsys):
         out = tmp_path / "results.csv"
         table = tmp_path / "table.txt"

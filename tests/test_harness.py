@@ -1,5 +1,8 @@
 """Folds, training loop, cross-validation, and the comparison experiment."""
 
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,8 +25,10 @@ from socbench import (
     train,
     write_cycle_csv,
 )
+from socbench import harness
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import (
+    _openblas_thread_api,
     chronological_split,
     format_results_table,
     write_results_csv,
@@ -275,17 +280,102 @@ class TestRunComparison:
             learning_rates={Algorithm.SGD: 0.001, Algorithm.ADAMAX: 0.05},
             layer_specs=mlp_specs(4, SMALL_NET),
         )
-        serial = run_comparison(small_cycle_files, jobs=1, **kwargs)
-        parallel = run_comparison(small_cycle_files, jobs=2, **kwargs)
-        assert [(r.cycle, r.optimizer, r.mae, r.mse) for r in serial.results] == [
-            (r.cycle, r.optimizer, r.mae, r.mse) for r in parallel.results
-        ]
+
+        def values(report):
+            results = [replace(r, seconds=0.0) for r in report.results]
+            # repr compares floats exactly and NaN (no validation rows) as equal
+            logs = {
+                key: (
+                    log.best_epoch,
+                    [(e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse))
+                     for e in log.entries],
+                )
+                for key, log in report.logs.items()
+            }
+            return results, logs
+
+        serial = values(run_comparison(small_cycle_files, jobs=1, **kwargs))
+        assert len(serial[0]) == 4 and len(serial[1]) == 4 * 3
+        for jobs in (2, 3):
+            assert values(run_comparison(small_cycle_files, jobs=jobs, **kwargs)) == serial
+
+    def test_parallel_failure_is_earliest_in_task_order_and_cancels_the_rest(
+        self, small_cycle_files, monkeypatch
+    ):
+        # fold 1 (seed 1) of every pair fails at once while the runs before
+        # it are still training, so the first failure in time is not the
+        # first in task order
+        started = []
+        real_train = harness.train
+
+        def train_or_fail(layer_specs, train_dm, h, algorithm, val_dm=None):
+            started.append(h.seed)
+            if h.seed == 1:
+                raise TrainingDivergedError(1, 0)
+            time.sleep(0.2)
+            return real_train(layer_specs, train_dm, h, algorithm, val_dm=val_dm)
+
+        monkeypatch.setattr(harness, "train", train_or_fail)
+        kwargs = dict(
+            optimizers=[Algorithm.SGD, Algorithm.ADAMAX],
+            h=small_h(0),
+            k=2,
+            learning_rates={Algorithm.SGD: 0.001, Algorithm.ADAMAX: 0.05},
+            layer_specs=mlp_specs(4, SMALL_NET),
+        )
+        errors = []
+        for jobs in (1, 2):
+            started.clear()
+            with pytest.raises(TrainingDivergedError) as caught:
+                run_comparison(small_cycle_files, jobs=jobs, **kwargs)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("fold 1: training diverged")
+        # 2 cycles x 2 optimizers x (2 folds + final fit) runs were queued
+        assert len(started) < 12
+
+    def test_blas_pinned_to_one_thread_in_pool_and_restored(
+        self, small_cycle_files, monkeypatch
+    ):
+        api = _openblas_thread_api()
+        if api is None:
+            pytest.skip("no OpenBLAS thread-count symbols in this process")
+        get_threads, _ = api
+        before = get_threads()
+        seen = []
+        real_train = harness.train
+
+        def train_and_record(*args, **kwargs):
+            seen.append(get_threads())
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", train_and_record)
+        kwargs = dict(
+            optimizers=[Algorithm.SGD],
+            h=small_h(),
+            k=2,
+            learning_rates={Algorithm.SGD: 0.001},
+            layer_specs=mlp_specs(4, SMALL_NET),
+        )
+        run_comparison(small_cycle_files, jobs=1, **kwargs)
+        assert set(seen) == {before}
+        seen.clear()
+        run_comparison(small_cycle_files, jobs=2, **kwargs)
+        assert set(seen) == {1}
+        assert get_threads() == before
+        with pytest.raises(TrainingDivergedError):
+            run_comparison(small_cycle_files, jobs=2,
+                           **{**kwargs, "learning_rates": {Algorithm.SGD: 1e6}})
+        assert get_threads() == before
 
     def test_requires_inputs(self):
         with pytest.raises(InputError):
             run_comparison([], [Algorithm.SGD], small_h())
         with pytest.raises(InputError):
             run_comparison(["x.csv"], [], small_h())
+        for jobs in (0, -2):
+            with pytest.raises(InputError, match="jobs"):
+                run_comparison(["x.csv"], [Algorithm.SGD], small_h(), jobs=jobs)
 
 
 class TestOutputs:

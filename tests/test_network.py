@@ -1,5 +1,7 @@
 """Network forward/backward tests, anchored by a finite-difference oracle."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from socbench import (
     save_model,
 )
 from socbench.data import NormalizationStats
-from socbench.errors import ConfigError
+from socbench.errors import ConfigError, ModelMismatchError
 from socbench.network import layer_parameter_counts
 
 
@@ -276,6 +278,25 @@ class TestModelSerialization:
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(loaded_stats.means, stats.means)
         np.testing.assert_array_equal(loaded_stats.stds, stats.stds)
+
+    def test_fewer_arrays_than_layer_specs_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, init_network(mlp_specs(4, [8, 8]), seed=1))
+        doc = json.loads(path.read_text())
+        del doc["weights"][-1], doc["biases"][-1]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelMismatchError, match="3 layer_specs but 2 weights"):
+            load_model(path)
+
+    def test_normalization_without_stds_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        stats = NormalizationStats(means=np.zeros(4), stds=np.ones(4))
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), normalization=stats)
+        doc = json.loads(path.read_text())
+        del doc["normalization"]["stds"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelMismatchError, match="stds"):
+            load_model(path)
 
     def test_round_trip_predictions_identical(self, tmp_path):
         rng = np.random.default_rng(6)
