@@ -10,7 +10,6 @@ SOC_BENCH_SEED environment variable before its default. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from pathlib import Path
@@ -156,7 +155,12 @@ def _resolve(args: argparse.Namespace, schema: dict) -> dict:
         if flag_value is not None:
             resolved[key] = flag_value
         elif key in config:
-            resolved[key] = converter(config[key])
+            try:
+                resolved[key] = converter(config[key])
+            except ValueError as exc:
+                raise ConfigError(
+                    f"config key {key}: bad value {config[key]!r} ({exc})"
+                ) from None
         elif isinstance(default, _Required):
             raise ConfigError(f"missing required setting --{key.replace('_', '-')}")
         else:
@@ -349,10 +353,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     rmse = float(np.sqrt(mse))
     if cfg["predictions"]:
         with Path(cfg["predictions"]).open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["soc_true", "soc_pred"])
-            for truth, pred in zip(dm.targets, predictions):
-                writer.writerow([repr(float(truth)), repr(float(pred))])
+            fh.write("soc_true,soc_pred\n")
+            fh.writelines(
+                f"{truth!r},{pred!r}\n"
+                for truth, pred in zip(dm.targets.tolist(), predictions.tolist())
+            )
         print(f"predictions: {cfg['predictions']}")
     print(f"MAE {mae!r} MSE {mse!r} RMSE {rmse!r}")
     return EXIT_OK

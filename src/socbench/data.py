@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -127,7 +128,12 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
         if CAPACITY_COLUMN in header:
             capacity_col = header.index(CAPACITY_COLUMN)
 
-        rows: list[tuple[int, DriveCycleRecord]] = []
+        # the accepted rows, one list per column, in file order
+        line_nos: list[int] = []
+        times: list[float] = []
+        volts: list[float] = []
+        currents: list[float] = []
+        temps: list[float] = []
         capacity_ah = None
         bad_lines: list[str] = []
         for line_no, raw in enumerate(reader, start=2):
@@ -137,11 +143,13 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
                 bad_lines.append(f"line {line_no}: expected {len(header)} fields")
                 continue
             try:
-                t, v, i, temp = (float(raw[k]) for k in range(4))
+                t, v, i, temp = (
+                    float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3])
+                )
             except ValueError:
                 bad_lines.append(f"line {line_no}: non-numeric field")
                 continue
-            if not all(np.isfinite([t, v, i, temp])):
+            if not (isfinite(t) and isfinite(v) and isfinite(i) and isfinite(temp)):
                 bad_lines.append(f"line {line_no}: non-finite value")
                 continue
             if not VOLTAGE_BOUNDS[0] < v < VOLTAGE_BOUNDS[1]:
@@ -160,37 +168,49 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
                     except ValueError:
                         bad_lines.append(f"line {line_no}: bad capacity_ah {cell!r}")
                         continue
-            if invert_current:
-                i = -i
-            rows.append((line_no, DriveCycleRecord(t, v, i, temp)))
+            line_nos.append(line_no)
+            times.append(t)
+            volts.append(v)
+            currents.append(-i if invert_current else i)
+            temps.append(temp)
 
     if bad_lines:
         raise IngestionError(f"{path}: rejected rows: " + "; ".join(bad_lines))
-    if not rows:
+    if not times:
         raise IngestionError(f"{path}: no data rows")
 
-    rows.sort(key=lambda lr: lr[1].time_s)
+    # stable: rows sharing a timestamp keep file order, so each run of equal
+    # timestamps starts with its earliest line
+    order = np.argsort(np.array(times), kind="stable")
+    lines = np.array(line_nos)[order]
+    t = np.array(times)[order]
+    v = np.array(volts)[order]
+    i = np.array(currents)[order]
+    temp = np.array(temps)[order]
 
-    deduped: list[tuple[int, DriveCycleRecord]] = []
-    dup_conflicts: list[str] = []
-    for line_no, rec in rows:
-        if deduped and rec.time_s == deduped[-1][1].time_s:
-            if rec == deduped[-1][1]:
-                continue  # exact duplicate row
-            dup_conflicts.append(
-                f"lines {deduped[-1][0]} and {line_no} share time {rec.time_s}"
-            )
-            continue
-        deduped.append((line_no, rec))
-    if dup_conflicts:
+    # a row repeating its predecessor's timestamp is dropped when it repeats
+    # the first row of that run of timestamps exactly, and is a conflict
+    # otherwise
+    repeat = np.zeros(t.size, dtype=bool)
+    repeat[1:] = t[1:] == t[:-1]
+    first = np.maximum.accumulate(np.where(repeat, 0, np.arange(t.size)))
+    conflict = repeat & ((v != v[first]) | (i != i[first]) | (temp != temp[first]))
+    if conflict.any():
         raise IngestionError(
             f"{path}: duplicate timestamps with conflicting values: "
-            + "; ".join(dup_conflicts)
+            + "; ".join(
+                f"lines {lines[first[k]]} and {lines[k]} share time {t[k].item()}"
+                for k in np.flatnonzero(conflict)
+            )
         )
 
+    keep = ~repeat
     return DriveCycle(
         name=path.stem,
-        records=[rec for _, rec in deduped],
+        records=[
+            DriveCycleRecord(*row)
+            for row in zip(*(col[keep].tolist() for col in (t, v, i, temp)))
+        ],
         capacity_ah=capacity_ah,
     )
 

@@ -72,7 +72,7 @@ class EpochStats:
 @dataclass
 class TrainingLog:
     entries: list[EpochStats]
-    best_epoch: int  # lowest validation MAE; lowest train loss if no val
+    best_epoch: int  # see _best_epoch
 
 
 @dataclass
@@ -163,11 +163,17 @@ def train(
             val_mae = val_mse = float("nan")
         entries.append(EpochStats(epoch, train_loss, val_mae, val_mse))
 
-    if val_dm is not None:
-        best = min(range(len(entries)), key=lambda i: entries[i].val_mae)
-    else:
-        best = min(range(len(entries)), key=lambda i: entries[i].train_loss)
-    return params, TrainingLog(entries=entries, best_epoch=entries[best].epoch)
+    return params, TrainingLog(entries=entries, best_epoch=_best_epoch(entries))
+
+
+def _best_epoch(entries: list[EpochStats]) -> int:
+    """The epoch of lowest validation MAE, skipping epochs where it is NaN;
+    of lowest train loss when every validation MAE is NaN. Ties go to the
+    earliest epoch."""
+    scored = [e for e in entries if not np.isnan(e.val_mae)]
+    if scored:
+        return min(scored, key=lambda e: e.val_mae).epoch
+    return min(entries, key=lambda e: e.train_loss).epoch
 
 
 RunOutcome = tuple[float, float, TrainingLog]  # (mae, mse, log) of one run
@@ -195,7 +201,8 @@ def run_fold(
 
     Normalization is fit on the fold's training partition only, so no
     validation row influences the statistics it is scored under. Returns
-    (validation MAE, validation MSE, training log).
+    (validation MAE, validation MSE, training log); the scores are those of
+    the log's last epoch, measured on the final parameters.
     """
     train_idx, val_idx = folds.assignments[fold]
     if train_idx.max(initial=-1) >= len(raw_dm) or val_idx.max(initial=-1) >= len(
@@ -203,22 +210,20 @@ def run_fold(
     ):
         raise InputError(f"fold {fold} indexes beyond the {len(raw_dm)} rows")
     train_part = raw_dm.subset(train_idx)
-    val_part = raw_dm.subset(val_idx)
     stats = fit_normalization(train_part)
-    val_normalized = apply_normalization(val_part, stats)
     try:
-        params, log = train(
+        _, log = train(
             layer_specs,
             apply_normalization(train_part, stats),
             replace(h, seed=h.seed + fold),
             algorithm,
-            val_dm=val_normalized,
+            val_dm=apply_normalization(raw_dm.subset(val_idx), stats),
         )
     except SocBenchError as exc:
         exc.args = (f"fold {fold}: {exc}",)
         raise
-    preds, _ = forward(params, val_normalized.features)
-    return loss_mae(preds, val_part.targets), loss_mse(preds, val_part.targets), log
+    last = log.entries[-1]
+    return last.val_mae, last.val_mse, log
 
 
 def cross_validate(

@@ -106,10 +106,10 @@ class GradientSet:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, consumed by backward()."""
+    """Intermediates of one forward pass, consumed by backward(): the input
+    batch and each layer's output, one array per layer."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
     post_activations: list[np.ndarray] = field(default_factory=list)
 
 
@@ -138,19 +138,15 @@ def layer_parameter_counts(params: NetworkParameters) -> list[int]:
     return [w.size + b.size for w, b in zip(params.weights, params.biases)]
 
 
-def _apply_activation(z: np.ndarray, activation: Activation) -> np.ndarray:
-    if activation is Activation.RELU:
-        return np.maximum(z, 0.0)
-    return z
-
-
 def forward(
     params: NetworkParameters, batch: np.ndarray
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a (n, input_dim) batch.
 
     Returns predictions of shape (n,) and the cache backward() needs.
-    The output layer must have a single unit.
+    The output layer must have a single unit. Each layer is computed in
+    place in one fresh array, with the same values, element for element,
+    as ``np.maximum(a @ W.T + b, 0.0)`` (ReLU) or ``a @ W.T + b`` (linear).
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
@@ -168,9 +164,10 @@ def forward(
     cache = ForwardCache(inputs=x)
     a = x
     for spec, w, b in zip(params.specs, params.weights, params.biases):
-        z = a @ w.T + b
-        a = _apply_activation(z, spec.activation)
-        cache.pre_activations.append(z)
+        a = a @ w.T
+        a += b
+        if spec.activation is Activation.RELU:
+            np.maximum(a, 0.0, out=a)
         cache.post_activations.append(a)
     return a[:, 0], cache
 
@@ -200,19 +197,19 @@ def backward(
 ) -> GradientSet:
     """Exact gradients of the batch MSE with respect to every weight and bias.
 
-    The ReLU subgradient at exactly zero is taken as 0. The cache must come
-    from a forward() call on these parameters with the batch the targets
-    belong to.
+    The ReLU subgradient at exactly zero is taken as 0. For ReLU, z > 0
+    exactly where max(z, 0) > 0, so the mask comes from the cached layer
+    output. The cache must come from a forward() call on these parameters
+    with the batch the targets belong to.
     """
     n_layers = len(params.specs)
     if (
-        len(cache.pre_activations) != n_layers
-        or len(cache.post_activations) != n_layers
+        len(cache.post_activations) != n_layers
         or cache.inputs.shape[1] != params.specs[0].input_dim
     ):
         raise InternalError("forward cache does not match network parameters")
-    for z, w in zip(cache.pre_activations, params.weights):
-        if z.shape[1] != w.shape[0]:
+    for a, w in zip(cache.post_activations, params.weights):
+        if a.shape[1] != w.shape[0]:
             raise InternalError("forward cache does not match network parameters")
 
     t = np.asarray(targets, dtype=np.float64)
@@ -231,9 +228,9 @@ def backward(
         grad_w[layer] = delta.T @ a_prev
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = delta @ params.weights[layer]
+            delta = delta @ params.weights[layer]  # a fresh array
             if params.specs[layer - 1].activation is Activation.RELU:
-                delta = delta * (cache.pre_activations[layer - 1] > 0.0)
+                delta *= cache.post_activations[layer - 1] > 0.0
     return GradientSet(weights=grad_w, biases=grad_b)
 
 
@@ -299,5 +296,24 @@ def load_model(path: str | Path):
         if w.shape != (spec.output_dim, spec.input_dim) or b.shape != (spec.output_dim,):
             raise ModelMismatchError(
                 f"model file {path}: stored arrays do not match layer_specs"
+            )
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ModelMismatchError(
+                f"model file {path}: non-finite weights or biases"
+            )
+    if norm is not None:
+        input_dim = specs[0].input_dim
+        if norm.means.shape != (input_dim,) or norm.stds.shape != (input_dim,):
+            raise ModelMismatchError(
+                f"model file {path}: normalization has {norm.means.size} means and "
+                f"{norm.stds.size} stds for {input_dim} inputs"
+            )
+        if not np.all(np.isfinite(norm.means)):
+            raise ModelMismatchError(
+                f"model file {path}: non-finite normalization means"
+            )
+        if not np.all(np.isfinite(norm.stds) & (norm.stds > 0.0)):
+            raise ModelMismatchError(
+                f"model file {path}: normalization stds must be finite and > 0"
             )
     return NetworkParameters(specs=specs, weights=weights, biases=biases), norm, seed

@@ -64,7 +64,11 @@ def test_criterion_2_gradient_correctness():
         _, cache = forward(params, batch)
         # keep pre-activations away from the ReLU kink so central
         # differences measure a true derivative
-        if min(float(np.min(np.abs(z))) for z in cache.pre_activations) < 1e-3:
+        prevs = [cache.inputs] + cache.post_activations[:-1]
+        pre_activations = [
+            prev @ w.T + b for prev, w, b in zip(prevs, params.weights, params.biases)
+        ]
+        if min(float(np.min(np.abs(z))) for z in pre_activations) < 1e-3:
             continue
         checked += 1
         analytic = backward(params, cache, targets).arrays()

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior: commands, files, exit codes, determinism."""
 
+import csv
+import io
 import json
 import re
 
@@ -7,7 +9,9 @@ import numpy as np
 import pytest
 
 from socbench.cli import main
-from socbench.network import init_network, mlp_specs
+from socbench.data import apply_normalization
+from socbench.harness import prepare_cycle
+from socbench.network import forward, init_network, load_model, mlp_specs
 
 
 def run_cli(capsys, *argv):
@@ -200,6 +204,17 @@ class TestEvaluate:
         lines = preds.read_text().splitlines()
         assert lines[0] == "soc_true,soc_pred"
         assert len(lines) == 1 + 300
+        # reference: the same values written row by row with csv.writer
+        params, stats, _ = load_model(model)
+        _, raw_dm = prepare_cycle(cycle_file, soc0_percent=90.0)
+        dm = apply_normalization(raw_dm, stats)
+        predictions, _ = forward(params, dm.features)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["soc_true", "soc_pred"])
+        for truth, pred in zip(dm.targets, predictions):
+            writer.writerow([repr(float(truth)), repr(float(pred))])
+        assert preds.read_text(encoding="utf-8") == expected.getvalue()
 
     def test_feature_count_mismatch_exit_4(self, cycle_file, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -221,6 +236,46 @@ class TestEvaluate:
         )
         assert code == 4
         assert "features" in err
+
+    def test_normalization_length_mismatch_exit_4(self, cycle_file, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        run_cli(
+            capsys, "train", "--data", str(cycle_file), "--optimizer", "sgd",
+            "--epochs", "1", "--hidden", "4", "--soc0", "90",
+            "--out-model", str(model), "--out-log", str(tmp_path / "l.csv"),
+        )
+        doc = json.loads(model.read_text())
+        del doc["normalization"]["means"][-1], doc["normalization"]["stds"][-1]
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run_cli(
+            capsys, "evaluate", "--model", str(model), "--data", str(cycle_file),
+            "--soc0", "90",
+        )
+        assert code == 4
+        assert "3 means and 3 stds for 4 inputs" in err
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("jobs=abc", "config key jobs: bad value 'abc'"),
+            ("beta1=0.9x", "config key beta1: bad value '0.9x'"),
+        ],
+    )
+    def test_unconvertible_value_usage_error(
+        self, cycle_file, tmp_path, capsys, line, message
+    ):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            capsys, "compare", "--data", str(cycle_file), "--config", str(cfg),
+            "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
 
 
 class TestLinearDataBound:

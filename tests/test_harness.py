@@ -28,13 +28,15 @@ from socbench import (
 from socbench import harness
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import (
+    EpochStats,
+    _best_epoch,
     _openblas_thread_api,
     chronological_split,
     format_results_table,
     write_results_csv,
     write_training_log_csv,
 )
-from socbench.network import forward
+from socbench.network import forward, loss_mae, loss_mse
 
 
 def linear_design(n=400, seed=0, noise=0.0):
@@ -147,6 +149,31 @@ class TestTrain:
         assert all(np.isfinite(e.val_mae) for e in log.entries)
         assert log.best_epoch == min(log.entries, key=lambda e: e.val_mae).epoch
 
+    def test_best_epoch_skips_nan_validation_scores(self):
+        nan = float("nan")
+        entries = [
+            EpochStats(1, 5.0, nan, nan),
+            EpochStats(2, 4.0, 3.0, 9.0),
+            EpochStats(3, 3.0, nan, nan),
+            EpochStats(4, 2.0, 2.5, 6.0),
+            EpochStats(5, 1.0, nan, nan),
+        ]
+        assert _best_epoch(entries) == 4
+        # a NaN in first place must not win either
+        assert _best_epoch(entries[:3]) == 2
+        all_nan = [EpochStats(e, loss, nan, nan) for e, loss in [(1, 3.0), (2, 1.0)]]
+        assert _best_epoch(all_nan) == 2
+
+    def test_nan_validation_targets_fall_back_to_train_loss(self):
+        dm = linear_design(n=64, noise=0.1)
+        normalized = apply_normalization(dm, fit_normalization(dm))
+        val = normalized.subset(np.arange(8))
+        val.targets[:] = np.nan
+        h = Hyperparameters(eta=0.01, batch_size=16, epochs=4, seed=3)
+        _, log = train(mlp_specs(4, [8]), normalized, h, Algorithm.ADAM, val_dm=val)
+        assert all(np.isnan(e.val_mae) for e in log.entries)
+        assert log.best_epoch == min(log.entries, key=lambda e: e.train_loss).epoch
+
     def test_divergence_raises_with_context(self):
         dm = linear_design(n=64)
         # raw targets around +/- 7 with a huge learning rate: SGD blows up
@@ -171,6 +198,27 @@ class TestCrossValidate:
         assert len(cv.logs) == 4
         assert cv.mean_mae == pytest.approx(np.mean(cv.fold_mae), abs=1e-15)
         assert cv.mean_mse == pytest.approx(np.mean(cv.fold_mse), abs=1e-15)
+
+    def test_fold_scores_are_the_last_epoch_and_a_fresh_forward(self):
+        dm = linear_design(n=120, noise=0.3)
+        folds = make_folds(len(dm), k=3, seed=2)
+        h = Hyperparameters(eta=0.01, batch_size=16, epochs=2, seed=4)
+        specs = mlp_specs(4, [8])
+        for fold, (train_idx, val_idx) in enumerate(folds.assignments):
+            mae, mse, log = harness.run_fold(specs, dm, h, Algorithm.ADAM, folds, fold)
+            assert (mae, mse) == (log.entries[-1].val_mae, log.entries[-1].val_mse)
+            # the same run, repeated, then scored with an explicit forward
+            stats = fit_normalization(dm.subset(train_idx))
+            params, _ = train(
+                specs,
+                apply_normalization(dm.subset(train_idx), stats),
+                replace(h, seed=h.seed + fold),
+                Algorithm.ADAM,
+            )
+            val = apply_normalization(dm.subset(val_idx), stats)
+            preds, _ = forward(params, val.features)
+            assert mae == loss_mae(preds, val.targets)
+            assert mse == loss_mse(preds, val.targets)
 
     def test_constant_target_learned_via_bias(self):
         rng = np.random.default_rng(15)

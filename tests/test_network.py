@@ -1,6 +1,7 @@
 """Network forward/backward tests, anchored by a finite-difference oracle."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -52,6 +53,15 @@ def finite_difference_gradients(params, batch, targets, step=1e-5):
     return grads
 
 
+def pre_activations(params, cache):
+    """Each layer's pre-activation ``prev @ W.T + b``, rebuilt from the
+    cache: ``prev`` is the batch, then the previous layer's output."""
+    prevs = [cache.inputs] + cache.post_activations[:-1]
+    return [
+        prev @ w.T + b for prev, w, b in zip(prevs, params.weights, params.biases)
+    ]
+
+
 def random_small_net(rng):
     """A random net (dims <= 16) whose pre-activations sit away from the
     ReLU kink, so central differences stay valid."""
@@ -64,7 +74,9 @@ def random_small_net(rng):
         batch = rng.normal(size=(int(rng.integers(1, 33)), input_dim))
         targets = rng.normal(size=batch.shape[0])
         _, cache = forward(params, batch)
-        closest = min(float(np.min(np.abs(z))) for z in cache.pre_activations)
+        closest = min(
+            float(np.min(np.abs(z))) for z in pre_activations(params, cache)
+        )
         if closest > 1e-3:
             return params, batch, targets
     pytest.fail("could not sample a kink-free network")
@@ -133,7 +145,7 @@ class TestForward:
     def test_relu_clamps_negative(self):
         params = tiny_net(2.0, 1.0, Activation.RELU)
         preds, cache = forward(params, np.array([[-3.0]]))
-        assert cache.pre_activations[0][0, 0] == -5.0
+        assert pre_activations(params, cache)[0][0, 0] == -5.0
         assert preds[0] == 0.0
 
     def test_relu_equals_identity_when_nonnegative(self):
@@ -153,7 +165,7 @@ class TestForward:
         )
         batch = np.abs(rng.normal(size=(5, 3)))  # nonneg input + nonneg weights
         p_relu, cache = forward(relu_pos, batch)
-        assert all(np.min(z) >= 0 for z in cache.pre_activations)
+        assert all(np.min(z) >= 0 for z in pre_activations(relu_pos, cache))
         p_id, _ = forward(same, batch)
         np.testing.assert_array_equal(p_relu, p_id)
 
@@ -162,7 +174,7 @@ class TestForward:
         params = init_network(mlp_specs(4, [8, 8]), seed=9)
         _, cache = forward(params, rng.normal(size=(20, 4)))
         for z, a, spec in zip(
-            cache.pre_activations, cache.post_activations, params.specs
+            pre_activations(params, cache), cache.post_activations, params.specs
         ):
             if spec.activation is Activation.RELU:
                 assert np.min(a) >= 0.0
@@ -296,6 +308,42 @@ class TestModelSerialization:
         del doc["normalization"]["stds"]
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ModelMismatchError, match="stds"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("means", [0.0, 0.0, 0.0], "3 means and 4 stds for 4 inputs"),
+            ("stds", [1.0, 1.0, 1.0], "4 means and 3 stds for 4 inputs"),
+            ("stds", [1.0, 0.0, 1.0, 1.0], "stds must be finite and > 0"),
+            ("stds", [1.0, -2.0, 1.0, 1.0], "stds must be finite and > 0"),
+            ("stds", [1.0, float("inf"), 1.0, 1.0], "stds must be finite and > 0"),
+            ("stds", [1.0, float("nan"), 1.0, 1.0], "stds must be finite and > 0"),
+            ("means", [0.0, float("nan"), 0.0, 0.0], "non-finite normalization means"),
+        ],
+    )
+    def test_bad_normalization_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "model.json"
+        stats = NormalizationStats(means=np.zeros(4), stds=np.ones(4))
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), normalization=stats)
+        doc = json.loads(path.read_text())
+        doc["normalization"][field] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelMismatchError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameters_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1))
+        doc = json.loads(path.read_text())
+        if field == "weights":
+            doc["weights"][1][0][3] = value
+        else:
+            doc["biases"][0][5] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelMismatchError, match="non-finite weights or biases"):
             load_model(path)
 
     def test_round_trip_predictions_identical(self, tmp_path):
