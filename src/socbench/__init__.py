@@ -7,10 +7,9 @@ how SGD, RMSProp, Adam, and Adamax affect MAE/MSE on held-out data.
 from .data import (
     DesignMatrix,
     DriveCycle,
-    DriveCycleRecord,
-    FeatureRow,
     NormalizationStats,
     SocSeries,
+    Telemetry,
     apply_normalization,
     build_design_matrix,
     coulomb_count,

@@ -10,6 +10,7 @@ SOC_BENCH_SEED environment variable before its default. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -168,17 +169,10 @@ def _resolve(args: argparse.Namespace, schema: dict) -> dict:
     return resolved
 
 
-# keys match SyntheticCellParams fields, so one config file serves both
-# the CLI and read_cell_config()
+# keys are SyntheticCellParams fields, so one config file serves both the
+# CLI and read_cell_config()
 _CELL_SCHEMA = {
-    "capacity_ah": (float, 2.9),
-    "r_internal_ohm": (float, 0.03),
-    "ocv_v_min": (float, 3.0),
-    "ocv_v_max": (float, 4.2),
-    "t_ambient_c": (float, 25.0),
-    "heating_k_per_w": (float, 20.0),
-    "cooling_rate_per_s": (float, 0.005),
-    "sample_period_s": (float, 0.1),
+    f.name: (float, f.default) for f in dataclasses.fields(SyntheticCellParams)
 }
 
 _DATA_SCHEMA = {
@@ -273,7 +267,7 @@ def cmd_generate(args: argparse.Namespace) -> int:
     write_cycle_csv(cycle.records, cfg["out"])
     print(
         f"wrote {cfg['out']}: {len(cycle.records)} rows, "
-        f"{cycle.records[-1].time_s:g} s, final SOC {cycle.soc_percent[-1]:.2f}%"
+        f"{cycle.records.time_s[-1]:g} s, final SOC {cycle.soc_percent[-1]:.2f}%"
     )
     return EXIT_OK
 

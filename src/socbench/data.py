@@ -12,10 +12,9 @@ ingestion with ``invert_current=True``.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import isfinite
 from pathlib import Path
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -31,43 +30,53 @@ DEFAULT_WINDOW = 400
 FEATURE_NAMES = ("v", "v_avg", "i_avg", "t_avg")
 
 
-@dataclass(frozen=True)
-class DriveCycleRecord:
-    """One telemetry sample."""
+@dataclass(eq=False)
+class Telemetry:
+    """Time-ordered samples as four float64 columns of one length."""
 
-    time_s: float
-    voltage_v: float
-    current_a: float
-    temperature_c: float
+    time_s: np.ndarray
+    voltage_v: np.ndarray
+    current_a: np.ndarray
+    temperature_c: np.ndarray
+
+    def __post_init__(self):
+        columns = [
+            np.asarray(getattr(self, f.name), dtype=np.float64) for f in fields(self)
+        ]
+        if columns[0].ndim != 1 or any(c.shape != columns[0].shape for c in columns):
+            raise InputError("telemetry columns must be 1-D and of one length")
+        for f, column in zip(fields(self), columns):
+            setattr(self, f.name, column)
+
+    def __len__(self) -> int:
+        return self.time_s.shape[0]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Telemetry):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
 
 
 @dataclass
 class DriveCycle:
-    """An ingested drive cycle: time-ordered records plus file metadata."""
+    """An ingested drive cycle: time-ordered telemetry plus file metadata."""
 
     name: str
-    records: list[DriveCycleRecord]
+    records: Telemetry
     capacity_ah: float | None = None  # from the optional capacity_ah column
 
 
 @dataclass
 class SocSeries:
-    """Coulomb-counted SOC aligned with the records it came from."""
+    """Coulomb-counted SOC aligned with the telemetry it came from."""
 
     soc_percent: np.ndarray
     soc0_percent: float
     capacity_ah: float
     clamp_count: int = 0
-
-
-class FeatureRow(NamedTuple):
-    """One training row: x1=V, x2=avg V, x3=avg I, x4=avg T, target=SOC %."""
-
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-    target: float
 
 
 @dataclass
@@ -79,13 +88,6 @@ class DesignMatrix:
 
     def __len__(self) -> int:
         return self.features.shape[0]
-
-    def row(self, i: int) -> FeatureRow:
-        return FeatureRow(*self.features[i], self.targets[i])
-
-    def rows(self) -> Iterator[FeatureRow]:
-        for i in range(len(self)):
-            yield self.row(i)
 
     def subset(self, indices) -> "DesignMatrix":
         idx = np.asarray(indices, dtype=np.intp)
@@ -104,15 +106,60 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
     """Parse a telemetry CSV into a time-sorted DriveCycle.
 
     Required header: time_s,voltage_v,current_a,temperature_c. An optional
-    capacity_ah column overrides the configured nominal capacity. Rows out
-    of time order are sorted; exact duplicate rows are dropped; rows
-    violating sanity bounds or duplicate timestamps with conflicting values
-    are rejected with their line numbers.
+    capacity_ah column overrides the configured nominal capacity; rows
+    giving it conflicting values are rejected. Rows out of time order are
+    sorted; exact duplicate rows are dropped; rows violating sanity bounds
+    or duplicate timestamps with conflicting values are rejected with their
+    line numbers.
+
+    A file with exactly the required header whose rows all parse, pass the
+    bounds and have distinct timestamps is read in one ``np.loadtxt`` call;
+    any other file takes the row-by-row parse, which gives the same result
+    and is the one that reports line numbers.
     """
     path = Path(path)
     if not path.is_file():
         raise IngestionError(f"data file not found: {path}")
+    telemetry = _read_columns(path)
+    if telemetry is None:
+        return _ingest_rows(path, invert_current)
+    if invert_current:
+        np.negative(telemetry.current_a, out=telemetry.current_a)
+    return DriveCycle(name=path.stem, records=telemetry)
 
+
+def _read_columns(path: Path) -> Telemetry | None:
+    """The file's telemetry, or None when the row-by-row parse must decide."""
+    with path.open(newline="", encoding="utf-8") as fh:
+        if fh.readline().rstrip("\r\n") != ",".join(CSV_HEADER):
+            return None
+        start = fh.tell()
+        if not fh.read(1 << 16).strip():  # loadtxt would only warn of no data
+            return None
+        fh.seek(start)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            return None
+    if table.shape[1] != len(CSV_HEADER) or not np.isfinite(table).all():
+        return None
+    v, temp = table[:, 1], table[:, 3]
+    in_bounds = (
+        (VOLTAGE_BOUNDS[0] < v) & (v < VOLTAGE_BOUNDS[1])
+        & (TEMPERATURE_BOUNDS[0] < temp) & (temp < TEMPERATURE_BOUNDS[1])
+    )
+    if not in_bounds.all():
+        return None
+    columns = np.ascontiguousarray(
+        table[np.argsort(table[:, 0], kind="stable")].T
+    )
+    if (columns[0, 1:] == columns[0, :-1]).any():
+        return None
+    return Telemetry(*columns)
+
+
+def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
+    """The row-by-row parse behind ``ingest_csv``, for any file."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -134,7 +181,7 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
         volts: list[float] = []
         currents: list[float] = []
         temps: list[float] = []
-        capacity_ah = None
+        capacity_ah = capacity_line = None
         bad_lines: list[str] = []
         for line_no, raw in enumerate(reader, start=2):
             if not raw or (len(raw) == 1 and not raw[0].strip()):
@@ -164,9 +211,17 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
                 cell = raw[capacity_col].strip()
                 if cell:
                     try:
-                        capacity_ah = float(cell)
+                        capacity = float(cell)
                     except ValueError:
                         bad_lines.append(f"line {line_no}: bad capacity_ah {cell!r}")
+                        continue
+                    if capacity_ah is None:
+                        capacity_ah, capacity_line = capacity, line_no
+                    elif capacity != capacity_ah:
+                        bad_lines.append(
+                            f"line {line_no}: capacity_ah {capacity!r} conflicts "
+                            f"with {capacity_ah!r} on line {capacity_line}"
+                        )
                         continue
             line_nos.append(line_no)
             times.append(t)
@@ -207,16 +262,13 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
     keep = ~repeat
     return DriveCycle(
         name=path.stem,
-        records=[
-            DriveCycleRecord(*row)
-            for row in zip(*(col[keep].tolist() for col in (t, v, i, temp)))
-        ],
+        records=Telemetry(t[keep], v[keep], i[keep], temp[keep]),
         capacity_ah=capacity_ah,
     )
 
 
 def coulomb_count(
-    records: list[DriveCycleRecord], soc0_percent: float, capacity_ah: float
+    telemetry: Telemetry, soc0_percent: float, capacity_ah: float
 ) -> SocSeries:
     """SOC(t) = SOC_0 - 100 * (integral of I dt, in Ah) / capacity.
 
@@ -228,11 +280,10 @@ def coulomb_count(
         raise InputError(f"capacity must be > 0 Ah, got {capacity_ah}")
     if not 0.0 <= soc0_percent <= 100.0:
         raise InputError(f"initial SOC must be in [0, 100], got {soc0_percent}")
-    if len(records) < 2:
+    if len(telemetry) < 2:
         raise InputError("coulomb counting needs at least 2 records")
 
-    t = np.array([r.time_s for r in records])
-    i = np.array([r.current_a for r in records])
+    t, i = telemetry.time_s, telemetry.current_a
     dt_h = np.diff(t) / 3600.0
     discharged_ah = np.concatenate(
         ([0.0], np.cumsum(0.5 * (i[:-1] + i[1:]) * dt_h))
@@ -267,22 +318,20 @@ def moving_average(series: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarr
 
 
 def build_design_matrix(
-    records: list[DriveCycleRecord], soc: SocSeries, window: int = DEFAULT_WINDOW
+    telemetry: Telemetry, soc: SocSeries, window: int = DEFAULT_WINDOW
 ) -> DesignMatrix:
     """Rows of (V, avg V, avg I, avg T) with the Coulomb-counted SOC target."""
-    if len(records) != soc.soc_percent.shape[0]:
+    if len(telemetry) != soc.soc_percent.shape[0]:
         raise InputError(
-            f"{len(records)} records but {soc.soc_percent.shape[0]} SOC values"
+            f"{len(telemetry)} records but {soc.soc_percent.shape[0]} SOC values"
         )
-    v = np.array([r.voltage_v for r in records])
-    i = np.array([r.current_a for r in records])
-    temp = np.array([r.temperature_c for r in records])
+    v = telemetry.voltage_v
     features = np.column_stack(
         (
             v,
             moving_average(v, window),
-            moving_average(i, window),
-            moving_average(temp, window),
+            moving_average(telemetry.current_a, window),
+            moving_average(telemetry.temperature_c, window),
         )
     )
     return DesignMatrix(features=features, targets=soc.soc_percent.copy())

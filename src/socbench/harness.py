@@ -139,29 +139,31 @@ def train(
     x, y = train_dm.features, train_dm.targets
     n = len(train_dm)
     entries: list[EpochStats] = []
-    for epoch in range(1, h.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        for start in range(0, n, h.batch_size):
-            batch = order[start : start + h.batch_size]
-            predictions, cache = forward(params, x[batch])
-            with np.errstate(over="ignore"):  # overflow IS the divergence signal
+    # overflow, and the NaN it leads to, IS the divergence signal: the loss
+    # and gradient checks raise on it, so numpy is not asked to warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, h.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            for start in range(0, n, h.batch_size):
+                batch = order[start : start + h.batch_size]
+                predictions, cache = forward(params, x[batch])
                 batch_loss = np.mean((predictions - y[batch]) ** 2)
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, start // h.batch_size)
-            grads = backward(params, cache, y[batch])
-            optimizer_step(params, grads, h, state)
+                if not np.isfinite(batch_loss):
+                    raise TrainingDivergedError(epoch, start // h.batch_size)
+                grads = backward(params, cache, y[batch])
+                optimizer_step(params, grads, h, state)
 
-        train_preds, _ = forward(params, x)
-        train_loss = loss_mse(train_preds, y)
-        if not np.isfinite(train_loss):
-            raise TrainingDivergedError(epoch, -1)
-        if val_dm is not None:
-            val_preds, _ = forward(params, val_dm.features)
-            val_mae = loss_mae(val_preds, val_dm.targets)
-            val_mse = loss_mse(val_preds, val_dm.targets)
-        else:
-            val_mae = val_mse = float("nan")
-        entries.append(EpochStats(epoch, train_loss, val_mae, val_mse))
+            train_preds, _ = forward(params, x)
+            train_loss = loss_mse(train_preds, y)
+            if not np.isfinite(train_loss):
+                raise TrainingDivergedError(epoch, -1)
+            if val_dm is not None:
+                val_preds, _ = forward(params, val_dm.features)
+                val_mae = loss_mae(val_preds, val_dm.targets)
+                val_mse = loss_mse(val_preds, val_dm.targets)
+            else:
+                val_mae = val_mse = float("nan")
+            entries.append(EpochStats(epoch, train_loss, val_mae, val_mse))
 
     return params, TrainingLog(entries=entries, best_epoch=_best_epoch(entries))
 

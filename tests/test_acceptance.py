@@ -14,11 +14,11 @@ import pytest
 
 from socbench import (
     Algorithm,
-    DriveCycleRecord,
     Hyperparameters,
     OptimizerState,
     Profile,
     SyntheticCellParams,
+    Telemetry,
     adam_step,
     adamax_step,
     backward,
@@ -141,7 +141,8 @@ def test_criterion_3_optimizer_step_oracles():
 def test_criterion_4_coulomb_counting_exactness():
     # constant current: 2.9 A for 1800 s on 2.9 Ah = exactly half
     times = np.arange(0.0, 1801.0, 1.0)
-    records = [DriveCycleRecord(t, 3.7, 2.9, 25.0) for t in times]
+    n = times.size
+    records = Telemetry(times, np.full(n, 3.7), np.full(n, 2.9), np.full(n, 25.0))
     soc = coulomb_count(records, 100.0, 2.9)
     assert abs(soc.soc_percent[-1] - 50.0) < 1e-9
 
@@ -149,10 +150,8 @@ def test_criterion_4_coulomb_counting_exactness():
     # closed-form charge = 60 A*s
     times = np.arange(0.0, 121.0, 1.0)
     currents = np.where(times <= 60.0, times / 60.0, (120.0 - times) / 60.0)
-    records = [
-        DriveCycleRecord(float(t), 3.7, float(i), 25.0)
-        for t, i in zip(times, currents)
-    ]
+    n = times.size
+    records = Telemetry(times, np.full(n, 3.7), currents, np.full(n, 25.0))
     soc = coulomb_count(records, 80.0, 2.0)
     expected = 80.0 - 100.0 * (60.0 / 3600.0) / 2.0
     assert abs(soc.soc_percent[-1] - expected) < 1e-9

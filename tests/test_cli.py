@@ -144,6 +144,20 @@ class TestTrain:
         )
         assert code == 1
 
+    def test_conflicting_capacity_is_io_error(self, tmp_path, capsys):
+        data = tmp_path / "cap.csv"
+        data.write_text(
+            "time_s,voltage_v,current_a,temperature_c,capacity_ah\n"
+            "0,4.2,1.0,25,3.2\n1,4.1,1.0,25,2.9\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(
+            capsys, "train", "--data", str(data), "--optimizer", "sgd",
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert "line 3: capacity_ah 2.9 conflicts with 3.2 on line 2" in err
+
     def test_export_features(self, cycle_file, tmp_path, capsys):
         features = tmp_path / "features.csv"
         code, _, _ = run_cli(
@@ -430,6 +444,25 @@ class TestCompare:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 3
         assert "fold 0: training diverged" in outcomes[0][1]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_forward_overflow_diverges_without_warning(
+        self, cycle_file, tmp_path, capsys, jobs
+    ):
+        # at this rate a step's forward overflows in its matmul before the
+        # batch loss is checked; a warning there would be raised as an error
+        code, _, err = run_cli(
+            capsys, "compare", "--data", str(cycle_file),
+            "--optimizers", "adamax,sgd", "--lr", "adamax=0.05,sgd=1e12",
+            "--epochs", "1", "--k", "2", "--hidden", "8", "--soc0", "90",
+            "--out", str(tmp_path / "r.csv"), "--jobs", jobs,
+        )
+        assert code == 3
+        assert err == (
+            "error: fold 0: training diverged: non-finite loss at epoch 1, "
+            "batch 3\n"
+        )
 
     def test_logs_and_table_written(self, cycle_file, tmp_path, capsys):
         out = tmp_path / "results.csv"

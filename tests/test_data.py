@@ -5,10 +5,10 @@ import pytest
 
 from socbench import (
     DataError,
-    DriveCycleRecord,
     IngestionError,
     InputError,
     SocSeries,
+    Telemetry,
     apply_normalization,
     build_design_matrix,
     coulomb_count,
@@ -20,14 +20,28 @@ from socbench.data import DesignMatrix, write_design_matrix_csv
 
 
 def records_from(times, currents, voltage=3.7, temperature=25.0):
-    return [
-        DriveCycleRecord(float(t), voltage, float(i), temperature)
-        for t, i in zip(times, currents)
-    ]
+    n = len(times)
+    return Telemetry(times, np.full(n, voltage), currents, np.full(n, temperature))
 
 
 def write_csv(path, rows, header="time_s,voltage_v,current_a,temperature_c"):
     path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+
+
+class TestTelemetry:
+    def test_columns_are_float64(self):
+        telemetry = Telemetry([0, 1], [4, 4], [3, 3], [25, 25])
+        assert len(telemetry) == 2
+        assert telemetry.current_a.dtype == np.float64
+        assert telemetry.current_a.tolist() == [3.0, 3.0]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [([0.0, 1.0], [4.0], [1.0, 1.0], [25.0, 25.0]), (0.0, 4.0, 1.0, 25.0)],
+    )
+    def test_misaligned_or_scalar_columns_rejected(self, columns):
+        with pytest.raises(InputError, match="1-D and of one length"):
+            Telemetry(*columns)
 
 
 class TestIngest:
@@ -37,14 +51,14 @@ class TestIngest:
         cycle = ingest_csv(f)
         assert cycle.name == "cycle"
         assert len(cycle.records) == 3
-        assert cycle.records[1].current_a == 1.1
+        assert cycle.records.current_a[1] == 1.1
         assert cycle.capacity_ah is None
 
     def test_out_of_order_rows_sorted(self, tmp_path):
         f = tmp_path / "c.csv"
         write_csv(f, ["2.0,4.0,1.0,25.0", "0.0,4.2,1.0,25.0", "1.0,4.1,1.0,25.0"])
         cycle = ingest_csv(f)
-        assert [r.time_s for r in cycle.records] == [0.0, 1.0, 2.0]
+        assert cycle.records.time_s.tolist() == [0.0, 1.0, 2.0]
 
     def test_voltage_bound_violation_rejected_with_line(self, tmp_path):
         f = tmp_path / "c.csv"
@@ -94,11 +108,47 @@ class TestIngest:
         )
         assert ingest_csv(f).capacity_ah == 3.2
 
+    def test_conflicting_capacity_rejected_with_lines_and_values(self, tmp_path):
+        f = tmp_path / "c.csv"
+        write_csv(
+            f,
+            ["0.0,4.2,1.0,25.0,3.2", "1.0,4.1,1.0,25.0,", "2.0,4.1,1.0,25.0,3.20",
+             "3.0,4.0,1.0,25.0,3.0"],
+            header="time_s,voltage_v,current_a,temperature_c,capacity_ah",
+        )
+        with pytest.raises(IngestionError) as info:
+            ingest_csv(f)
+        assert str(info.value) == (
+            f"{f}: rejected rows: line 5: capacity_ah 3.0 conflicts with 3.2 "
+            "on line 2"
+        )
+
+    def test_header_only_file_has_no_data_rows(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_text("time_s,voltage_v,current_a,temperature_c\n\n  \n")
+        with pytest.raises(IngestionError, match="no data rows"):
+            ingest_csv(f)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ["1.0,4.1,-2.0,25.0", "0.0,4.2,-2.0,25.0"],  # one loadtxt call
+            ["1.0,4.1,-2.0,25.0", '"0.0",4.2,-2.0,25.0'],  # row by row
+        ],
+    )
+    def test_invert_current_on_both_paths(self, tmp_path, rows):
+        f = tmp_path / "c.csv"
+        write_csv(f, rows)
+        cycle = ingest_csv(f, invert_current=True)
+        assert cycle.records == Telemetry([0.0, 1.0], [4.2, 4.1], [2.0, 2.0],
+                                          [25.0, 25.0])
+        assert cycle.capacity_ah is None
+
     def test_invert_current(self, tmp_path):
         f = tmp_path / "c.csv"
         write_csv(f, ["0.0,4.2,-2.0,25.0", "1.0,4.1,-2.0,25.0"])
         cycle = ingest_csv(f, invert_current=True)
-        assert cycle.records[0].current_a == 2.0
+        assert cycle.records.current_a[0] == 2.0
 
 
 class TestCoulombCount:
@@ -210,21 +260,16 @@ class TestDesignMatrix:
         np.testing.assert_array_equal(dm.targets, soc.soc_percent)
 
     def test_single_row_warmup(self):
-        records = [
-            DriveCycleRecord(0.0, 4.0, 1.0, 25.0),
-            DriveCycleRecord(1.0, 3.9, 1.0, 25.0),
-        ]
+        records = Telemetry([0.0, 1.0], [4.0, 3.9], [1.0, 1.0], [25.0, 25.0])
         soc = coulomb_count(records, 100.0, 2.9)
         dm = build_design_matrix(records, soc)
-        row = dm.row(0)
-        assert row.x2 == row.x1 == 4.0
+        assert dm.features[0, 1] == dm.features[0, 0] == 4.0
+        assert dm.targets[0] == soc.soc_percent[0]
 
     def test_ramp_window_mean(self):
         # V_i = i over 500 rows: mavg at 499 with window 400 = mean(100..499)
         times = np.arange(500.0)
-        records = [
-            DriveCycleRecord(float(t), 5.0, 0.0, 25.0) for t in times
-        ]
+        records = records_from(times, np.zeros(times.size), voltage=5.0)
         ramp = np.arange(500.0)
         v_avg = moving_average(ramp, window=400)
         assert v_avg[499] == pytest.approx(299.5, abs=1e-12)

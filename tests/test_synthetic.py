@@ -30,7 +30,7 @@ class TestConstantDischarge:
             SyntheticCellParams(), Profile.CONSTANT_DISCHARGE, duration_s=600.0,
             seed=1, amplitude_a=2.0,
         )
-        voltages = np.array([r.voltage_v for r in cycle.records])
+        voltages = cycle.records.voltage_v
         assert np.all(np.diff(voltages) <= 0.0)
 
     def test_ir_drop(self):
@@ -39,8 +39,7 @@ class TestConstantDischarge:
             params, Profile.CONSTANT_DISCHARGE, duration_s=1.0, seed=1,
             amplitude_a=2.0,
         )
-        first = cycle.records[0]
-        assert first.voltage_v == pytest.approx(
+        assert cycle.records.voltage_v[0] == pytest.approx(
             params.ocv(100.0) - 2.0 * params.r_internal_ohm, abs=1e-12
         )
 
@@ -52,9 +51,9 @@ class TestZeroCurrent:
             params, Profile.CONSTANT_DISCHARGE, duration_s=60.0, seed=1,
             amplitude_a=0.0, soc0_percent=80.0,
         )
-        for r in cycle.records:
-            assert r.voltage_v == pytest.approx(params.ocv(80.0), abs=1e-12)
-            assert r.temperature_c == params.t_ambient_c
+        for v, temp in zip(cycle.records.voltage_v, cycle.records.temperature_c):
+            assert v == pytest.approx(params.ocv(80.0), abs=1e-12)
+            assert temp == params.t_ambient_c
         np.testing.assert_allclose(cycle.soc_percent, 80.0, atol=0)
 
 
@@ -65,7 +64,7 @@ class TestThermal:
                 SyntheticCellParams(), Profile.RANDOM_MIX, duration_s=600.0,
                 seed=seed,
             )
-            temps = np.array([r.temperature_c for r in cycle.records])
+            temps = cycle.records.temperature_c
             assert temps.min() >= 25.0
 
     def test_relaxes_to_ambient_after_load(self):
@@ -74,8 +73,8 @@ class TestThermal:
         cycle = generate_cycle(
             params, Profile.PULSE_TRAIN, duration_s=200.0, seed=1, amplitude_a=5.0,
         )
-        temps = np.array([r.temperature_c for r in cycle.records])
-        currents = np.array([r.current_a for r in cycle.records])
+        temps = cycle.records.temperature_c
+        currents = cycle.records.current_a
         rest = currents == 0.0
         # within any rest stretch the temperature decreases monotonically
         diffs = np.diff(temps)
@@ -103,7 +102,7 @@ class TestRandomMix:
         cycle = generate_cycle(
             SyntheticCellParams(), Profile.RANDOM_MIX, duration_s=1200.0, seed=7
         )
-        currents = np.array([r.current_a for r in cycle.records])
+        currents = cycle.records.current_a
         assert currents.min() >= -2.0 and currents.max() <= 5.0
         assert (currents < 0).any()  # regenerative pulses occur
 
