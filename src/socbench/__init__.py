@@ -53,6 +53,7 @@ from .network import (
     loss_mae,
     loss_mse,
     mlp_specs,
+    predict,
     save_model,
 )
 from .optimizers import (

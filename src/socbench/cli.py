@@ -39,11 +39,11 @@ from .harness import (
 from .network import (
     DEFAULT_HIDDEN,
     count_parameters,
-    forward,
     load_model,
     loss_mae,
     loss_mse,
     mlp_specs,
+    predict,
     save_model,
 )
 from .optimizers import Algorithm, Hyperparameters
@@ -313,7 +313,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_model(cfg["out_model"], params, normalization=stats, seed=h.seed)
     write_training_log_csv(log, cfg["out_log"])
 
-    predictions, _ = forward(params, normalized.features)
+    predictions = predict(params, normalized.features)
     mae = loss_mae(predictions, normalized.targets)
     mse = loss_mse(predictions, normalized.targets)
     print(f"model: {cfg['out_model']} ({count_parameters(params)} parameters)")
@@ -341,7 +341,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             f"data provides {raw_dm.features.shape[1]}"
         )
     dm = raw_dm if stats is None else battery_data.apply_normalization(raw_dm, stats)
-    predictions, _ = forward(params, dm.features)
+    predictions = predict(params, dm.features)
     mae = loss_mae(predictions, dm.targets)
     mse = loss_mse(predictions, dm.targets)
     rmse = float(np.sqrt(mse))

@@ -131,15 +131,15 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
 def _read_columns(path: Path) -> Telemetry | None:
     """The file's telemetry, or None when the row-by-row parse must decide."""
     with path.open(newline="", encoding="utf-8") as fh:
-        if fh.readline().rstrip("\r\n") != ",".join(CSV_HEADER):
-            return None
-        start = fh.tell()
-        if not fh.read(1 << 16).strip():  # loadtxt would only warn of no data
-            return None
-        fh.seek(start)
         try:
+            if fh.readline().rstrip("\r\n") != ",".join(CSV_HEADER):
+                return None
+            start = fh.tell()
+            if not fh.read(1 << 16).strip():  # loadtxt would only warn of no data
+                return None
+            fh.seek(start)
             table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
+        except ValueError:  # UnicodeDecodeError too: the row loop reports it
             return None
     if table.shape[1] != len(CSV_HEADER) or not np.isfinite(table).all():
         return None
@@ -158,10 +158,22 @@ def _read_columns(path: Path) -> Telemetry | None:
     return Telemetry(*columns)
 
 
+def _utf8_lines(fh, path: Path):
+    """The lines of a text file opened as UTF-8; bytes that do not decode
+    are an IngestionError naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as exc:
+        raise IngestionError(
+            f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02x} "
+            f"cannot be decoded"
+        ) from None
+
+
 def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
     """The row-by-row parse behind ``ingest_csv``, for any file."""
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -213,6 +225,8 @@ def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
                     try:
                         capacity = float(cell)
                     except ValueError:
+                        capacity = float("nan")
+                    if not (isfinite(capacity) and capacity > 0.0):
                         bad_lines.append(f"line {line_no}: bad capacity_ah {cell!r}")
                         continue
                     if capacity_ah is None:

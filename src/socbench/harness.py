@@ -41,6 +41,7 @@ from .network import (
     loss_mae,
     loss_mse,
     mlp_specs,
+    predict,
 )
 from .optimizers import Algorithm, Hyperparameters, OptimizerState, optimizer_step
 
@@ -153,12 +154,12 @@ def train(
                 grads = backward(params, cache, y[batch])
                 optimizer_step(params, grads, h, state)
 
-            train_preds, _ = forward(params, x)
+            train_preds = predict(params, x)
             train_loss = loss_mse(train_preds, y)
             if not np.isfinite(train_loss):
                 raise TrainingDivergedError(epoch, -1)
             if val_dm is not None:
-                val_preds, _ = forward(params, val_dm.features)
+                val_preds = predict(params, val_dm.features)
                 val_mae = loss_mae(val_preds, val_dm.targets)
                 val_mse = loss_mse(val_preds, val_dm.targets)
             else:
@@ -284,7 +285,7 @@ def _final_fit(
     params, log = train(
         layer_specs, apply_normalization(train_raw, stats), h, algorithm
     )
-    preds, _ = forward(params, apply_normalization(test_raw, stats).features)
+    preds = predict(params, apply_normalization(test_raw, stats).features)
     return loss_mae(preds, test_raw.targets), loss_mse(preds, test_raw.targets), log
 
 

@@ -83,7 +83,7 @@ class NetworkParameters:
     def arrays(self) -> list[np.ndarray]:
         """All parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
         out = []
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(self.weights, self.biases, strict=True):
             out.append(w)
             out.append(b)
         return out
@@ -98,7 +98,7 @@ class GradientSet:
 
     def arrays(self) -> list[np.ndarray]:
         out = []
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(self.weights, self.biases, strict=True):
             out.append(w)
             out.append(b)
         return out
@@ -131,23 +131,20 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParameters:
 
 
 def count_parameters(params: NetworkParameters) -> int:
-    return sum(w.size + b.size for w, b in zip(params.weights, params.biases))
+    return sum(
+        w.size + b.size for w, b in zip(params.weights, params.biases, strict=True)
+    )
 
 
 def layer_parameter_counts(params: NetworkParameters) -> list[int]:
-    return [w.size + b.size for w, b in zip(params.weights, params.biases)]
+    return [
+        w.size + b.size for w, b in zip(params.weights, params.biases, strict=True)
+    ]
 
 
-def forward(
-    params: NetworkParameters, batch: np.ndarray
-) -> tuple[np.ndarray, ForwardCache]:
-    """Run the network on a (n, input_dim) batch.
-
-    Returns predictions of shape (n,) and the cache backward() needs.
-    The output layer must have a single unit. Each layer is computed in
-    place in one fresh array, with the same values, element for element,
-    as ``np.maximum(a @ W.T + b, 0.0)`` (ReLU) or ``a @ W.T + b`` (linear).
-    """
+def _checked_batch(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
+    """The batch as a float64 (n, input_dim) array of finite values, for a
+    network with a single-unit output layer."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2:
         raise InputError(f"batch must be 2-D (n, input_dim), got shape {x.shape}")
@@ -159,36 +156,109 @@ def forward(
     if not np.all(np.isfinite(x)):
         raise InputError("batch contains non-finite values")
     if params.specs[-1].output_dim != 1:
-        raise InputError("forward() requires a single-unit output layer")
+        raise InputError("forward() and predict() require a single-unit output layer")
+    return x
 
+
+def _finish_layer(a: np.ndarray, spec: LayerSpec, b: np.ndarray) -> None:
+    """Adds the bias to the layer product ``a`` and applies the activation,
+    in place."""
+    a += b
+    if spec.activation is Activation.RELU:
+        np.maximum(a, 0.0, out=a)
+
+
+def forward(
+    params: NetworkParameters, batch: np.ndarray
+) -> tuple[np.ndarray, ForwardCache]:
+    """Run the network on a (n, input_dim) batch.
+
+    Returns predictions of shape (n,) and the cache backward() needs.
+    The output layer must have a single unit. Each layer is computed in
+    place in one fresh array, with the same values, element for element,
+    as ``np.maximum(a @ W.T + b, 0.0)`` (ReLU) or ``a @ W.T + b`` (linear).
+    Scoring, which needs no cache, goes through predict().
+    """
+    x = _checked_batch(params, batch)
     cache = ForwardCache(inputs=x)
     a = x
-    for spec, w, b in zip(params.specs, params.weights, params.biases):
+    for spec, w, b in zip(params.specs, params.weights, params.biases, strict=True):
         a = a @ w.T
-        a += b
-        if spec.activation is Activation.RELU:
-            np.maximum(a, 0.0, out=a)
+        _finish_layer(a, spec, b)
         cache.post_activations.append(a)
     return a[:, 0], cache
 
 
-def loss_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
+SCORE_ROWS = 4096  # rows per block of predict()'s hidden layers
+
+
+def predict(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
+    """Predictions of shape (n,), equal bit for bit to
+    ``forward(params, batch)[0]``, without keeping every layer's output.
+
+    The hidden layers run on blocks of SCORE_ROWS rows, the last block
+    taking the remainder, and the last hidden layer writes each block into
+    one (n, width) array; for the default network memory is that array
+    plus one block-sized array, not one n-row array per layer. Two things
+    keep the result bit-exact:
+
+    - The output layer is one product over all n rows. A (n, width) @
+      (width, 1) product runs through OpenBLAS's threaded matrix-vector
+      kernel, which splits the rows between its threads, and rows at the
+      end of a thread's range round differently; per-block output
+      products change a few predictions.
+    - No block is shorter than SCORE_ROWS rows unless n is. A 1-4 row
+      block takes a different GEMM path and rounds differently from the
+      same rows inside a large product.
+    """
+    x = _checked_batch(params, batch)
+    *hidden, (out_spec, out_w, out_b) = zip(
+        params.specs, params.weights, params.biases, strict=True
+    )
+    a = x
+    if hidden:
+        n, width = x.shape[0], hidden[-1][0].output_dim
+        last = np.empty((n, width))
+        # Counting down from the last hidden layer, every other layer of the
+        # same width also computes into the block's rows of `last`, so a
+        # block needs one array of its own, not one per layer.
+        into_last = [True]
+        for spec, _, _ in reversed(hidden[:-1]):
+            into_last.append(not into_last[-1] and spec.output_dim == width)
+        into_last.reverse()
+        n_blocks = max(n // SCORE_ROWS, 1)
+        for block in range(n_blocks):
+            start = block * SCORE_ROWS
+            stop = n if block == n_blocks - 1 else start + SCORE_ROWS
+            a = x[start:stop]
+            for (spec, w, b), to_last in zip(hidden, into_last, strict=True):
+                a = np.matmul(a, w.T, out=last[start:stop] if to_last else None)
+                _finish_layer(a, spec, b)
+        a = last
+    a = a @ out_w.T
+    _finish_layer(a, out_spec, out_b)
+    return a[:, 0]
+
+
+def _loss_inputs(
+    predictions: np.ndarray, targets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     p = np.asarray(predictions, dtype=np.float64)
     t = np.asarray(targets, dtype=np.float64)
     if p.shape != t.shape:
         raise InputError(f"length mismatch: {p.shape} vs {t.shape}")
     if p.size == 0:
         raise InputError("loss needs at least one sample")
+    return p, t
+
+
+def loss_mse(predictions: np.ndarray, targets: np.ndarray) -> float:
+    p, t = _loss_inputs(predictions, targets)
     return float(np.mean((p - t) ** 2))
 
 
 def loss_mae(predictions: np.ndarray, targets: np.ndarray) -> float:
-    p = np.asarray(predictions, dtype=np.float64)
-    t = np.asarray(targets, dtype=np.float64)
-    if p.shape != t.shape:
-        raise InputError(f"length mismatch: {p.shape} vs {t.shape}")
-    if p.size == 0:
-        raise InputError("loss needs at least one sample")
+    p, t = _loss_inputs(predictions, targets)
     return float(np.mean(np.abs(p - t)))
 
 
@@ -208,7 +278,7 @@ def backward(
         or cache.inputs.shape[1] != params.specs[0].input_dim
     ):
         raise InternalError("forward cache does not match network parameters")
-    for a, w in zip(cache.post_activations, params.weights):
+    for a, w in zip(cache.post_activations, params.weights, strict=True):
         if a.shape[1] != w.shape[0]:
             raise InternalError("forward cache does not match network parameters")
 
@@ -292,7 +362,7 @@ def load_model(path: str | Path):
             f"model file {path}: {len(specs)} layer_specs but {len(weights)} "
             f"weights and {len(biases)} biases"
         )
-    for spec, w, b in zip(specs, weights, biases):
+    for spec, w, b in zip(specs, weights, biases, strict=True):
         if w.shape != (spec.output_dim, spec.input_dim) or b.shape != (spec.output_dim,):
             raise ModelMismatchError(
                 f"model file {path}: stored arrays do not match layer_specs"

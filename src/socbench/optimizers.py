@@ -116,7 +116,7 @@ def _check_step(
     p_arrays = params.arrays()
     g_arrays = grads.arrays()
     if len(p_arrays) != len(g_arrays) or any(
-        p.shape != g.shape for p, g in zip(p_arrays, g_arrays)
+        p.shape != g.shape for p, g in zip(p_arrays, g_arrays, strict=True)
     ):
         raise InputError("gradient shapes do not match parameter shapes")
     for g in g_arrays:
@@ -133,7 +133,7 @@ def sgd_step(
 ) -> tuple[NetworkParameters, OptimizerState]:
     p_arrays, g_arrays = _check_step(params, grads, state, Algorithm.SGD)
     eta = h.resolve_eta(Algorithm.SGD)
-    for p, g in zip(p_arrays, g_arrays):
+    for p, g in zip(p_arrays, g_arrays, strict=True):
         p -= eta * g
     state.step_count += 1
     return params, state
@@ -147,7 +147,7 @@ def rmsprop_step(
 ) -> tuple[NetworkParameters, OptimizerState]:
     p_arrays, g_arrays = _check_step(params, grads, state, Algorithm.RMSPROP)
     eta = h.resolve_eta(Algorithm.RMSPROP)
-    for p, g, avg_sq in zip(p_arrays, g_arrays, state.slot_a):
+    for p, g, avg_sq in zip(p_arrays, g_arrays, state.slot_a, strict=True):
         avg_sq *= h.rho
         avg_sq += (1.0 - h.rho) * g * g
         p -= eta * g / np.sqrt(avg_sq + h.epsilon)
@@ -166,7 +166,9 @@ def adam_step(
     k = state.step_count + 1
     bias1 = 1.0 - h.beta1**k
     bias2 = 1.0 - h.beta2**k
-    for p, g, m, v in zip(p_arrays, g_arrays, state.slot_a, state.slot_b):
+    for p, g, m, v in zip(
+        p_arrays, g_arrays, state.slot_a, state.slot_b, strict=True
+    ):
         m *= h.beta1
         m += (1.0 - h.beta1) * g
         v *= h.beta2
@@ -186,7 +188,9 @@ def adamax_step(
     eta = h.resolve_eta(Algorithm.ADAMAX)
     k = state.step_count + 1
     bias1 = 1.0 - h.beta1**k
-    for p, g, m, u in zip(p_arrays, g_arrays, state.slot_a, state.slot_b):
+    for p, g, m, u in zip(
+        p_arrays, g_arrays, state.slot_a, state.slot_b, strict=True
+    ):
         m *= h.beta1
         m += (1.0 - h.beta1) * g
         np.maximum(h.beta2 * u, np.abs(g), out=u)

@@ -158,6 +158,39 @@ class TestTrain:
         assert code == 1
         assert "line 3: capacity_ah 2.9 conflicts with 3.2 on line 2" in err
 
+    @pytest.mark.parametrize("cell", ["nan", "0"])
+    def test_unusable_capacity_is_io_error(self, tmp_path, capsys, cell):
+        data = tmp_path / "cap.csv"
+        data.write_text(
+            "time_s,voltage_v,current_a,temperature_c,capacity_ah\n"
+            f"0,4.2,1.0,25,{cell}\n1,4.1,1.0,25,\n",
+            encoding="utf-8",
+        )
+        code, _, err = run_cli(
+            capsys, "train", "--data", str(data), "--optimizer", "sgd",
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert f"line 2: bad capacity_ah {cell!r}" in err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"time_s,voltage_v,current_a,temperature_c\xff\n0,4.2,1.0,25\n",
+            b"time_s,voltage_v,current_a,temperature_c\n0,4.2,1.0,25\n\xff\n",
+        ],
+        ids=["header", "row"],
+    )
+    def test_non_utf8_data_is_io_error(self, tmp_path, capsys, content):
+        data = tmp_path / "bytes.csv"
+        data.write_bytes(content)
+        code, _, err = run_cli(
+            capsys, "train", "--data", str(data), "--optimizer", "sgd",
+            "--out-model", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert f"{data}: not UTF-8 text" in err
+
     def test_export_features(self, cycle_file, tmp_path, capsys):
         features = tmp_path / "features.csv"
         code, _, _ = run_cli(

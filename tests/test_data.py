@@ -16,7 +16,7 @@ from socbench import (
     ingest_csv,
     moving_average,
 )
-from socbench.data import DesignMatrix, write_design_matrix_csv
+from socbench.data import DesignMatrix, _ingest_rows, write_design_matrix_csv
 
 
 def records_from(times, currents, voltage=3.7, temperature=25.0):
@@ -122,6 +122,38 @@ class TestIngest:
             f"{f}: rejected rows: line 5: capacity_ah 3.0 conflicts with 3.2 "
             "on line 2"
         )
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "0", "-0.0", "-1"])
+    def test_unusable_capacity_is_a_rejected_row(self, tmp_path, cell):
+        f = tmp_path / "c.csv"
+        write_csv(
+            f,
+            ["0.0,4.2,1.0,25.0,", f"1.0,4.1,1.0,25.0,{cell}", "2.0,4.1,1.0,25.0,3.2"],
+            header="time_s,voltage_v,current_a,temperature_c,capacity_ah",
+        )
+        with pytest.raises(IngestionError) as info:
+            ingest_csv(f)
+        assert str(info.value) == f"{f}: rejected rows: line 3: bad capacity_ah {cell!r}"
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"time_s,volt\xffage_v,current_a,temperature_c\n0,4.2,1.0,25\n",
+            b"time_s,voltage_v,current_a,temperature_c\n0,4.2,1.0,25\n1,4.\xff,1.0,25\n",
+            # past the text the header check decodes: np.loadtxt meets it
+            b"time_s,voltage_v,current_a,temperature_c\n"
+            + b"".join(b"%d,4.2,1.0,25\n" % t for t in range(10_000))
+            + b"10000,4.\xff,1.0,25\n",
+        ],
+        ids=["header", "row", "late-row"],
+    )
+    @pytest.mark.parametrize("ingest", [ingest_csv, _ingest_rows])
+    def test_non_utf8_file_is_ingestion_error(self, tmp_path, content, ingest):
+        f = tmp_path / "c.csv"
+        f.write_bytes(content)
+        with pytest.raises(IngestionError) as info:
+            ingest(f, False)
+        assert str(info.value) == f"{f}: not UTF-8 text: byte 0xff cannot be decoded"
 
     def test_header_only_file_has_no_data_rows(self, tmp_path):
         f = tmp_path / "c.csv"

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,11 +21,12 @@ from socbench import (
     loss_mae,
     loss_mse,
     mlp_specs,
+    predict,
     save_model,
 )
 from socbench.data import NormalizationStats
 from socbench.errors import ConfigError, ModelMismatchError
-from socbench.network import layer_parameter_counts
+from socbench.network import DEFAULT_HIDDEN, layer_parameter_counts
 
 
 def tiny_net(weight, bias, activation=Activation.IDENTITY):
@@ -201,6 +203,47 @@ class TestForward:
             forward(params, bad)
 
 
+class TestPredict:
+    @pytest.mark.parametrize(
+        "specs, batch",
+        [
+            (mlp_specs(4, [8]), np.ones(4)),  # 1-D
+            (mlp_specs(4, [8]), np.ones((5, 3))),  # wrong width
+            (mlp_specs(2, [4]), np.array([[1.0, np.nan]])),
+            (mlp_specs(2, [4]), np.array([[np.inf, 0.0]])),
+            (mlp_specs(2, [4], output_dim=2), np.ones((3, 2))),
+        ],
+        ids=["1-d", "width", "nan", "inf", "two-unit-output"],
+    )
+    def test_rejects_what_forward_rejects(self, specs, batch):
+        params = init_network(specs, seed=0)
+        with pytest.raises(InputError) as want:
+            forward(params, batch)
+        with pytest.raises(InputError) as got:
+            predict(params, batch)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+
+    def test_keeps_one_hidden_layer_output(self):
+        """One n x 256 float64 array plus a block's layers, where forward
+        keeps all three hidden layers' outputs."""
+        n = 20_000
+        params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
+        batch = np.random.default_rng(0).normal(size=(n, 4))
+        layer_bytes = n * 256 * 8
+
+        def peak(score):
+            tracemalloc.start()
+            try:
+                score(params, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(predict) < 1.5 * layer_bytes
+        assert peak(forward) > 2.5 * layer_bytes
+
+
 class TestLosses:
     def test_mse_worked_example(self):
         assert loss_mse(np.array([50.0, 60.0]), np.array([52.0, 58.0])) == 4.0
@@ -230,6 +273,11 @@ class TestLosses:
             loss_mse(np.array([1.0]), np.array([1.0, 2.0]))
         with pytest.raises(InputError):
             loss_mae(np.array([1.0]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("loss", [loss_mse, loss_mae])
+    def test_empty_rejected(self, loss):
+        with pytest.raises(InputError, match="at least one sample"):
+            loss(np.array([]), np.array([]))
 
 
 class TestBackward:

@@ -1,14 +1,17 @@
-"""Property tests: the in-place forward/backward, the array-based ingest,
-the columnar generator and writer against the straightforward loops they
-replace, kept here as references; plus invariants of the SOC features."""
+"""Property tests: the in-place forward/backward, the blocked predict, the
+array-based ingest, the columnar generator and writer against the
+straightforward code they replace, kept here as references; plus invariants
+of the SOC features."""
 
 import csv
+import math
 import random
+from contextlib import nullcontext
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,12 +27,16 @@ from socbench import (
     write_cycle_csv,
 )
 from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
+from socbench.harness import _one_blas_thread
 from socbench.network import (
     Activation,
+    LayerSpec,
     NetworkParameters,
     backward,
     forward,
+    init_network,
     mlp_specs,
+    predict,
 )
 
 # small exact values, so that pre-activations often land exactly on 0.0
@@ -113,6 +120,43 @@ def test_backward_matches_pre_activation_mask_bit_for_bit(case):
     want_w, want_b = reference_backward(params, batch, targets)
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):
         assert same_bits(got, want)
+
+
+# row counts for predict(): tiny batches, and either side of the block edges
+# at 8192 and 12288 rows, where the last block takes the remainder
+PREDICT_ROWS = st.one_of(
+    st.integers(0, 5),
+    st.sampled_from([8192, 12288]).flatmap(lambda edge: st.integers(edge - 5, edge + 5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, False, 0)
+@example(12290, [256, 256, 256], Activation.RELU, Activation.RELU, True, 1)
+@given(
+    n=PREDICT_ROWS,
+    hidden=st.sampled_from([[], [8], [256, 256, 256]]),
+    hidden_activation=st.sampled_from(list(Activation)),
+    output_activation=st.sampled_from(list(Activation)),
+    one_blas_thread=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_predict_matches_forward_bit_for_bit(
+    n, hidden, hidden_activation, output_activation, one_blas_thread, seed
+):
+    rng = np.random.default_rng(seed)
+    specs = [
+        LayerSpec(s.input_dim, s.output_dim, hidden_activation)
+        for s in mlp_specs(4, hidden)[:-1]
+    ] + [LayerSpec(hidden[-1] if hidden else 4, 1, output_activation)]
+    params = init_network(specs, seed)
+    for b in params.biases:
+        b[:] = rng.normal(scale=0.5, size=b.shape)  # so that ReLU clamps some
+    batch = rng.normal(size=(n, 4))
+    with _one_blas_thread() if one_blas_thread else nullcontext():
+        got = predict(params, batch)
+        want, _ = forward(params, batch)
+    assert same_bits(got, want)
 
 
 # --- ingestion --------------------------------------------------------------
@@ -227,7 +271,7 @@ DIRTY = ['"1.5"', "1_0.5", "abc", ""]
 NON_FINITE = ["nan", "inf", "-inf", "NaN", "Infinity"]
 OUT_OF_BOUNDS = {1: ["0", "6", "9.9", "-1"], 3: ["-40", "80", "-50", "90"]}
 EXTRA_HEADERS = [[], [], [], ["capacity_ah"], ["note"], ["note", "capacity_ah"]]
-CAPACITIES = ["", "3.2", "3.20", "2.9", "abc"]
+CAPACITIES = ["", "3.2", "3.20", "2.9", "abc", "nan", "inf", "0", "-1"]
 MESSES = ["blank", "repeat", "field", "non-finite", "bound", "extra", "short"]
 
 
@@ -332,6 +376,52 @@ def test_clean_file_is_read_in_one_call(tmp_path, end):
     assert _read_columns(path) == Telemetry(
         [0.0, 1.0, 2.0], [4.2, 4.1, 4.0], [1.5] * 3, [25.0] * 3
     )
+
+
+def reference_capacity(path, cells):
+    """The per-row capacity_ah rule: a non-empty cell must be a finite
+    number > 0 and agree with the first such cell. Returns the capacity
+    (None without one), or the rejected-rows message."""
+    bad, first = [], None
+    for line_no, cell in enumerate(cells, start=2):
+        cell = cell.strip()
+        if not cell:
+            continue
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if value is None or not (math.isfinite(value) and value > 0.0):
+            bad.append(f"line {line_no}: bad capacity_ah {cell!r}")
+        elif first is None:
+            first = (value, line_no)
+        elif value != first[0]:
+            bad.append(
+                f"line {line_no}: capacity_ah {value!r} conflicts with "
+                f"{first[0]!r} on line {first[1]}"
+            )
+    if bad:
+        return f"{path}: rejected rows: " + "; ".join(bad)
+    return None if first is None else first[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(
+        st.sampled_from(CAPACITIES + ["-0.0", "-inf", " 3.2 ", "1e-300"]),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_capacity_matches_reference_loop(tmp_path_factory, cells):
+    path = tmp_path_factory.mktemp("capacity") / "cycle.csv"
+    rows = [f"{t},3.7,1.5,25,{cell}\n" for t, cell in enumerate(cells)]
+    path.write_text(",".join(CSV_HEADER) + ",capacity_ah\n" + "".join(rows))
+    try:
+        got = ingest_csv(path).capacity_ah
+    except IngestionError as exc:
+        got = str(exc)
+    assert got == reference_capacity(path, cells)
 
 
 # --- the columnar generator and writer ---------------------------------------
