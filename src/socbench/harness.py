@@ -17,7 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -359,9 +359,11 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
+@cache
 def _openblas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
     """(get, set) of the thread count of the OpenBLAS loaded in this process,
-    found through the symbols it exports; None when there is none."""
+    found through the symbols it exports; None when there is none. Looked
+    up once per process."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = {line.split()[-1] for line in fh if "blas" in line.lower()}

@@ -189,7 +189,7 @@ def forward(
     return a[:, 0], cache
 
 
-SCORE_ROWS = 4096  # rows per block of predict()'s hidden layers
+SCORE_ROWS = 512  # rows per block of predict()'s hidden layers
 
 
 def predict(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
@@ -198,9 +198,9 @@ def predict(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
 
     The hidden layers run on blocks of SCORE_ROWS rows, the last block
     taking the remainder, and the last hidden layer writes each block into
-    one (n, width) array; for the default network memory is that array
-    plus one block-sized array, not one n-row array per layer. Two things
-    keep the result bit-exact:
+    one (n, width) array. A pass holds that array plus about two blocks
+    (1 MB each for the default network), not one n-row array per layer.
+    Two things keep the result bit-exact:
 
     - The output layer is one product over all n rows. A (n, width) @
       (width, 1) product runs through OpenBLAS's threaded matrix-vector
@@ -217,23 +217,19 @@ def predict(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
     )
     a = x
     if hidden:
-        n, width = x.shape[0], hidden[-1][0].output_dim
-        last = np.empty((n, width))
-        # Counting down from the last hidden layer, every other layer of the
-        # same width also computes into the block's rows of `last`, so a
-        # block needs one array of its own, not one per layer.
-        into_last = [True]
-        for spec, _, _ in reversed(hidden[:-1]):
-            into_last.append(not into_last[-1] and spec.output_dim == width)
-        into_last.reverse()
+        *inner, (top_spec, top_w, top_b) = hidden
+        n = x.shape[0]
+        last = np.empty((n, top_spec.output_dim))
         n_blocks = max(n // SCORE_ROWS, 1)
         for block in range(n_blocks):
             start = block * SCORE_ROWS
             stop = n if block == n_blocks - 1 else start + SCORE_ROWS
             a = x[start:stop]
-            for (spec, w, b), to_last in zip(hidden, into_last, strict=True):
-                a = np.matmul(a, w.T, out=last[start:stop] if to_last else None)
+            for spec, w, b in inner:
+                a = a @ w.T
                 _finish_layer(a, spec, b)
+            a = np.matmul(a, top_w.T, out=last[start:stop])
+            _finish_layer(a, top_spec, top_b)
         a = last
     a = a @ out_w.T
     _finish_layer(a, out_spec, out_b)

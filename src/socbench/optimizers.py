@@ -44,6 +44,15 @@ DEFAULT_LEARNING_RATES = {
 }
 
 
+# accumulator lists each rule reads: slot_a, then slot_b
+_SLOT_COUNT = {
+    Algorithm.SGD: 0,
+    Algorithm.RMSPROP: 1,
+    Algorithm.ADAM: 2,
+    Algorithm.ADAMAX: 2,
+}
+
+
 @dataclass(frozen=True)
 class Hyperparameters:
     """Training hyperparameters. ``eta=None`` means the per-algorithm default.
@@ -96,9 +105,9 @@ class OptimizerState:
     def initial(cls, algorithm: Algorithm, params: NetworkParameters) -> "OptimizerState":
         arrays = params.arrays()
         state = cls(algorithm=algorithm)
-        if algorithm in (Algorithm.RMSPROP, Algorithm.ADAM, Algorithm.ADAMAX):
+        if _SLOT_COUNT[algorithm] >= 1:
             state.slot_a = [np.zeros_like(a) for a in arrays]
-        if algorithm in (Algorithm.ADAM, Algorithm.ADAMAX):
+        if _SLOT_COUNT[algorithm] == 2:
             state.slot_b = [np.zeros_like(a) for a in arrays]
         return state
 
@@ -115,10 +124,12 @@ def _check_step(
         )
     p_arrays = params.arrays()
     g_arrays = grads.arrays()
-    if len(p_arrays) != len(g_arrays) or any(
-        p.shape != g.shape for p, g in zip(p_arrays, g_arrays, strict=True)
-    ):
+    shapes = [p.shape for p in p_arrays]
+    if [g.shape for g in g_arrays] != shapes:
         raise InputError("gradient shapes do not match parameter shapes")
+    slots = (state.slot_a, state.slot_b)[: _SLOT_COUNT[expected]]
+    if any([s.shape for s in slot] != shapes for slot in slots):
+        raise InputError("optimizer state shapes do not match parameter shapes")
     for g in g_arrays:
         if not np.all(np.isfinite(g)):
             raise NumericError("non-finite gradient")

@@ -382,6 +382,10 @@ class TestRunComparison:
         # 2 cycles x 2 optimizers x (2 folds + final fit) runs were queued
         assert len(started) < 12
 
+    def test_openblas_thread_api_is_looked_up_once(self):
+        assert _openblas_thread_api() is _openblas_thread_api()
+        assert _openblas_thread_api.cache_info().hits >= 1
+
     def test_blas_pinned_to_one_thread_in_pool_and_restored(
         self, small_cycle_files, monkeypatch
     ):

@@ -17,6 +17,7 @@ from socbench import (
     adam_step,
     adamax_step,
     init_network,
+    mlp_specs,
     optimizer_step,
     rmsprop_step,
     sgd_step,
@@ -282,6 +283,28 @@ class TestValidation:
         bad = GradientSet(weights=[np.ones((2, 2))], biases=[np.zeros(1)])
         with pytest.raises(InputError):
             sgd_step(params, bad, Hyperparameters(eta=0.01), state)
+
+    @pytest.mark.parametrize(
+        "algorithm", [Algorithm.RMSPROP, Algorithm.ADAM, Algorithm.ADAMAX]
+    )
+    @pytest.mark.parametrize(
+        "hidden", [[8, 8], [16]], ids=["more-arrays", "other-shapes"]
+    )
+    def test_state_for_another_network_rejected_before_any_update(
+        self, algorithm, hidden
+    ):
+        state = OptimizerState.initial(algorithm, init_network(mlp_specs(4, [8]), 0))
+        params = init_network(mlp_specs(4, hidden), seed=1)
+        before = [a.copy() for a in params.arrays()]
+        grads = GradientSet(
+            weights=[np.ones_like(w) for w in params.weights],
+            biases=[np.ones_like(b) for b in params.biases],
+        )
+        with pytest.raises(InputError, match="optimizer state shapes"):
+            STEPS[algorithm](params, grads, Hyperparameters(eta=0.01), state)
+        for got, want in zip(params.arrays(), before, strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert state.step_count == 0
 
     def test_non_finite_gradient(self):
         params = scalar_param()

@@ -29,6 +29,7 @@ from socbench import (
 from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
 from socbench.harness import _one_blas_thread
 from socbench.network import (
+    SCORE_ROWS,
     Activation,
     LayerSpec,
     NetworkParameters,
@@ -122,11 +123,13 @@ def test_backward_matches_pre_activation_mask_bit_for_bit(case):
         assert same_bits(got, want)
 
 
-# row counts for predict(): tiny batches, and either side of the block edges
-# at 8192 and 12288 rows, where the last block takes the remainder
+# row counts for predict(): tiny batches, and either side of the first three
+# block edges, where the last block takes the remainder
 PREDICT_ROWS = st.one_of(
     st.integers(0, 5),
-    st.sampled_from([8192, 12288]).flatmap(lambda edge: st.integers(edge - 5, edge + 5)),
+    st.sampled_from([k * SCORE_ROWS for k in (1, 2, 3)]).flatmap(
+        lambda edge: st.integers(edge - 5, edge + 5)
+    ),
 )
 
 
