@@ -29,6 +29,7 @@ from .errors import (
 )
 from .harness import (
     FoldMode,
+    _one_blas_thread,
     format_results_table,
     prepare_cycle,
     run_comparison,
@@ -308,12 +309,14 @@ def cmd_train(args: argparse.Namespace) -> int:
         battery_data.write_design_matrix_csv(raw_dm, cfg["export_features"])
 
     specs = mlp_specs(raw_dm.features.shape[1], cfg["hidden"])
-    params, log = train(specs, normalized, h, algorithm)
+    # one BLAS thread, as in every compare run (see harness._one_blas_thread)
+    with _one_blas_thread():
+        params, log = train(specs, normalized, h, algorithm)
+        predictions = predict(params, normalized.features)
 
     save_model(cfg["out_model"], params, normalization=stats, seed=h.seed)
     write_training_log_csv(log, cfg["out_log"])
 
-    predictions = predict(params, normalized.features)
     mae = loss_mae(predictions, normalized.targets)
     mse = loss_mse(predictions, normalized.targets)
     print(f"model: {cfg['out_model']} ({count_parameters(params)} parameters)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import threading
 import time
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -384,25 +385,42 @@ def _openblas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | 
     return None
 
 
+# holders of the one-thread pin and the count to restore when the last leaves
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_restore = 0
+
+
 @contextmanager
 def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block and restore the previous
-    count after it; does nothing when no OpenBLAS is found.
+    """Pin OpenBLAS to one thread for the block; does nothing when no
+    OpenBLAS is found.
 
-    Pool workers each run their own GEMMs, and BLAS threads of their own
-    would only contend with the other workers for the same cores.
+    Every training run goes through this pin, serial or pooled: a step's
+    small GEMMs run at one-thread speed anyway, and a second BLAS thread
+    would only spin (serial) or contend with the other workers for the
+    same cores (pooled). The thread count is process-wide, so the pin is
+    shared: holders on any thread, nested or overlapping, are counted
+    under a lock; the first saves the count, the last to leave restores it.
     """
+    global _pin_holders, _pin_restore
     api = _openblas_thread_api()
     if api is None:
         yield
         return
     get, set_ = api
-    previous = get()
-    set_(1)
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_holders += 1
     try:
         yield
     finally:
-        set_(previous)
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                set_(_pin_restore)
 
 
 def _timed(run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
@@ -418,11 +436,12 @@ def _run_all(
 
     Results are read in task order, so the error raised is that of the
     earliest failing run, as in a serial loop; runs still queued then are
-    cancelled.
+    cancelled. OpenBLAS is pinned to one thread throughout, so every run
+    computes the same bits whatever ``jobs`` is.
     """
-    if jobs == 1:
-        return [_timed(run) for run in runs]
     with _one_blas_thread():
+        if jobs == 1:
+            return [_timed(run) for run in runs]
         pool = ThreadPoolExecutor(max_workers=jobs)
         try:
             futures = [pool.submit(_timed, run) for run in runs]
@@ -449,9 +468,10 @@ def run_comparison(
 
     A cycle that fails ingestion is skipped and recorded in the report.
     The unit of work is one training run (a fold or a final fit); with
-    ``jobs > 1`` the runs go to a thread pool while OpenBLAS is pinned to
-    one thread. Results come back sorted by (cycle, optimizer) regardless
-    of scheduling, and are bit-identical for a fixed seed.
+    ``jobs > 1`` the runs go to a thread pool. OpenBLAS is pinned to one
+    thread while the runs go, whatever ``jobs`` is, and restored after.
+    Results come back sorted by (cycle, optimizer) regardless of
+    scheduling, and are bit-identical for a fixed seed and any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")

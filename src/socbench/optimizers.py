@@ -19,6 +19,7 @@ all-zero first gradient. Updates mutate the parameter arrays in place.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -58,7 +59,8 @@ class Hyperparameters:
     """Training hyperparameters. ``eta=None`` means the per-algorithm default.
 
     eta=0 is allowed (an exact no-op on parameters, useful as a fixed-point
-    check); negative learning rates are rejected.
+    check); negative and non-finite learning rates are rejected, as is a
+    non-finite epsilon.
     """
 
     eta: float | None = None
@@ -71,12 +73,16 @@ class Hyperparameters:
     seed: int = 0
 
     def __post_init__(self):
+        if self.eta is not None and not math.isfinite(self.eta):
+            raise ConfigError(f"learning rate must be finite, got {self.eta}")
         if self.eta is not None and self.eta < 0:
             raise ConfigError(f"learning rate must be >= 0, got {self.eta}")
         for name in ("beta1", "beta2", "rho"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
+        if not math.isfinite(self.epsilon):
+            raise ConfigError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon <= 0:
             raise ConfigError(f"epsilon must be > 0, got {self.epsilon}")
         if self.batch_size < 1:

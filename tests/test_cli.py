@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from socbench import cli
 from socbench.cli import main
 from socbench.data import apply_normalization
 from socbench.harness import prepare_cycle
@@ -101,6 +102,29 @@ class TestTrain:
         ) + sum(len(b) for b in doc["biases"])
         assert total == 133_121
         assert log.read_text().splitlines()[0] == "epoch,train_loss,val_mae,val_mse"
+
+    def test_trains_and_scores_on_one_blas_thread(
+        self, cycle_file, tmp_path, capsys, monkeypatch, blas_threads
+    ):
+        seen = []
+
+        def recording(fn):
+            def wrapper(*args, **kwargs):
+                seen.append((fn.__name__, blas_threads()))
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "train", recording(cli.train))
+        monkeypatch.setattr(cli, "predict", recording(cli.predict))
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(cycle_file), "--optimizer", "adamax",
+            "--epochs", "1", "--hidden", "8", "--soc0", "90",
+            "--out-model", str(tmp_path / "m.json"),
+            "--out-log", str(tmp_path / "l.csv"),
+        )
+        assert code == 0
+        assert seen == [("train", 1), ("predict", 1)]
+        assert blas_threads() == 2
 
     def test_invalid_optimizer_lists_choices(self, cycle_file, tmp_path, capsys):
         code, _, err = run_cli(
@@ -319,6 +343,34 @@ class TestConfigValues:
         code, _, err = run_cli(
             capsys, "compare", "--data", str(cycle_file), "--config", str(cfg),
             "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["train", "--optimizer", "sgd", "--lr", "nan"],
+             "learning rate must be finite, got nan"),
+            (["train", "--optimizer", "sgd", "--lr", "inf"],
+             "learning rate must be finite, got inf"),
+            (["train", "--optimizer", "adamax", "--epsilon", "nan"],
+             "epsilon must be finite, got nan"),
+            (["train", "--optimizer", "adamax", "--epsilon", "inf"],
+             "epsilon must be finite, got inf"),
+            (["compare", "--optimizers", "sgd,adamax", "--lr", "sgd=nan", "--k", "2"],
+             "learning rate must be finite, got nan"),
+        ],
+    )
+    def test_non_finite_hyperparameter_usage_error(
+        self, cycle_file, tmp_path, capsys, flags, message
+    ):
+        out = tmp_path / "out"
+        out_flag = "--out-model" if flags[0] == "train" else "--out"
+        code, _, err = run_cli(
+            capsys, *flags, "--data", str(cycle_file), "--epochs", "1",
+            "--hidden", "8", "--soc0", "90", out_flag, str(out),
         )
         assert code == 2
         assert message in err

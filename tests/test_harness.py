@@ -1,5 +1,6 @@
 """Folds, training loop, cross-validation, and the comparison experiment."""
 
+import threading
 import time
 from dataclasses import replace
 
@@ -30,13 +31,14 @@ from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import (
     EpochStats,
     _best_epoch,
+    _one_blas_thread,
     _openblas_thread_api,
     chronological_split,
     format_results_table,
     write_results_csv,
     write_training_log_csv,
 )
-from socbench.network import forward, loss_mae, loss_mse
+from socbench.network import DEFAULT_HIDDEN, forward, loss_mae, loss_mse
 
 
 def linear_design(n=400, seed=0, noise=0.0):
@@ -386,13 +388,10 @@ class TestRunComparison:
         assert _openblas_thread_api() is _openblas_thread_api()
         assert _openblas_thread_api.cache_info().hits >= 1
 
-    def test_blas_pinned_to_one_thread_in_pool_and_restored(
-        self, small_cycle_files, monkeypatch
+    def test_blas_pinned_to_one_thread_for_any_jobs_and_restored(
+        self, small_cycle_files, monkeypatch, blas_threads
     ):
-        api = _openblas_thread_api()
-        if api is None:
-            pytest.skip("no OpenBLAS thread-count symbols in this process")
-        get_threads, _ = api
+        get_threads = blas_threads
         before = get_threads()
         seen = []
         real_train = harness.train
@@ -409,16 +408,42 @@ class TestRunComparison:
             learning_rates={Algorithm.SGD: 0.001},
             layer_specs=mlp_specs(4, SMALL_NET),
         )
-        run_comparison(small_cycle_files, jobs=1, **kwargs)
-        assert set(seen) == {before}
-        seen.clear()
-        run_comparison(small_cycle_files, jobs=2, **kwargs)
-        assert set(seen) == {1}
-        assert get_threads() == before
-        with pytest.raises(TrainingDivergedError):
-            run_comparison(small_cycle_files, jobs=2,
-                           **{**kwargs, "learning_rates": {Algorithm.SGD: 1e6}})
-        assert get_threads() == before
+        for jobs in (1, 2):
+            seen.clear()
+            run_comparison(small_cycle_files, jobs=jobs, **kwargs)
+            assert len(seen) == 2 * 3 and set(seen) == {1}
+            assert get_threads() == before
+            with pytest.raises(TrainingDivergedError):
+                run_comparison(small_cycle_files, jobs=jobs,
+                               **{**kwargs, "learning_rates": {Algorithm.SGD: 1e6}})
+            assert get_threads() == before
+
+    def test_every_scoring_pass_runs_on_one_blas_thread(
+        self, small_cycle_files, monkeypatch, blas_threads
+    ):
+        get_threads = blas_threads
+        seen = []
+        real_predict = harness.predict
+
+        def predict_and_record(*args, **kwargs):
+            seen.append(get_threads())
+            return real_predict(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "predict", predict_and_record)
+        kwargs = dict(
+            optimizers=[Algorithm.ADAMAX],
+            h=small_h(),
+            k=2,
+            learning_rates={Algorithm.ADAMAX: 0.05},
+            layer_specs=mlp_specs(4, SMALL_NET),
+        )
+        for jobs in (1, 2):
+            seen.clear()
+            run_comparison(small_cycle_files, jobs=jobs, **kwargs)
+            # per cycle: 2 folds x 3 epochs x (train + validation) passes,
+            # then the final fit's 3 train passes and its test pass
+            assert len(seen) == 2 * (2 * 3 * 2 + 3 + 1)
+            assert set(seen) == {1}
 
     def test_requires_inputs(self):
         with pytest.raises(InputError):
@@ -428,6 +453,55 @@ class TestRunComparison:
         for jobs in (0, -2):
             with pytest.raises(InputError, match="jobs"):
                 run_comparison(["x.csv"], [Algorithm.SGD], small_h(), jobs=jobs)
+
+
+class TestOneBlasThread:
+    def test_nested_pins_restore_once_outermost_leaves(self, blas_threads):
+        with _one_blas_thread():
+            with _one_blas_thread():
+                assert blas_threads() == 1
+            assert blas_threads() == 1
+        assert blas_threads() == 2
+
+    def test_overlapping_pins_on_two_threads(self, blas_threads):
+        # A enters, B enters, A leaves, B leaves: the pin holds until B
+        # leaves, and the count A found is the one restored
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def holder_a():
+            with _one_blas_thread():
+                a_in.set()
+                b_in.wait(10)
+                seen["a"] = blas_threads()
+            a_out.set()
+
+        def holder_b():
+            a_in.wait(10)
+            with _one_blas_thread():
+                b_in.set()
+                a_out.wait(10)
+                seen["b after a left"] = blas_threads()
+
+        threads = [threading.Thread(target=f) for f in (holder_a, holder_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(20)
+        assert seen == {"a": 1, "b after a left": 1}
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("batch_size", [1, 37, 64, 100])
+    def test_training_is_bit_identical_under_the_pin(self, blas_threads, batch_size):
+        dm = linear_design(n=300, noise=0.1)
+        normalized = apply_normalization(dm, fit_normalization(dm))
+        h = Hyperparameters(eta=0.01, batch_size=batch_size, epochs=1, seed=4)
+        specs = mlp_specs(4, DEFAULT_HIDDEN)
+        default, _ = train(specs, normalized, h, Algorithm.ADAMAX)
+        with _one_blas_thread():
+            pinned, _ = train(specs, normalized, h, Algorithm.ADAMAX)
+        for a, b in zip(default.arrays(), pinned.arrays(), strict=True):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestOutputs:

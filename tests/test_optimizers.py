@@ -1,6 +1,7 @@
 """Single-step oracles and structural properties of the four update rules."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -328,6 +329,23 @@ class TestValidation:
             Hyperparameters(epsilon=0.0)
         with pytest.raises(ConfigError):
             Hyperparameters(batch_size=0)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("eta", float("nan"), "learning rate must be finite"),
+            ("eta", float("inf"), "learning rate must be finite"),
+            ("eta", float("-inf"), "learning rate must be finite"),
+            ("epsilon", float("nan"), "epsilon must be finite"),
+            ("epsilon", float("inf"), "epsilon must be finite"),
+        ],
+    )
+    def test_non_finite_hyperparameters_rejected(self, field, value, message):
+        with pytest.raises(ConfigError, match=message):
+            Hyperparameters(**{field: value})
+        # a per-optimizer learning rate goes in through replace
+        with pytest.raises(ConfigError, match=message):
+            replace(Hyperparameters(eta=0.01), **{field: value})
 
     def test_zero_learning_rate_allowed(self):
         h = Hyperparameters(eta=0.0)
