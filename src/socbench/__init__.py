@@ -42,7 +42,6 @@ from .harness import (
 from .network import (
     Activation,
     ForwardCache,
-    GradientSet,
     LayerSpec,
     NetworkParameters,
     backward,

@@ -481,6 +481,9 @@ def run_comparison(
         raise InputError(f"need jobs >= 1, got {jobs}")
     if layer_specs is None:
         layer_specs = mlp_specs(4, DEFAULT_HIDDEN)
+    # every rate is checked here, before any ingestion, whether or not its
+    # optimizer runs
+    rated = {alg: replace(h, eta=eta) for alg, eta in (learning_rates or {}).items()}
 
     cycles: list[tuple[str, DesignMatrix]] = []
     failures: list[tuple[str, str]] = []
@@ -501,8 +504,7 @@ def run_comparison(
     pairs = []
     for name, raw_dm in cycles:
         for algorithm in optimizers:
-            eta = None if learning_rates is None else learning_rates.get(algorithm)
-            pair_h = h if eta is None else replace(h, eta=eta)
+            pair_h = rated.get(algorithm, h)
             runs = _pair_runs(raw_dm, layer_specs, pair_h, algorithm, k, fold_mode)
             pairs.append((name, algorithm, pair_h, runs))
     timed = iter(_run_all([run for *_, runs in pairs for run in runs], jobs))

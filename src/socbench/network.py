@@ -1,9 +1,10 @@
 """Dense feed-forward network with ReLU hidden layers and a linear output.
 
-All math is float64. Weights are stored as (output_dim, input_dim)
-matrices; a batch is (n, input_dim) and the forward pass computes
-``a @ W.T + b`` layer by layer. Gradients come from exact reverse-mode
-differentiation of the mean-squared-error loss.
+All math is float64. Every parameter lives in one flat vector, and each
+layer's weights are an (output_dim, input_dim) view into it; a batch is
+(n, input_dim) and the forward pass computes ``a @ W.T + b`` layer by
+layer. Gradients come from exact reverse-mode differentiation of the
+mean-squared-error loss.
 """
 
 from __future__ import annotations
@@ -65,43 +66,49 @@ def mlp_specs(input_dim: int, hidden: list[int], output_dim: int = 1) -> list[La
 DEFAULT_HIDDEN = [256, 256, 256]
 
 
+def _parameter_count(specs: list[LayerSpec]) -> int:
+    return sum(s.output_dim * (s.input_dim + 1) for s in specs)
+
+
 @dataclass
 class NetworkParameters:
-    """Weight matrices and bias vectors, one pair per layer."""
+    """Every weight and bias of a network in one contiguous float64 vector.
+
+    ``flat`` is laid out layer by layer: W0 row-major, b0, W1, b1, and so
+    on. ``weights`` (one (output_dim, input_dim) matrix per layer) and
+    ``biases`` (one (output_dim,) vector per layer) are views into
+    ``flat``, so writing through a view writes the vector. Gradients and
+    optimizer slots use the same type and layout.
+    """
 
     specs: list[LayerSpec]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    flat: np.ndarray
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
 
-    def copy(self) -> "NetworkParameters":
-        return NetworkParameters(
-            specs=list(self.specs),
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-        )
-
-    def arrays(self) -> list[np.ndarray]:
-        """All parameter arrays in a fixed order: W0, b0, W1, b1, ..."""
-        out = []
-        for w, b in zip(self.weights, self.biases, strict=True):
-            out.append(w)
-            out.append(b)
-        return out
-
-
-@dataclass
-class GradientSet:
-    """Loss gradients, shape-identical to the parameters they came from."""
-
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
-
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for w, b in zip(self.weights, self.biases, strict=True):
-            out.append(w)
-            out.append(b)
-        return out
+    def __post_init__(self):
+        size = _parameter_count(self.specs)
+        flat = self.flat
+        if not (
+            isinstance(flat, np.ndarray)
+            and flat.dtype == np.float64
+            and flat.shape == (size,)
+            and flat.flags.c_contiguous
+        ):
+            raise InputError(
+                f"flat must be a contiguous float64 vector of {size} values "
+                "for these layer specs"
+            )
+        self.weights, self.biases = [], []
+        start = 0
+        for spec in self.specs:
+            stop = start + spec.output_dim * spec.input_dim
+            self.weights.append(
+                flat[start:stop].reshape(spec.output_dim, spec.input_dim)
+            )
+            start, stop = stop, stop + spec.output_dim
+            self.biases.append(flat[start:stop])
+            start = stop
 
 
 @dataclass
@@ -120,26 +127,15 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParameters:
     """
     validate_layer_chain(specs)
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for spec in specs:
+    params = NetworkParameters(list(specs), np.zeros(_parameter_count(specs)))
+    for spec, w in zip(params.specs, params.weights, strict=True):
         limit = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
-        weights.append(
-            rng.uniform(-limit, limit, size=(spec.output_dim, spec.input_dim))
-        )
-        biases.append(np.zeros(spec.output_dim))
-    return NetworkParameters(specs=list(specs), weights=weights, biases=biases)
+        w[...] = rng.uniform(-limit, limit, size=w.shape)
+    return params
 
 
 def count_parameters(params: NetworkParameters) -> int:
-    return sum(
-        w.size + b.size for w, b in zip(params.weights, params.biases, strict=True)
-    )
-
-
-def layer_parameter_counts(params: NetworkParameters) -> list[int]:
-    return [
-        w.size + b.size for w, b in zip(params.weights, params.biases, strict=True)
-    ]
+    return params.flat.size
 
 
 def _checked_batch(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
@@ -260,8 +256,9 @@ def loss_mae(predictions: np.ndarray, targets: np.ndarray) -> float:
 
 def backward(
     params: NetworkParameters, cache: ForwardCache, targets: np.ndarray
-) -> GradientSet:
-    """Exact gradients of the batch MSE with respect to every weight and bias.
+) -> NetworkParameters:
+    """Exact gradients of the batch MSE with respect to every weight and bias,
+    as one vector laid out like ``params.flat``.
 
     The ReLU subgradient at exactly zero is taken as 0. For ReLU, z > 0
     exactly where max(z, 0) > 0, so the mask comes from the cached layer
@@ -287,17 +284,16 @@ def backward(
     # dJ/dz for the linear output layer, J = mean((pred - t)^2)
     delta = ((2.0 / n) * (predictions - t))[:, None]
 
-    grad_w = [np.empty(0)] * n_layers
-    grad_b = [np.empty(0)] * n_layers
+    grads = NetworkParameters(params.specs, np.empty_like(params.flat))
     for layer in range(n_layers - 1, -1, -1):
         a_prev = cache.inputs if layer == 0 else cache.post_activations[layer - 1]
-        grad_w[layer] = delta.T @ a_prev
-        grad_b[layer] = delta.sum(axis=0)
+        np.matmul(delta.T, a_prev, out=grads.weights[layer])
+        delta.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             delta = delta @ params.weights[layer]  # a fresh array
             if params.specs[layer - 1].activation is Activation.RELU:
                 delta *= cache.post_activations[layer - 1] > 0.0
-    return GradientSet(weights=grad_w, biases=grad_b)
+    return grads
 
 
 # --- model persistence ----------------------------------------------------
@@ -382,4 +378,5 @@ def load_model(path: str | Path):
             raise ModelMismatchError(
                 f"model file {path}: normalization stds must be finite and > 0"
             )
-    return NetworkParameters(specs=specs, weights=weights, biases=biases), norm, seed
+    flat = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+    return NetworkParameters(specs, flat), norm, seed

@@ -1,6 +1,6 @@
 """First-order per-parameter update rules: SGD, RMSProp, Adam, Adamax.
 
-Update rules, elementwise over every parameter array:
+Update rules, elementwise over the flat parameter vector:
 
   SGD       theta_k = theta_{k-1} - eta * g
   RMSProp   E[g^2]_k = rho * E[g^2]_{k-1} + (1 - rho) * g^2
@@ -14,19 +14,21 @@ Update rules, elementwise over every parameter array:
 
 Note the epsilon placement: inside the square root for RMSProp, outside
 for Adam. Adamax applies no bias correction to u; epsilon guards the
-all-zero first gradient. Updates mutate the parameter arrays in place.
+all-zero first gradient. Each step works on the whole vector at once
+(``params.flat``, ``grads.flat`` and each slot's ``flat``) and mutates the
+parameter vector in place.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import ConfigError, InputError, NumericError
-from .network import GradientSet, NetworkParameters
+from .network import NetworkParameters
 
 
 class Algorithm(Enum):
@@ -45,7 +47,7 @@ DEFAULT_LEARNING_RATES = {
 }
 
 
-# accumulator lists each rule reads: slot_a, then slot_b
+# accumulator vectors each rule reads: slot_a, then slot_b
 _SLOT_COUNT = {
     Algorithm.SGD: 0,
     Algorithm.RMSPROP: 1,
@@ -96,122 +98,115 @@ class Hyperparameters:
 
 @dataclass
 class OptimizerState:
-    """Per-algorithm accumulators, shaped like the parameter arrays.
+    """Per-algorithm accumulator vectors, laid out like the parameters.
 
     slot_a holds E[g^2] (RMSProp) or m (Adam/Adamax); slot_b holds v (Adam)
-    or u (Adamax). SGD carries no accumulators.
+    or u (Adamax). A slot the rule does not read is None; SGD carries no
+    accumulators.
     """
 
     algorithm: Algorithm
     step_count: int = 0
-    slot_a: list[np.ndarray] = field(default_factory=list)
-    slot_b: list[np.ndarray] = field(default_factory=list)
+    slot_a: NetworkParameters | None = None
+    slot_b: NetworkParameters | None = None
 
     @classmethod
     def initial(cls, algorithm: Algorithm, params: NetworkParameters) -> "OptimizerState":
-        arrays = params.arrays()
-        state = cls(algorithm=algorithm)
-        if _SLOT_COUNT[algorithm] >= 1:
-            state.slot_a = [np.zeros_like(a) for a in arrays]
-        if _SLOT_COUNT[algorithm] == 2:
-            state.slot_b = [np.zeros_like(a) for a in arrays]
-        return state
+        def zeros() -> NetworkParameters:
+            return NetworkParameters(params.specs, np.zeros_like(params.flat))
+
+        slots = _SLOT_COUNT[algorithm]
+        return cls(
+            algorithm=algorithm,
+            slot_a=zeros() if slots >= 1 else None,
+            slot_b=zeros() if slots == 2 else None,
+        )
 
 
 def _check_step(
     params: NetworkParameters,
-    grads: GradientSet,
+    grads: NetworkParameters,
     state: OptimizerState,
     expected: Algorithm,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+) -> None:
     if state.algorithm is not expected:
         raise InputError(
             f"state is for {state.algorithm.value}, step is {expected.value}"
         )
-    p_arrays = params.arrays()
-    g_arrays = grads.arrays()
-    shapes = [p.shape for p in p_arrays]
-    if [g.shape for g in g_arrays] != shapes:
+    if grads.specs != params.specs:
         raise InputError("gradient shapes do not match parameter shapes")
     slots = (state.slot_a, state.slot_b)[: _SLOT_COUNT[expected]]
-    if any([s.shape for s in slot] != shapes for slot in slots):
+    if any(slot is None or slot.specs != params.specs for slot in slots):
         raise InputError("optimizer state shapes do not match parameter shapes")
-    for g in g_arrays:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("non-finite gradient")
-    return p_arrays, g_arrays
+    if not np.isfinite(grads.flat).all():
+        raise NumericError("non-finite gradient")
 
 
 def sgd_step(
     params: NetworkParameters,
-    grads: GradientSet,
+    grads: NetworkParameters,
     h: Hyperparameters,
     state: OptimizerState,
 ) -> tuple[NetworkParameters, OptimizerState]:
-    p_arrays, g_arrays = _check_step(params, grads, state, Algorithm.SGD)
+    _check_step(params, grads, state, Algorithm.SGD)
     eta = h.resolve_eta(Algorithm.SGD)
-    for p, g in zip(p_arrays, g_arrays, strict=True):
-        p -= eta * g
+    params.flat -= eta * grads.flat
     state.step_count += 1
     return params, state
 
 
 def rmsprop_step(
     params: NetworkParameters,
-    grads: GradientSet,
+    grads: NetworkParameters,
     h: Hyperparameters,
     state: OptimizerState,
 ) -> tuple[NetworkParameters, OptimizerState]:
-    p_arrays, g_arrays = _check_step(params, grads, state, Algorithm.RMSPROP)
+    _check_step(params, grads, state, Algorithm.RMSPROP)
     eta = h.resolve_eta(Algorithm.RMSPROP)
-    for p, g, avg_sq in zip(p_arrays, g_arrays, state.slot_a, strict=True):
-        avg_sq *= h.rho
-        avg_sq += (1.0 - h.rho) * g * g
-        p -= eta * g / np.sqrt(avg_sq + h.epsilon)
+    p, g, avg_sq = params.flat, grads.flat, state.slot_a.flat
+    avg_sq *= h.rho
+    avg_sq += (1.0 - h.rho) * g * g
+    p -= eta * g / np.sqrt(avg_sq + h.epsilon)
     state.step_count += 1
     return params, state
 
 
 def adam_step(
     params: NetworkParameters,
-    grads: GradientSet,
+    grads: NetworkParameters,
     h: Hyperparameters,
     state: OptimizerState,
 ) -> tuple[NetworkParameters, OptimizerState]:
-    p_arrays, g_arrays = _check_step(params, grads, state, Algorithm.ADAM)
+    _check_step(params, grads, state, Algorithm.ADAM)
     eta = h.resolve_eta(Algorithm.ADAM)
     k = state.step_count + 1
     bias1 = 1.0 - h.beta1**k
     bias2 = 1.0 - h.beta2**k
-    for p, g, m, v in zip(
-        p_arrays, g_arrays, state.slot_a, state.slot_b, strict=True
-    ):
-        m *= h.beta1
-        m += (1.0 - h.beta1) * g
-        v *= h.beta2
-        v += (1.0 - h.beta2) * g * g
-        p -= eta * (m / bias1) / (np.sqrt(v / bias2) + h.epsilon)
+    p, g, m, v = params.flat, grads.flat, state.slot_a.flat, state.slot_b.flat
+    m *= h.beta1
+    m += (1.0 - h.beta1) * g
+    v *= h.beta2
+    v += (1.0 - h.beta2) * g * g
+    p -= eta * (m / bias1) / (np.sqrt(v / bias2) + h.epsilon)
     state.step_count = k
     return params, state
 
 
 def adamax_step(
     params: NetworkParameters,
-    grads: GradientSet,
+    grads: NetworkParameters,
     h: Hyperparameters,
     state: OptimizerState,
 ) -> tuple[NetworkParameters, OptimizerState]:
-    p_arrays, g_arrays = _check_step(params, grads, state, Algorithm.ADAMAX)
+    _check_step(params, grads, state, Algorithm.ADAMAX)
     eta = h.resolve_eta(Algorithm.ADAMAX)
     k = state.step_count + 1
     bias1 = 1.0 - h.beta1**k
-    for p, g, m, u in zip(
-        p_arrays, g_arrays, state.slot_a, state.slot_b, strict=True
-    ):
-        m *= h.beta1
-        m += (1.0 - h.beta1) * g
-        np.maximum(h.beta2 * u, np.abs(g), out=u)
-        p -= (eta / bias1) * m / (u + h.epsilon)
+    p, g, m, u = params.flat, grads.flat, state.slot_a.flat, state.slot_b.flat
+    m *= h.beta1
+    m += (1.0 - h.beta1) * g
+    np.maximum(h.beta2 * u, np.abs(g), out=u)
+    p -= (eta / bias1) * m / (u + h.epsilon)
     state.step_count = k
     return params, state
 
@@ -226,7 +221,7 @@ _STEP_FUNCTIONS = {
 
 def optimizer_step(
     params: NetworkParameters,
-    grads: GradientSet,
+    grads: NetworkParameters,
     h: Hyperparameters,
     state: OptimizerState,
 ) -> tuple[NetworkParameters, OptimizerState]:

@@ -36,7 +36,7 @@ from socbench import (
 from socbench.cli import main as cli_main
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import FoldMode
-from socbench.network import GradientSet, LayerSpec, Activation, layer_parameter_counts
+from socbench.network import LayerSpec, Activation, NetworkParameters
 
 
 def report(criterion: int, name: str) -> None:
@@ -46,7 +46,8 @@ def report(criterion: int, name: str) -> None:
 def test_criterion_1_architecture_exactness():
     params = init_network(mlp_specs(4, [256, 256, 256]), seed=0)
     assert count_parameters(params) == 133_121
-    assert layer_parameter_counts(params) == [1_280, 65_792, 65_792, 257]
+    per_layer = [w.size + b.size for w, b in zip(params.weights, params.biases)]
+    assert per_layer == [1_280, 65_792, 65_792, 257]
     report(1, "architecture exactness")
 
 
@@ -71,21 +72,19 @@ def test_criterion_2_gradient_correctness():
         if min(float(np.min(np.abs(z))) for z in pre_activations) < 1e-3:
             continue
         checked += 1
-        analytic = backward(params, cache, targets).arrays()
+        grad = backward(params, cache, targets).flat
         step = 1e-5
-        for arr, grad in zip(params.arrays(), analytic):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                original = arr[idx]
-                arr[idx] = original + step
-                up = loss_mse(forward(params, batch)[0], targets)
-                arr[idx] = original - step
-                down = loss_mse(forward(params, batch)[0], targets)
-                arr[idx] = original
-                numeric = (up - down) / (2.0 * step)
-                rel = abs(grad[idx] - numeric) / max(1.0, abs(numeric))
-                assert rel < 1e-5
+        flat = params.flat
+        for idx in range(flat.size):
+            original = flat[idx]
+            flat[idx] = original + step
+            up = loss_mse(forward(params, batch)[0], targets)
+            flat[idx] = original - step
+            down = loss_mse(forward(params, batch)[0], targets)
+            flat[idx] = original
+            numeric = (up - down) / (2.0 * step)
+            rel = abs(grad[idx] - numeric) / max(1.0, abs(numeric))
+            assert rel < 1e-5
     report(2, "gradient correctness, 50 networks")
 
 
@@ -93,7 +92,7 @@ def _scalar_setup(algorithm):
     params = init_network([LayerSpec(1, 1, Activation.IDENTITY)], seed=0)
     params.weights[0][:] = 0.0
     state = OptimizerState.initial(algorithm, params)
-    grads = GradientSet(weights=[np.ones((1, 1))], biases=[np.zeros(1)])
+    grads = NetworkParameters(params.specs, np.array([1.0, 0.0]))  # w, b
     return params, state, grads
 
 
@@ -101,8 +100,7 @@ def test_criterion_3_optimizer_step_oracles():
     # SGD: theta = 1 - 0.01 * 0.5
     params, state, _ = _scalar_setup(Algorithm.SGD)
     params.weights[0][:] = 1.0
-    sgd_step(params, GradientSet(weights=[np.full((1, 1), 0.5)],
-                                 biases=[np.zeros(1)]),
+    sgd_step(params, NetworkParameters(params.specs, np.array([0.5, 0.0])),
              Hyperparameters(eta=0.01), state)
     assert abs(params.weights[0][0, 0] - 0.995) < 1e-12
 
@@ -132,7 +130,7 @@ def test_criterion_3_optimizer_step_oracles():
     ]:
         params, state, _ = _scalar_setup(algorithm)
         params.weights[0][:] = 0.75
-        zero = GradientSet(weights=[np.zeros((1, 1))], biases=[np.zeros(1)])
+        zero = NetworkParameters(params.specs, np.zeros(2))
         step_fn(params, zero, Hyperparameters(eta=0.5), state)
         assert params.weights[0][0, 0] == 0.75
     report(3, "optimizer step oracles")

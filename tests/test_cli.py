@@ -377,6 +377,35 @@ class TestConfigValues:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize(
+        "rate, message",
+        [
+            ("adam=nan", "learning rate must be finite, got nan"),
+            ("adam=-5", "learning rate must be >= 0, got -5.0"),
+            ("rmsprop=nan", "learning rate must be finite, got nan"),
+        ],
+        ids=["unlisted-nan", "unlisted-negative", "listed-nan"],
+    )
+    @pytest.mark.parametrize("cycle_ok", [True, False], ids=["ingests", "fails"])
+    def test_every_lr_rate_checked_before_ingestion(
+        self, cycle_file, tmp_path, capsys, rate, message, cycle_ok
+    ):
+        # a rate is rejected whether or not its optimizer runs, and even
+        # when no cycle survives ingestion
+        data = cycle_file
+        if not cycle_ok:
+            data = tmp_path / "broken.csv"
+            data.write_text("not,a,telemetry,header\n1,2,3,4\n", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            capsys, "compare", "--data", str(data), "--optimizers", "rmsprop",
+            "--lr", rate, "--epochs", "1", "--k", "2", "--hidden", "8",
+            "--soc0", "90", "--out", str(out),
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
 class TestLinearDataBound:
     def test_converged_linear_model_beats_half_percent(self, tmp_path, capsys):
         # near-zero internal resistance makes voltage map SOC almost exactly,

@@ -120,8 +120,7 @@ class TestTrain:
 
         fresh = init_network(specs, h.seed)
         params, log = train(specs, normalized, h, Algorithm.SGD)
-        for a, b in zip(params.arrays(), fresh.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.flat, fresh.flat)
         losses = [e.train_loss for e in log.entries]
         assert losses[0] == losses[1] == losses[2]
 
@@ -500,8 +499,7 @@ class TestOneBlasThread:
         default, _ = train(specs, normalized, h, Algorithm.ADAMAX)
         with _one_blas_thread():
             pinned, _ = train(specs, normalized, h, Algorithm.ADAMAX)
-        for a, b in zip(default.arrays(), pinned.arrays(), strict=True):
-            assert a.tobytes() == b.tobytes()
+        assert default.flat.tobytes() == pinned.flat.tobytes()
 
 
 class TestOutputs:

@@ -26,7 +26,7 @@ from socbench import (
 )
 from socbench.data import NormalizationStats
 from socbench.errors import ConfigError, ModelMismatchError
-from socbench.network import DEFAULT_HIDDEN, SCORE_ROWS, layer_parameter_counts
+from socbench.network import DEFAULT_HIDDEN, SCORE_ROWS
 
 
 def tiny_net(weight, bias, activation=Activation.IDENTITY):
@@ -37,21 +37,18 @@ def tiny_net(weight, bias, activation=Activation.IDENTITY):
 
 
 def finite_difference_gradients(params, batch, targets, step=1e-5):
-    """Central differences of the batch MSE, one coordinate at a time."""
-    grads = []
-    for arr in params.arrays():
-        g = np.zeros_like(arr)
-        it = np.nditer(arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            original = arr[idx]
-            arr[idx] = original + step
-            up = loss_mse(forward(params, batch)[0], targets)
-            arr[idx] = original - step
-            down = loss_mse(forward(params, batch)[0], targets)
-            arr[idx] = original
-            g[idx] = (up - down) / (2.0 * step)
-        grads.append(g)
+    """Central differences of the batch MSE, one coordinate of
+    ``params.flat`` at a time."""
+    flat = params.flat
+    grads = np.zeros_like(flat)
+    for idx in range(flat.size):
+        original = flat[idx]
+        flat[idx] = original + step
+        up = loss_mse(forward(params, batch)[0], targets)
+        flat[idx] = original - step
+        down = loss_mse(forward(params, batch)[0], targets)
+        flat[idx] = original
+        grads[idx] = (up - down) / (2.0 * step)
     return grads
 
 
@@ -91,7 +88,38 @@ class TestArchitecture:
 
     def test_per_layer_counts(self):
         params = init_network(mlp_specs(4, [256, 256, 256]), seed=1)
-        assert layer_parameter_counts(params) == [1_280, 65_792, 65_792, 257]
+        per_layer = [
+            w.size + b.size for w, b in zip(params.weights, params.biases, strict=True)
+        ]
+        assert per_layer == [1_280, 65_792, 65_792, 257]
+
+    def test_layers_are_views_into_one_vector_in_order(self):
+        params = init_network(mlp_specs(2, [3]), seed=4)
+        # W0 (3, 2), b0 (3,), W1 (1, 3), b1 (1,)
+        assert params.flat.shape == (13,)
+        params.weights[0][1, 0] = 10.0
+        params.biases[0][2] = 11.0
+        params.weights[1][0, 2] = 12.0
+        params.biases[1][0] = 13.0
+        assert [params.flat[i] for i in (2, 8, 11, 12)] == [10.0, 11.0, 12.0, 13.0]
+        for arr in params.weights + params.biases:
+            assert np.shares_memory(arr, params.flat)
+
+    @pytest.mark.parametrize(
+        "flat",
+        [
+            np.zeros(12),
+            np.zeros(14),
+            np.zeros((13, 1)),
+            np.zeros(13, dtype=np.float32),
+            np.zeros(26)[::2],
+            [0.0] * 13,
+        ],
+        ids=["short", "long", "2-D", "float32", "strided", "list"],
+    )
+    def test_flat_that_does_not_fit_specs_rejected(self, flat):
+        with pytest.raises(InputError, match="contiguous float64 vector of 13"):
+            NetworkParameters(mlp_specs(2, [3]), flat)
 
     def test_count_is_seed_independent(self):
         a = init_network(mlp_specs(4, [256, 256, 256]), seed=1)
@@ -119,15 +147,12 @@ class TestInit:
     def test_same_seed_identical(self):
         a = init_network(mlp_specs(3, [8, 8]), seed=13)
         b = init_network(mlp_specs(3, [8, 8]), seed=13)
-        for wa, wb in zip(a.arrays(), b.arrays()):
-            np.testing.assert_array_equal(wa, wb)
+        np.testing.assert_array_equal(a.flat, b.flat)
 
     def test_different_seed_differs(self):
         a = init_network(mlp_specs(3, [8]), seed=13)
         b = init_network(mlp_specs(3, [8]), seed=14)
-        assert any(
-            not np.array_equal(wa, wb) for wa, wb in zip(a.arrays(), b.arrays())
-        )
+        assert not np.array_equal(a.flat, b.flat)
 
     def test_glorot_bounds(self):
         params = init_network(mlp_specs(4, [256]), seed=5)
@@ -153,17 +178,13 @@ class TestForward:
     def test_relu_equals_identity_when_nonnegative(self):
         rng = np.random.default_rng(2)
         relu = init_network(mlp_specs(3, [6, 6]), seed=4)
+        relu_pos = NetworkParameters(relu.specs, relu.flat.copy())
+        for w in relu_pos.weights:
+            np.abs(w, out=w)
         same = NetworkParameters(
-            specs=[
-                LayerSpec(s.input_dim, s.output_dim, Activation.IDENTITY)
-                for s in relu.specs
-            ],
-            weights=[np.abs(w) for w in relu.weights],
-            biases=[b.copy() for b in relu.biases],
-        )
-        relu_pos = NetworkParameters(
-            specs=relu.specs, weights=[np.abs(w) for w in relu.weights],
-            biases=relu.biases,
+            [LayerSpec(s.input_dim, s.output_dim, Activation.IDENTITY)
+             for s in relu.specs],
+            relu_pos.flat.copy(),
         )
         batch = np.abs(rng.normal(size=(5, 3)))  # nonneg input + nonneg weights
         p_relu, cache = forward(relu_pos, batch)
@@ -290,8 +311,7 @@ class TestBackward:
         batch = np.array([[2.0]])
         preds, cache = forward(params, batch)
         grads = backward(params, cache, preds.copy())
-        for g in grads.arrays():
-            np.testing.assert_array_equal(g, np.zeros_like(g))
+        np.testing.assert_array_equal(grads.flat, np.zeros_like(grads.flat))
 
     def test_hand_differentiated_single_sample(self):
         # J = (w*x + b - t)^2 with w=1, b=0, x=1, t=0: dJ/dw = 2
@@ -306,11 +326,10 @@ class TestBackward:
         for _ in range(5):
             params, batch, targets = random_small_net(rng)
             _, cache = forward(params, batch)
-            analytic = backward(params, cache, targets).arrays()
+            analytic = backward(params, cache, targets).flat
             numeric = finite_difference_gradients(params, batch, targets)
-            for a, n in zip(analytic, numeric):
-                rel = np.abs(a - n) / np.maximum(1.0, np.abs(n))
-                assert np.max(rel) < 1e-5
+            rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
+            assert np.max(rel) < 1e-5
 
     def test_mismatched_cache_rejected(self):
         params = init_network(mlp_specs(4, [8]), seed=0)
@@ -338,8 +357,7 @@ class TestModelSerialization:
         loaded, loaded_stats, seed = load_model(path)
         assert seed == 77
         assert loaded.specs == params.specs
-        for a, b in zip(params.arrays(), loaded.arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.flat, loaded.flat)
         np.testing.assert_array_equal(loaded_stats.means, stats.means)
         np.testing.assert_array_equal(loaded_stats.stds, stats.stds)
 

@@ -9,10 +9,10 @@ import pytest
 from socbench import (
     Activation,
     Algorithm,
-    GradientSet,
     Hyperparameters,
     InputError,
     LayerSpec,
+    NetworkParameters,
     NumericError,
     OptimizerState,
     adam_step,
@@ -41,9 +41,19 @@ def scalar_param(value=1.0):
     return params
 
 
+def gradient(specs, weights, biases):
+    """A gradient laid out for ``specs`` from per-layer arrays."""
+    flat = np.concatenate(
+        [a.ravel() for w, b in zip(weights, biases, strict=True) for a in (w, b)]
+    )
+    return NetworkParameters(specs, flat)
+
+
 def scalar_grad(value, bias=0.0):
-    return GradientSet(
-        weights=[np.full((1, 1), float(value))], biases=[np.full(1, float(bias))]
+    return gradient(
+        [LayerSpec(1, 1, Activation.IDENTITY)],
+        [np.full((1, 1), float(value))],
+        [np.full(1, float(bias))],
     )
 
 
@@ -77,7 +87,7 @@ class TestRmspropOracle:
         expected = -0.001 / math.sqrt(0.1 + 1e-7)
         assert expected == pytest.approx(-3.1623e-3, abs=1e-7)
         assert theta(params) == pytest.approx(expected, abs=1e-12)
-        assert state.slot_a[0][0, 0] == pytest.approx(0.1, abs=1e-15)
+        assert state.slot_a.weights[0][0, 0] == pytest.approx(0.1, abs=1e-15)
 
     def test_constant_gradient_limit(self):
         # E[g^2] -> g^2 geometrically, so |step| -> eta * |g| / sqrt(g^2 + eps)
@@ -90,7 +100,7 @@ class TestRmspropOracle:
             previous = theta(params)
             rmsprop_step(params, scalar_grad(g), h, state)
         final_step = theta(params) - previous
-        assert state.slot_a[0][0, 0] == pytest.approx(g * g, rel=1e-12)
+        assert state.slot_a.weights[0][0, 0] == pytest.approx(g * g, rel=1e-12)
         assert final_step == pytest.approx(
             -h.eta * g / math.sqrt(g * g + h.epsilon), rel=1e-9
         )
@@ -123,8 +133,8 @@ class TestAdamaxOracle:
         expected = -(0.001 / 0.1) * 0.1 / (1.0 + 1e-7)
         assert expected == pytest.approx(-9.999999e-4, abs=1e-10)
         assert theta(params) == pytest.approx(expected, abs=1e-12)
-        assert state.slot_a[0][0, 0] == pytest.approx(0.1, abs=1e-15)
-        assert state.slot_b[0][0, 0] == 1.0
+        assert state.slot_a.weights[0][0, 0] == pytest.approx(0.1, abs=1e-15)
+        assert state.slot_b.weights[0][0, 0] == 1.0
 
     @pytest.mark.parametrize("c", [0.3, 1.0, 7.0, -2.5])
     def test_first_step_magnitude_is_eta(self, c):
@@ -139,21 +149,18 @@ class TestAdamaxOracle:
         h = Hyperparameters(eta=0.001)
         adamax_step(params, scalar_grad(4.0), h, state)
         adamax_step(params, scalar_grad(0.1), h, state)
-        assert state.slot_b[0][0, 0] == pytest.approx(0.999 * 4.0, abs=1e-15)
+        assert state.slot_b.weights[0][0, 0] == pytest.approx(0.999 * 4.0, abs=1e-15)
 
 
 class TestSharedProperties:
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_zero_gradient_fixed_point(self, algorithm):
         params = init_network([LayerSpec(3, 2, Activation.IDENTITY)], seed=8)
-        before = [a.copy() for a in params.arrays()]
+        before = params.flat.copy()
         state = OptimizerState.initial(algorithm, params)
-        grads = GradientSet(
-            weights=[np.zeros((2, 3))], biases=[np.zeros(2)]
-        )
+        grads = gradient(params.specs, [np.zeros((2, 3))], [np.zeros(2)])
         STEPS[algorithm](params, grads, Hyperparameters(eta=0.5), state)
-        for a, b in zip(params.arrays(), before):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.flat, before)
         assert state.step_count == 1
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
@@ -169,7 +176,7 @@ class TestSharedProperties:
             state = OptimizerState.initial(algorithm, params)
             STEPS[algorithm](
                 params,
-                GradientSet(weights=[grads.copy()], biases=[np.zeros(1)]),
+                gradient(params.specs, [grads], [np.zeros(1)]),
                 Hyperparameters(eta=0.05),
                 state,
             )
@@ -190,7 +197,7 @@ class TestSharedProperties:
             state = OptimizerState.initial(algorithm, params)
             STEPS[algorithm](
                 params,
-                GradientSet(weights=[scale * g], biases=[np.zeros(2)]),
+                gradient(params.specs, [scale * g], [np.zeros(2)]),
                 Hyperparameters(eta=0.001),
                 state,
             )
@@ -208,7 +215,7 @@ class TestSharedProperties:
             state = OptimizerState.initial(Algorithm.SGD, params)
             sgd_step(
                 params,
-                GradientSet(weights=[scale * g], biases=[np.zeros(2)]),
+                gradient(params.specs, [scale * g], [np.zeros(2)]),
                 Hyperparameters(eta=0.01),
                 state,
             )
@@ -224,14 +231,14 @@ class TestSharedProperties:
         h = Hyperparameters(eta=0.01)
         n_steps = 25
         for _ in range(n_steps):
-            grads = GradientSet(
-                weights=[rng.normal(size=(3, 4))], biases=[rng.normal(size=3)]
+            grads = gradient(
+                params.specs, [rng.normal(size=(3, 4))], [rng.normal(size=3)]
             )
             STEPS[algorithm](params, grads, h, state)
             if algorithm is Algorithm.RMSPROP:
-                assert all(np.min(a) >= 0 for a in state.slot_a)
+                assert np.min(state.slot_a.flat) >= 0
             if algorithm in (Algorithm.ADAM, Algorithm.ADAMAX):
-                assert all(np.min(b) >= 0 for b in state.slot_b)
+                assert np.min(state.slot_b.flat) >= 0
         assert state.step_count == n_steps
         # bias-correction denominators never vanish for k >= 1
         assert 1.0 - h.beta1**1 > 0 and 1.0 - h.beta2**1 > 0
@@ -249,7 +256,7 @@ class TestSharedProperties:
             for gv in grad_values:
                 STEPS[algorithm](
                     params,
-                    GradientSet(weights=[gv.copy()], biases=[np.zeros(3)]),
+                    gradient(params.specs, [gv], [np.zeros(3)]),
                     h,
                     state,
                 )
@@ -281,7 +288,9 @@ class TestValidation:
     def test_shape_mismatch(self):
         params = scalar_param()
         state = OptimizerState.initial(Algorithm.SGD, params)
-        bad = GradientSet(weights=[np.ones((2, 2))], biases=[np.zeros(1)])
+        bad = gradient(
+            [LayerSpec(2, 1, Activation.IDENTITY)], [np.ones((1, 2))], [np.zeros(1)]
+        )
         with pytest.raises(InputError):
             sgd_step(params, bad, Hyperparameters(eta=0.01), state)
 
@@ -296,15 +305,37 @@ class TestValidation:
     ):
         state = OptimizerState.initial(algorithm, init_network(mlp_specs(4, [8]), 0))
         params = init_network(mlp_specs(4, hidden), seed=1)
-        before = [a.copy() for a in params.arrays()]
-        grads = GradientSet(
-            weights=[np.ones_like(w) for w in params.weights],
-            biases=[np.ones_like(b) for b in params.biases],
-        )
+        before = params.flat.copy()
+        grads = NetworkParameters(params.specs, np.ones_like(params.flat))
         with pytest.raises(InputError, match="optimizer state shapes"):
             STEPS[algorithm](params, grads, Hyperparameters(eta=0.01), state)
-        for got, want in zip(params.arrays(), before, strict=True):
-            assert got.tobytes() == want.tobytes()
+        assert params.flat.tobytes() == before.tobytes()
+        assert state.step_count == 0
+
+    @pytest.mark.parametrize(
+        "algorithm, stale",
+        [(a, "gradient") for a in Algorithm]
+        + [(a, "state") for a in Algorithm if a is not Algorithm.SGD],
+    )
+    def test_same_size_layout_for_another_network_rejected(self, algorithm, stale):
+        # both networks have 19 parameters, so only a layout comparison,
+        # not a size comparison, tells them apart
+        mine, other = mlp_specs(4, [3]), mlp_specs(4, [2, 2])
+        params = init_network(mine, seed=1)
+        before = params.flat.copy()
+        grads = NetworkParameters(
+            other if stale == "gradient" else mine, np.ones_like(params.flat)
+        )
+        state = OptimizerState.initial(
+            algorithm, init_network(other if stale == "state" else mine, seed=2)
+        )
+        slots = [s for s in (state.slot_a, state.slot_b) if s is not None]
+        slots_before = [s.flat.copy() for s in slots]
+        with pytest.raises(InputError):
+            STEPS[algorithm](params, grads, Hyperparameters(eta=0.01), state)
+        assert params.flat.tobytes() == before.tobytes()
+        for slot, want in zip(slots, slots_before, strict=True):
+            assert slot.flat.tobytes() == want.tobytes()
         assert state.step_count == 0
 
     def test_non_finite_gradient(self):

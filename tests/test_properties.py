@@ -1,7 +1,8 @@
 """Property tests: the in-place forward/backward, the blocked predict, the
-array-based ingest, the columnar generator and writer against the
-straightforward code they replace, kept here as references; plus invariants
-of the SOC features."""
+flat-vector optimizer steps, the array-based ingest, the columnar generator
+and writer against the straightforward code they replace, kept here as
+references; plus the model-file round trip and invariants of the SOC
+features."""
 
 import csv
 import math
@@ -16,7 +17,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from socbench import (
+    Algorithm,
+    Hyperparameters,
     IngestionError,
+    NormalizationStats,
+    OptimizerState,
     Profile,
     SyntheticCellParams,
     Telemetry,
@@ -29,6 +34,7 @@ from socbench import (
 from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
 from socbench.harness import _one_blas_thread
 from socbench.network import (
+    DEFAULT_HIDDEN,
     SCORE_ROWS,
     Activation,
     LayerSpec,
@@ -36,9 +42,12 @@ from socbench.network import (
     backward,
     forward,
     init_network,
+    load_model,
     mlp_specs,
     predict,
+    save_model,
 )
+from socbench.optimizers import optimizer_step
 
 # small exact values, so that pre-activations often land exactly on 0.0
 # or -0.0, plus arbitrary ones
@@ -96,8 +105,8 @@ def networks_and_batches(draw):
     n = draw(st.integers(1, 8))
     batch = draw(arrays(np.float64, (n, input_dim), elements=ELEMENTS))
     targets = draw(arrays(np.float64, (n,), elements=ELEMENTS))
-    params = NetworkParameters(specs=specs, weights=weights, biases=biases)
-    return params, batch, targets
+    flat = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
+    return NetworkParameters(specs, flat), batch, targets
 
 
 @settings(max_examples=200, deadline=None)
@@ -121,6 +130,153 @@ def test_backward_matches_pre_activation_mask_bit_for_bit(case):
     want_w, want_b = reference_backward(params, batch, targets)
     for got, want in zip(grads.weights + grads.biases, want_w + want_b):
         assert same_bits(got, want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    n=st.sampled_from([37, 64]),
+    one_blas_thread=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_backward_of_default_network_matches_per_layer_reference(
+    n, one_blas_thread, seed
+):
+    """The gradient GEMMs write into views of one vector; on the default
+    network they must give what fresh per-layer products give."""
+    rng = np.random.default_rng(seed)
+    params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed)
+    for b in params.biases:
+        b[:] = rng.normal(scale=0.5, size=b.shape)  # so that ReLU clamps some
+    batch = rng.normal(size=(n, 4))
+    targets = rng.normal(size=n)
+    with _one_blas_thread() if one_blas_thread else nullcontext():
+        _, cache = forward(params, batch)
+        grads = backward(params, cache, targets)
+        want_w, want_b = reference_backward(params, batch, targets)
+    for got, want in zip(grads.weights + grads.biases, want_w + want_b):
+        assert same_bits(got, want)
+
+
+# --- optimizer steps ----------------------------------------------------------
+
+
+def reference_step(algorithm, ps, gs, h, slot_a, slot_b, k):
+    """One step of ``algorithm`` as a loop over per-layer arrays, as the
+    rules were written before the flat layout; ``k`` is the step number."""
+    eta = h.resolve_eta(algorithm)
+    if algorithm is Algorithm.SGD:
+        for p, g in zip(ps, gs, strict=True):
+            p -= eta * g
+    elif algorithm is Algorithm.RMSPROP:
+        for p, g, avg_sq in zip(ps, gs, slot_a, strict=True):
+            avg_sq *= h.rho
+            avg_sq += (1.0 - h.rho) * g * g
+            p -= eta * g / np.sqrt(avg_sq + h.epsilon)
+    elif algorithm is Algorithm.ADAM:
+        bias1 = 1.0 - h.beta1**k
+        bias2 = 1.0 - h.beta2**k
+        for p, g, m, v in zip(ps, gs, slot_a, slot_b, strict=True):
+            m *= h.beta1
+            m += (1.0 - h.beta1) * g
+            v *= h.beta2
+            v += (1.0 - h.beta2) * g * g
+            p -= eta * (m / bias1) / (np.sqrt(v / bias2) + h.epsilon)
+    else:
+        bias1 = 1.0 - h.beta1**k
+        for p, g, m, u in zip(ps, gs, slot_a, slot_b, strict=True):
+            m *= h.beta1
+            m += (1.0 - h.beta1) * g
+            np.maximum(h.beta2 * u, np.abs(g), out=u)
+            p -= (eta / bias1) * m / (u + h.epsilon)
+
+
+def per_layer(params):
+    """Fresh copies of W0, b0, W1, b1, ..."""
+    return [a.copy() for pair in zip(params.weights, params.biases) for a in pair]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    algorithm=st.sampled_from(list(Algorithm)),
+    input_dim=st.integers(1, 5),
+    hidden=st.lists(st.integers(1, 6), max_size=3),
+    steps=st.integers(1, 4),
+    eta=st.sampled_from([None, 0.0, 1e-3, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_steps_match_per_array_loops_bit_for_bit(
+    algorithm, input_dim, hidden, steps, eta, seed
+):
+    rng = np.random.default_rng(seed)
+    params = init_network(mlp_specs(input_dim, hidden), seed)
+    h = Hyperparameters(eta=eta)
+    state = OptimizerState.initial(algorithm, params)
+    ps = per_layer(params)
+    slot_a = [np.zeros_like(p) for p in ps]
+    slot_b = [np.zeros_like(p) for p in ps]
+    for k in range(1, steps + 1):
+        scale = rng.choice([0.0, 1e-3, 1.0, 50.0])
+        grads = NetworkParameters(
+            params.specs, scale * rng.normal(size=params.flat.size)
+        )
+        optimizer_step(params, grads, h, state)
+        reference_step(algorithm, ps, per_layer(grads), h, slot_a, slot_b, k)
+        assert state.step_count == k
+        assert all(same_bits(a, b) for a, b in zip(per_layer(params), ps, strict=True))
+        for slot, want in ((state.slot_a, slot_a), (state.slot_b, slot_b)):
+            if slot is not None:
+                assert all(
+                    same_bits(a, b) for a, b in zip(per_layer(slot), want, strict=True)
+                )
+
+
+# --- model files ----------------------------------------------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def models(draw):
+    input_dim = draw(st.integers(1, 5))
+    dims = [input_dim] + draw(st.lists(st.integers(1, 6), max_size=3)) + [1]
+    specs = [
+        LayerSpec(dims[i], dims[i + 1], draw(st.sampled_from(list(Activation))))
+        for i in range(len(dims) - 1)
+    ]
+    size = sum(s.output_dim * (s.input_dim + 1) for s in specs)
+    flat = draw(arrays(np.float64, (size,), elements=FINITE))
+    stats = draw(
+        st.none()
+        | st.builds(
+            NormalizationStats,
+            means=arrays(np.float64, (input_dim,), elements=FINITE),
+            stds=arrays(
+                np.float64,
+                (input_dim,),
+                elements=st.floats(
+                    min_value=0.0, exclude_min=True, allow_infinity=False
+                ),
+            ),
+        )
+    )
+    return NetworkParameters(specs, flat), stats, draw(st.integers(-(2**63), 2**63 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=models())
+def test_model_file_round_trips_bit_for_bit(tmp_path_factory, model):
+    params, stats, seed = model
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, params, normalization=stats, seed=seed)
+    loaded, loaded_stats, loaded_seed = load_model(path)
+    assert loaded.specs == params.specs
+    assert same_bits(loaded.flat, params.flat)
+    assert loaded_seed == seed
+    if stats is None:
+        assert loaded_stats is None
+    else:
+        assert same_bits(loaded_stats.means, stats.means)
+        assert same_bits(loaded_stats.stds, stats.stds)
 
 
 # row counts for predict(): tiny batches, and either side of the first three
