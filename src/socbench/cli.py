@@ -337,6 +337,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     cfg = _resolve(args, schema)
     params, stats, _seed = load_model(cfg["model"])
+    if params.specs[-1].output_dim != 1:
+        raise ModelMismatchError(
+            f"model has {params.specs[-1].output_dim} outputs, evaluate needs 1"
+        )
     _, raw_dm = _load_design_matrix(cfg["data"], cfg)
     if params.specs[0].input_dim != raw_dm.features.shape[1]:
         raise ModelMismatchError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -325,30 +326,57 @@ def save_model(
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
 
 
+def _json_int(value) -> int:
+    # a JSON integer; json reads 4.9 and 1e400 as floats and true as a bool
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _json_numbers(value) -> np.ndarray:
+    """A JSON number, or a list (of lists) of numbers, as a float64 array.
+
+    numpy alone would read true, false and numeric strings as numbers."""
+    array = np.asarray(value, dtype=np.float64)
+    leaves = [value]
+    for _ in range(array.ndim):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= {int, float}:
+        raise TypeError("expected JSON numbers only")
+    return array
+
+
 def load_model(path: str | Path):
-    """Returns (params, normalization_stats_or_None, seed)."""
+    """Returns (params, normalization_stats_or_None, seed).
+
+    Any file that is not a model this module could have saved, from broken
+    JSON to arrays that do not fit ``layer_specs``, raises
+    ModelMismatchError.
+    """
     from .data import NormalizationStats  # local import to avoid a cycle
 
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         specs = [
-            LayerSpec(int(s["in"]), int(s["out"]), Activation(s["activation"]))
+            LayerSpec(
+                _json_int(s["in"]), _json_int(s["out"]), Activation(s["activation"])
+            )
             for s in doc["layer_specs"]
         ]
-        weights = [np.asarray(w, dtype=np.float64) for w in doc["weights"]]
-        biases = [np.asarray(b, dtype=np.float64) for b in doc["biases"]]
-        seed = int(doc["seed"])
+        validate_layer_chain(specs)
+        weights = [_json_numbers(w) for w in doc["weights"]]
+        biases = [_json_numbers(b) for b in doc["biases"]]
+        seed = _json_int(doc["seed"])
         norm_doc = doc["normalization"]
         norm = None
         if norm_doc is not None:
             norm = NormalizationStats(
-                means=np.asarray(norm_doc["means"], dtype=np.float64),
-                stds=np.asarray(norm_doc["stds"], dtype=np.float64),
+                means=_json_numbers(norm_doc["means"]),
+                stds=_json_numbers(norm_doc["stds"]),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ModelMismatchError(f"malformed model file {path}: {exc}") from exc
 
-    validate_layer_chain(specs)
     if not len(specs) == len(weights) == len(biases):
         raise ModelMismatchError(
             f"model file {path}: {len(specs)} layer_specs but {len(weights)} "

@@ -12,7 +12,7 @@ from socbench import cli
 from socbench.cli import main
 from socbench.data import apply_normalization
 from socbench.harness import prepare_cycle
-from socbench.network import forward, init_network, load_model, mlp_specs
+from socbench.network import forward, init_network, load_model, mlp_specs, save_model
 
 
 def run_cli(capsys, *argv):
@@ -307,6 +307,16 @@ class TestEvaluate:
         )
         assert code == 4
         assert "features" in err
+
+    def test_model_with_two_outputs_exit_4(self, cycle_file, tmp_path, capsys):
+        model = tmp_path / "m.json"
+        save_model(model, init_network(mlp_specs(4, [4], output_dim=2), seed=0))
+        code, _, err = run_cli(
+            capsys, "evaluate", "--model", str(model), "--data", str(cycle_file),
+            "--soc0", "90",
+        )
+        assert code == 4
+        assert "model has 2 outputs, evaluate needs 1" in err
 
     def test_normalization_length_mismatch_exit_4(self, cycle_file, tmp_path, capsys):
         model = tmp_path / "m.json"

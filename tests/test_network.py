@@ -416,6 +416,68 @@ class TestModelSerialization:
         with pytest.raises(ModelMismatchError, match="non-finite weights or biases"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"seed": 1', '"seed": 1e400', "expected an integer, got inf"),
+            ('"seed": 1', '"seed": 2.5', "expected an integer, got 2.5"),
+            ('"seed": 1', '"seed": true', "expected an integer, got True"),
+            ('"seed": 1', '"seed": "1"', "expected an integer, got '1'"),
+            ('"in": 4,', '"in": 1e400,', "expected an integer, got inf"),
+            ('"in": 4,', '"in": 4.9,', "expected an integer, got 4.9"),
+            ('"in": 4,', '"in": 4.0,', "expected an integer, got 4.0"),
+            ('"in": 4,', '"in": false,', "expected an integer, got False"),
+            ('"in": 4,', '"in": 0,', "layer dims must be >= 1"),
+            ('"in": 8,', '"in": 7,', "layer 0 output_dim 8 does not match"),
+            ('"activation": "relu"', '"activation": "tanh"', "'tanh' is not a valid"),
+        ],
+    )
+    def test_malformed_layer_specs_and_seed_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "model.json"
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), seed=1)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        with pytest.raises(ModelMismatchError, match=re.escape(message)):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"", b"{", b"[" * 100_000, b'{"seed": "\xff"}'],
+        ids=["empty", "cut-short", "nested-too-deep", "not-utf-8"],
+    )
+    def test_unreadable_text_rejected(self, tmp_path, content):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(ModelMismatchError, match="malformed model file"):
+            load_model(path)
+
+    def test_empty_layer_specs_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1))
+        doc = json.loads(path.read_text())
+        doc["layer_specs"] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelMismatchError, match="at least one layer"):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [True, False, None, "0.5", [0.5], {}])
+    @pytest.mark.parametrize("field", ["weights", "biases", "means"])
+    def test_array_entry_that_is_not_a_number_rejected(self, tmp_path, field, value):
+        path = tmp_path / "model.json"
+        stats = NormalizationStats(means=np.zeros(4), stds=np.ones(4))
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), normalization=stats)
+        doc = json.loads(path.read_text())
+        if field == "weights":
+            doc["weights"][1][0][3] = value
+        elif field == "biases":
+            doc["biases"][0][5] = value
+        else:
+            doc["normalization"]["means"][2] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelMismatchError, match="malformed model file"):
+            load_model(path)
+
     def test_round_trip_predictions_identical(self, tmp_path):
         rng = np.random.default_rng(6)
         params = init_network(mlp_specs(4, [16]), seed=3)

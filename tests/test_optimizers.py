@@ -1,6 +1,7 @@
 """Single-step oracles and structural properties of the four update rules."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from socbench import (
     sgd_step,
 )
 from socbench.errors import ConfigError
+from socbench.network import DEFAULT_HIDDEN
 from socbench.optimizers import DEFAULT_LEARNING_RATES
 
 STEPS = {
@@ -276,6 +278,27 @@ class TestSharedProperties:
         STEPS[algorithm](direct, scalar_grad(1.0), Hyperparameters(eta=0.01),
                          direct_state)
         assert theta(params) == theta(direct)
+
+
+class TestMemory:
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_step_allocates_no_whole_vector_temporaries(self, algorithm):
+        """A step's temporaries are two blocks, not one fresh copy of the
+        parameter vector per operation."""
+        params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
+        grads = NetworkParameters(
+            params.specs, np.random.default_rng(0).normal(size=params.flat.size)
+        )
+        state = OptimizerState.initial(algorithm, params)
+        h = Hyperparameters(eta=1e-3)
+        optimizer_step(params, grads, h, state)  # warm-up
+        tracemalloc.start()
+        try:
+            optimizer_step(params, grads, h, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < params.flat.nbytes // 2
 
 
 class TestValidation:

@@ -4,10 +4,13 @@ and writer against the straightforward code they replace, kept here as
 references; plus the model-file round trip and invariants of the SOC
 features."""
 
+import copy
 import csv
+import io
+import json
 import math
 import random
-from contextlib import nullcontext
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
@@ -29,9 +32,12 @@ from socbench import (
     generate_cycle,
     ingest_csv,
     moving_average,
+    optimizers,
     write_cycle_csv,
 )
+from socbench.cli import main
 from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
+from socbench.errors import ModelMismatchError
 from socbench.harness import _one_blas_thread
 from socbench.network import (
     DEFAULT_HIDDEN,
@@ -195,21 +201,10 @@ def per_layer(params):
     return [a.copy() for pair in zip(params.weights, params.biases) for a in pair]
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    algorithm=st.sampled_from(list(Algorithm)),
-    input_dim=st.integers(1, 5),
-    hidden=st.lists(st.integers(1, 6), max_size=3),
-    steps=st.integers(1, 4),
-    eta=st.sampled_from([None, 0.0, 1e-3, 0.5]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_flat_steps_match_per_array_loops_bit_for_bit(
-    algorithm, input_dim, hidden, steps, eta, seed
-):
-    rng = np.random.default_rng(seed)
-    params = init_network(mlp_specs(input_dim, hidden), seed)
-    h = Hyperparameters(eta=eta)
+def run_steps_against_reference(algorithm, params, h, steps, rng):
+    """Steps ``params`` ``steps`` times with random gradients, both through
+    optimizer_step and through reference_step on per-layer copies, and
+    checks parameters and slots bit for bit after every step."""
     state = OptimizerState.initial(algorithm, params)
     ps = per_layer(params)
     slot_a = [np.zeros_like(p) for p in ps]
@@ -228,6 +223,39 @@ def test_flat_steps_match_per_array_loops_bit_for_bit(
                 assert all(
                     same_bits(a, b) for a, b in zip(per_layer(slot), want, strict=True)
                 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    algorithm=st.sampled_from(list(Algorithm)),
+    input_dim=st.integers(1, 5),
+    hidden=st.lists(st.integers(1, 6), max_size=3),
+    steps=st.integers(1, 4),
+    eta=st.sampled_from([None, 0.0, 1e-3, 0.5]),
+    block=st.integers(1, 7),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_steps_match_per_array_loops_bit_for_bit(
+    algorithm, input_dim, hidden, steps, eta, block, seed
+):
+    """A block of 1-7 elements splits even these small networks into many
+    blocks, most of them with a short last block."""
+    params = init_network(mlp_specs(input_dim, hidden), seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optimizers, "STEP_BLOCK", block)
+        run_steps_against_reference(
+            algorithm, params, Hyperparameters(eta=eta), steps,
+            np.random.default_rng(seed),
+        )
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_default_network_steps_match_per_array_loops_bit_for_bit(algorithm):
+    params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=3)
+    assert params.flat.size % optimizers.STEP_BLOCK != 0  # a short last block
+    run_steps_against_reference(
+        algorithm, params, Hyperparameters(eta=0.05), 3, np.random.default_rng(3)
+    )
 
 
 # --- model files ----------------------------------------------------------------
@@ -277,6 +305,90 @@ def test_model_file_round_trips_bit_for_bit(tmp_path_factory, model):
     else:
         assert same_bits(loaded_stats.means, stats.means)
         assert same_bits(loaded_stats.stds, stats.stds)
+
+
+# Stands for the literal 1e400 in a mutated model file: json reads it as
+# inf but never writes it.
+HUGE = "__1e400__"
+NOT_INTEGERS = [True, False, None, 4.9, 4.0, math.nan, math.inf, HUGE, "4", [4], {}]
+NOT_NUMBERS = [True, False, None, math.nan, -math.inf, HUGE, "0.5", [], {}]
+NOT_CONTAINERS = [0, 1.5, True, "x", {}]
+
+
+def mutate_model(text, draw):
+    """A model file text with one defect that makes it malformed: cut
+    short, not an object, a missing key, a non-integer or wrong dim or seed,
+    a non-number array entry, an array of the wrong length, an unknown
+    activation, or a list or object replaced by a scalar."""
+    kind = draw(
+        st.sampled_from(
+            ["truncate", "not-object", "drop", "integer", "number", "shape",
+             "activation", "container"]
+        )
+    )
+    if kind == "truncate":
+        return text[: draw(st.integers(0, len(text) - 1))]
+    doc = json.loads(text)
+    specs, norm = doc["layer_specs"], doc["normalization"]
+    if kind == "not-object":
+        doc = draw(st.sampled_from([[], 0, "model", None, True]))
+    elif kind == "drop":
+        owner = draw(st.sampled_from([doc, *specs, *([norm] if norm else [])]))
+        del owner[draw(st.sampled_from(sorted(owner)))]
+    elif kind == "integer":
+        dims = [(s, k) for s in specs for k in ("in", "out")]
+        owner, key = draw(st.sampled_from([(doc, "seed"), *dims]))
+        # a different positive dim breaks a weight shape; a seed may be any int
+        wrong = [] if owner is doc else [0, -1, owner[key] + 1]
+        owner[key] = draw(st.sampled_from(NOT_INTEGERS + wrong))
+    elif kind == "number":
+        rows = [row for w in doc["weights"] for row in w] + doc["biases"]
+        if norm:
+            rows += [norm["means"], norm["stds"]]
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(NOT_NUMBERS))
+    elif kind == "shape":
+        lists = [specs, doc["weights"], doc["biases"], *doc["weights"], *doc["biases"]]
+        lists += [row for w in doc["weights"] for row in w]
+        if norm:
+            lists += [norm["means"], norm["stds"]]
+        target = draw(st.sampled_from(lists))
+        if draw(st.booleans()):
+            target.pop()
+        else:
+            target.append(copy.deepcopy(target[-1]))
+    elif kind == "activation":
+        spec = draw(st.sampled_from(specs))
+        spec["activation"] = draw(
+            st.sampled_from(["tanh", "RELU", "", None, 1, ["relu"]])
+        )
+    else:
+        key = draw(
+            st.sampled_from(["layer_specs", "weights", "biases", "normalization"])
+        )
+        doc[key] = draw(st.sampled_from(NOT_CONTAINERS))
+    return json.dumps(doc).replace(json.dumps(HUGE), "1e400")
+
+
+@settings(max_examples=300, deadline=None)
+@given(model=models(), data=st.data())
+def test_malformed_model_file_is_a_model_error(tmp_path_factory, model, data):
+    """load_model raises ModelMismatchError, and evaluate exits 4 with a
+    one-line message and no traceback."""
+    params, stats, seed = model
+    directory = tmp_path_factory.mktemp("model")
+    path, cycle = directory / "model.json", directory / "cycle.csv"
+    save_model(path, params, normalization=stats, seed=seed)
+    path.write_text(mutate_model(path.read_text(), data.draw), encoding="utf-8")
+    cycle.write_text(",".join(CSV_HEADER) + "\n0,3.7,1.0,25\n1,3.7,1.0,25\n")
+    with pytest.raises(ModelMismatchError):
+        load_model(path)
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["evaluate", "--model", str(path), "--data", str(cycle)])
+    assert code == 4
+    assert err.getvalue().startswith("error: ")
+    assert err.getvalue().count("\n") == 1
 
 
 # row counts for predict(): tiny batches, and either side of the first three
