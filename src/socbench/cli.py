@@ -1,10 +1,16 @@
 """Command-line interface: generate, train, evaluate, compare.
 
-Settings resolve in priority order: explicit flag, then key=value config
-file (--config), then the built-in default. The seed falls back to the
-SOC_BENCH_SEED environment variable before its default. Exit codes:
-0 success, 1 I/O or data ingestion, 2 usage/config, 3 numeric divergence,
-4 model/data mismatch.
+Every setting of a command is declared once, as one entry of that
+command's schema: a converter from text, a default and a help text. The
+parser makes one flag per entry, ``--`` plus the key with dashes, and the
+same key is the setting's name in a ``--config`` file. A setting resolves
+in priority order: explicit flag, then key=value config file, then (for
+the seed) the SOC_BENCH_SEED environment variable, then the default. The
+raw text from any of these goes through the entry's converter, so a bad
+value meets the same check whatever its source. Exit codes: 0 success,
+1 I/O or data ingestion, 2 usage/config (every bad setting value), 3
+numeric divergence, 4 model/data mismatch; a failure prints one line
+starting ``error:`` on stderr.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections.abc import Callable
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -57,13 +65,50 @@ EXIT_DIVERGED = 3
 EXIT_MISMATCH = 4
 
 
+# --- converters: raw text to value; a ValueError says what the value must be
+
+
+def _number(kind: type, low: int | None = None) -> Callable[[str], Any]:
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise ValueError(
+                "must be an integer" if kind is int else "must be a number"
+            ) from None
+        if low is not None and value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+
+    return convert
+
+
 def _parse_bool(text: str) -> bool:
     lowered = text.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ValueError("must be a boolean (true/false, yes/no, on/off, 1/0)")
+
+
+def _choice(kind: type) -> Callable[[str], Any]:
+    def convert(text: str):
+        try:
+            return kind(text.strip().lower())
+        except ValueError:
+            valid = ", ".join(member.value for member in kind)
+            raise ValueError(f"must be one of: {valid}") from None
+
+    return convert
+
+
+_int, _float = _number(int), _number(float)
+_parse_optimizer = _choice(Algorithm)
+
+
+def _parse_optimizer_list(text: str) -> list[Algorithm]:
+    return [_parse_optimizer(part) for part in text.split(",") if part.strip()]
 
 
 def _parse_hidden(text: str) -> list[int]:
@@ -73,162 +118,190 @@ def _parse_hidden(text: str) -> list[int]:
     try:
         return [int(part) for part in stripped.split(",")]
     except ValueError:
-        raise ConfigError(f"bad hidden layer list {text!r}") from None
+        raise ValueError("must be comma-separated integers") from None
 
 
-def _parse_optimizer(text: str) -> Algorithm:
-    try:
-        return Algorithm(text.strip().lower())
-    except ValueError:
-        valid = ", ".join(a.value for a in Algorithm)
-        raise ConfigError(f"unknown optimizer {text!r}; choose from: {valid}") from None
-
-
-def _parse_optimizer_list(text: str) -> list[Algorithm]:
-    return [_parse_optimizer(part) for part in text.split(",") if part.strip()]
-
-
-def _parse_lr_spec(text: str):
+def _parse_lr_spec(text: str) -> float | dict[Algorithm, float]:
     """Either one float for every optimizer or ``alg=lr`` pairs.
 
     Examples: ``0.01`` or ``sgd=0.001,adamax=0.05``.
     """
-    stripped = text.strip()
-    if "=" not in stripped:
-        try:
-            return float(stripped)
-        except ValueError:
-            raise ConfigError(f"bad learning rate {text!r}") from None
-    rates = {}
-    for part in stripped.split(","):
-        if not part.strip():
-            continue
-        name, _, value = part.partition("=")
-        alg = _parse_optimizer(name)
-        try:
-            rates[alg] = float(value)
-        except ValueError:
-            raise ConfigError(f"bad learning rate for {name.strip()!r}: {value!r}") from None
-    return rates
+    if "=" not in text:
+        return _float(text)
+    pairs = (part.partition("=") for part in text.split(",") if part.strip())
+    try:
+        return {_parse_optimizer(name): _float(value) for name, _, value in pairs}
+    except ValueError:
+        raise ValueError("must be one rate or optimizer=rate pairs") from None
 
 
-def _read_kv_config(path: str) -> dict[str, str]:
+def _path_list(value: str | list[str]) -> list[str]:
+    """Paths from ``--data a b`` (a list) or ``data=a,b`` (one text)."""
+    if isinstance(value, list):
+        return value
+    return [part for part in value.split(",") if part]
+
+
+# --- settings ---------------------------------------------------------------
+
+
+REQUIRED = object()
+
+
+@dataclasses.dataclass(frozen=True)
+class Setting:
+    """One setting of a command.
+
+    ``default`` is text that goes through ``convert`` like any flag value,
+    None for an optional setting left unset, or REQUIRED. ``env`` names an
+    environment variable read before the default. ``flag`` holds argparse
+    extras for the few flags that need them.
+    """
+
+    convert: Callable[[Any], Any]
+    default: Any
+    help: str
+    env: str | None = None
+    flag: dict = dataclasses.field(default_factory=dict)
+
+
+_SWITCH = {"action": "store_const", "const": "true"}
+_HYPER = {f.name: str(f.default) for f in dataclasses.fields(Hyperparameters)}
+
+_SEED = Setting(_number(int, 0), _HYPER["seed"],
+                "seed for all randomness, else $SOC_BENCH_SEED", env="SOC_BENCH_SEED")
+_SOC0 = Setting(_float, "100.0", "initial SOC in percent")
+
+GENERATE_SCHEMA = {
+    "profile": Setting(_choice(Profile), REQUIRED, "constant, pulse or random"),
+    "duration": Setting(_float, REQUIRED, "cycle length in seconds"),
+    "seed": _SEED,
+    "out": Setting(str, REQUIRED, "output CSV path"),
+    "current": Setting(_float, "2.9", "discharge current in A for constant/pulse"),
+    "soc0": _SOC0,
+    **{
+        f.name: Setting(_float, str(f.default), "cell model parameter")
+        for f in dataclasses.fields(SyntheticCellParams)
+    },
+}
+
+_DATA_SCHEMA = {
+    "soc0": _SOC0,
+    "capacity_ah": Setting(_float, "2.9", "capacity in Ah if the CSV gives none"),
+    "window": Setting(_int, str(battery_data.DEFAULT_WINDOW),
+                      "moving-average window in samples"),
+    "invert_current": Setting(_parse_bool, "false",
+                              "flip the current sign at ingestion", flag=_SWITCH),
+}
+
+_TRAINING_SCHEMA = {
+    "epochs": Setting(_int, _HYPER["epochs"], "training epochs"),
+    "batch_size": Setting(_int, _HYPER["batch_size"], "mini-batch size"),
+    "beta1": Setting(_float, _HYPER["beta1"], "first-moment decay"),
+    "beta2": Setting(_float, _HYPER["beta2"], "second-moment decay"),
+    "epsilon": Setting(_float, _HYPER["epsilon"], "stability constant"),
+    "rho": Setting(_float, _HYPER["rho"], "RMSProp decay"),
+    "seed": _SEED,
+}
+
+_HIDDEN = Setting(_parse_hidden, ",".join(map(str, DEFAULT_HIDDEN)),
+                  "comma-separated hidden sizes; empty for a linear model")
+
+TRAIN_SCHEMA = {
+    "data": Setting(str, REQUIRED, "telemetry CSV"),
+    "optimizer": Setting(_parse_optimizer, REQUIRED, "sgd, rmsprop, adam or adamax"),
+    "lr": Setting(_float, None, "learning rate (default: per-optimizer)"),
+    "hidden": _HIDDEN,
+    "out_model": Setting(str, "model.json", "model JSON path"),
+    "out_log": Setting(str, "training_log.csv", "training log CSV path"),
+    "export_features": Setting(str, None, "also dump the design matrix CSV here"),
+    **_TRAINING_SCHEMA,
+    **_DATA_SCHEMA,
+}
+
+EVALUATE_SCHEMA = {
+    "model": Setting(str, REQUIRED, "model JSON from train"),
+    "data": Setting(str, REQUIRED, "telemetry CSV"),
+    "predictions": Setting(str, None, "optional per-sample soc_true,soc_pred CSV"),
+    **_DATA_SCHEMA,
+}
+
+COMPARE_SCHEMA = {
+    "data": Setting(_path_list, None, "telemetry CSV paths", flag={"nargs": "+"}),
+    "data_dir": Setting(str, None, "directory of telemetry CSVs"),
+    "optimizers": Setting(_parse_optimizer_list, "sgd,rmsprop,adamax",
+                          "comma-separated update rules"),
+    "lr": Setting(_parse_lr_spec, None, "one rate for all, or sgd=0.001,adamax=0.05 "
+                  "(default: per-optimizer)"),
+    "k": Setting(_int, "4", "cross-validation folds"),
+    "fold_mode": Setting(_choice(FoldMode), "shuffled", "shuffled or contiguous"),
+    "hidden": _HIDDEN,
+    "out": Setting(str, "comparison_results.csv", "results CSV path"),
+    "out_table": Setting(str, None, "text table path"),
+    "logs_dir": Setting(str, None, "write per-run training logs here"),
+    "jobs": Setting(_number(int, 1), "1", "parallel training runs"),
+    "omit_timing": Setting(_parse_bool, "false", "zero the seconds column for "
+                           "byte-reproducible output", flag=_SWITCH),
+    **_TRAINING_SCHEMA,
+    **_DATA_SCHEMA,
+}
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+def _read_kv_config(path: str, schema: dict[str, Setting]) -> dict[str, str]:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        lines = p.read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: not UTF-8 text") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ConfigError(f"{path} line {line_no}: expected key=value")
         key, _, value = stripped.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in schema:
+            raise ConfigError(f"{path} line {line_no}: unknown key {key!r}")
+        values[key] = value.strip()
     return values
 
 
-class _Required:
-    pass
-
-
-REQUIRED = _Required()
-
-
-def _seed_default() -> int:
-    env = os.environ.get("SOC_BENCH_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"SOC_BENCH_SEED must be an integer, got {env!r}") from None
-    return 0
-
-
-def _resolve(args: argparse.Namespace, schema: dict) -> dict:
-    """Merge flags, config file and defaults; flags win, unknown keys rejected."""
-    config = _read_kv_config(args.config) if getattr(args, "config", None) else {}
-    unknown = set(config) - set(schema)
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
+def _resolve(args: argparse.Namespace, schema: dict[str, Setting]) -> dict:
+    """Each setting's value from its flag, config line, environment variable
+    or default, in that order, through the setting's converter."""
+    config = _read_kv_config(args.config, schema) if args.config else {}
     resolved = {}
-    for key, (converter, default) in schema.items():
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            resolved[key] = flag_value
+    for key, setting in schema.items():
+        if getattr(args, key) is not None:
+            source, raw = _flag(key), getattr(args, key)
         elif key in config:
-            try:
-                resolved[key] = converter(config[key])
-            except ValueError as exc:
-                raise ConfigError(
-                    f"config key {key}: bad value {config[key]!r} ({exc})"
-                ) from None
-        elif isinstance(default, _Required):
-            raise ConfigError(f"missing required setting --{key.replace('_', '-')}")
+            source, raw = f"config key {key}", config[key]
+        elif setting.env and setting.env in os.environ:
+            source, raw = setting.env, os.environ[setting.env]
+        elif setting.default is REQUIRED:
+            raise ConfigError(f"missing required setting {_flag(key)}")
         else:
-            resolved[key] = default() if callable(default) else default
+            source, raw = "default", setting.default
+        try:
+            resolved[key] = None if raw is None else setting.convert(raw)
+        except ValueError as exc:
+            raise ConfigError(
+                f"{source}: bad value {raw!r} ({_flag(key)} {exc})"
+            ) from None
     return resolved
 
 
-# keys are SyntheticCellParams fields, so one config file serves both the
-# CLI and read_cell_config()
-_CELL_SCHEMA = {
-    f.name: (float, f.default) for f in dataclasses.fields(SyntheticCellParams)
-}
-
-_DATA_SCHEMA = {
-    "soc0": (float, 100.0),
-    "capacity_ah": (float, 2.9),
-    "window": (int, battery_data.DEFAULT_WINDOW),
-    "invert_current": (_parse_bool, False),
-}
-
-_TRAINING_SCHEMA = {
-    "lr": (float, None),
-    "epochs": (int, 50),
-    "batch_size": (int, 32),
-    "beta1": (float, 0.9),
-    "beta2": (float, 0.999),
-    "epsilon": (float, 1e-7),
-    "rho": (float, 0.9),
-    "seed": (int, _seed_default),
-}
-
-
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--soc0", type=float, help="initial SOC in percent (default 100)")
-    parser.add_argument("--capacity-ah", type=float, dest="capacity_ah",
-                        help="nominal capacity in Ah (default 2.9)")
-    parser.add_argument("--window", type=int,
-                        help="moving-average window in samples (default 400)")
-    parser.add_argument("--invert-current", action="store_const", const=True,
-                        dest="invert_current",
-                        help="flip the current sign convention at ingestion")
-
-
-def _add_training_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, help="training epochs (default 50)")
-    parser.add_argument("--batch-size", type=int, dest="batch_size",
-                        help="mini-batch size (default 32)")
-    parser.add_argument("--beta1", type=float, help="first-moment decay (default 0.9)")
-    parser.add_argument("--beta2", type=float, help="second-moment decay (default 0.999)")
-    parser.add_argument("--epsilon", type=float, help="stability constant (default 1e-7)")
-    parser.add_argument("--rho", type=float, help="RMSProp decay (default 0.9)")
-    parser.add_argument("--seed", type=int,
-                        help="seed for all randomness (default $SOC_BENCH_SEED or 0)")
-
-
 def _hyperparameters(cfg: dict, eta) -> Hyperparameters:
-    return Hyperparameters(
-        eta=eta,
-        beta1=cfg["beta1"],
-        beta2=cfg["beta2"],
-        epsilon=cfg["epsilon"],
-        rho=cfg["rho"],
-        batch_size=cfg["batch_size"],
-        epochs=cfg["epochs"],
-        seed=cfg["seed"],
-    )
+    # the training schema's keys are the Hyperparameters fields but eta
+    return Hyperparameters(eta=eta, **{key: cfg[key] for key in _TRAINING_SCHEMA})
 
 
 def _warn_zero_lr(eta) -> None:
@@ -240,26 +313,13 @@ def _warn_zero_lr(eta) -> None:
 # --- generate ---------------------------------------------------------------
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    schema = {
-        "profile": (str, REQUIRED),
-        "duration": (float, REQUIRED),
-        "seed": (int, _seed_default),
-        "out": (str, REQUIRED),
-        "current": (float, 2.9),
-        "soc0": (float, 100.0),
-        **_CELL_SCHEMA,
-    }
-    cfg = _resolve(args, schema)
-    try:
-        profile = Profile(cfg["profile"])
-    except ValueError:
-        valid = ", ".join(p.value for p in Profile)
-        raise ConfigError(f"unknown profile {cfg['profile']!r}; choose from: {valid}")
-    params = SyntheticCellParams(**{key: cfg[key] for key in _CELL_SCHEMA})
+def cmd_generate(cfg: dict) -> int:
+    params = SyntheticCellParams(
+        **{f.name: cfg[f.name] for f in dataclasses.fields(SyntheticCellParams)}
+    )
     cycle = generate_cycle(
         params,
-        profile,
+        cfg["profile"],
         cfg["duration"],
         cfg["seed"],
         soc0_percent=cfg["soc0"],
@@ -286,18 +346,7 @@ def _load_design_matrix(path, cfg: dict):
     )
 
 
-def cmd_train(args: argparse.Namespace) -> int:
-    schema = {
-        "data": (str, REQUIRED),
-        "optimizer": (_parse_optimizer, REQUIRED),
-        "hidden": (_parse_hidden, list(DEFAULT_HIDDEN)),
-        "out_model": (str, "model.json"),
-        "out_log": (str, "training_log.csv"),
-        "export_features": (str, None),
-        **_TRAINING_SCHEMA,
-        **_DATA_SCHEMA,
-    }
-    cfg = _resolve(args, schema)
+def cmd_train(cfg: dict) -> int:
     algorithm = cfg["optimizer"]
     h = _hyperparameters(cfg, cfg["lr"])
     _warn_zero_lr(h.resolve_eta(algorithm))
@@ -305,10 +354,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     _, raw_dm = _load_design_matrix(cfg["data"], cfg)
     stats = battery_data.fit_normalization(raw_dm)
     normalized = battery_data.apply_normalization(raw_dm, stats)
+    specs = mlp_specs(raw_dm.features.shape[1], cfg["hidden"])
     if cfg["export_features"]:
         battery_data.write_design_matrix_csv(raw_dm, cfg["export_features"])
 
-    specs = mlp_specs(raw_dm.features.shape[1], cfg["hidden"])
     # one BLAS thread, as in every compare run (see harness._one_blas_thread)
     with _one_blas_thread():
         params, log = train(specs, normalized, h, algorithm)
@@ -328,14 +377,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 # --- evaluate ---------------------------------------------------------------
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    schema = {
-        "model": (str, REQUIRED),
-        "data": (str, REQUIRED),
-        "predictions": (str, None),
-        **_DATA_SCHEMA,
-    }
-    cfg = _resolve(args, schema)
+def cmd_evaluate(cfg: dict) -> int:
     params, stats, _seed = load_model(cfg["model"])
     if params.specs[-1].output_dim != 1:
         raise ModelMismatchError(
@@ -367,28 +409,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- compare ----------------------------------------------------------------
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    schema = {
-        "data": (lambda s: s.split(","), None),
-        "data_dir": (str, None),
-        "optimizers": (_parse_optimizer_list,
-                       [Algorithm.SGD, Algorithm.RMSPROP, Algorithm.ADAMAX]),
-        "lr": (_parse_lr_spec, None),
-        "k": (int, 4),
-        "fold_mode": (FoldMode, FoldMode.SHUFFLED),
-        "hidden": (_parse_hidden, list(DEFAULT_HIDDEN)),
-        "out": (str, "comparison_results.csv"),
-        "out_table": (str, None),
-        "logs_dir": (str, None),
-        "jobs": (int, 1),
-        "omit_timing": (_parse_bool, False),
-        **{k: v for k, v in _TRAINING_SCHEMA.items() if k != "lr"},
-        **_DATA_SCHEMA,
-    }
-    cfg = _resolve(args, schema)
-    if cfg["jobs"] < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {cfg['jobs']}")
-
+def cmd_compare(cfg: dict) -> int:
     paths: list[Path] = [Path(p) for p in (cfg["data"] or [])]
     if cfg["data_dir"]:
         directory = Path(cfg["data_dir"])
@@ -440,96 +461,57 @@ def cmd_compare(args: argparse.Namespace) -> int:
 # --- entry point ------------------------------------------------------------
 
 
+COMMANDS = {
+    "generate": (cmd_generate, GENERATE_SCHEMA, "write a synthetic drive-cycle CSV"),
+    "train": (cmd_train, TRAIN_SCHEMA, "train one model on one cycle CSV"),
+    "evaluate": (cmd_evaluate, EVALUATE_SCHEMA, "score a stored model on a cycle CSV"),
+    "compare": (cmd_compare, COMPARE_SCHEMA,
+                "benchmark optimizers across drive cycles"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a ConfigError, so main prints one line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _help(setting: Setting) -> str:
+    if setting.default is None:
+        return setting.help
+    shown = "required" if setting.default is REQUIRED else f"default {setting.default}"
+    return f"{setting.help} ({shown})"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="socbench",
         description="Battery SOC estimation benchmark: train a feed-forward "
         "network on drive-cycle telemetry and compare optimizers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_gen = sub.add_parser("generate", help="write a synthetic drive-cycle CSV")
-    p_gen.add_argument("--profile", choices=[p.value for p in Profile])
-    p_gen.add_argument("--duration", type=float, help="cycle length in seconds")
-    p_gen.add_argument("--seed", type=int)
-    p_gen.add_argument("--out", help="output CSV path")
-    p_gen.add_argument("--current", type=float,
-                       help="discharge current in A for constant/pulse (default 2.9)")
-    p_gen.add_argument("--soc0", type=float, help="initial SOC percent (default 100)")
-    p_gen.add_argument("--capacity-ah", type=float, dest="capacity_ah")
-    p_gen.add_argument("--r-internal-ohm", type=float, dest="r_internal_ohm")
-    p_gen.add_argument("--ocv-v-min", type=float, dest="ocv_v_min")
-    p_gen.add_argument("--ocv-v-max", type=float, dest="ocv_v_max")
-    p_gen.add_argument("--ambient-c", type=float, dest="t_ambient_c")
-    p_gen.add_argument("--heating-k-per-w", type=float, dest="heating_k_per_w")
-    p_gen.add_argument("--cooling-rate-per-s", type=float, dest="cooling_rate_per_s")
-    p_gen.add_argument("--sample-period-s", type=float, dest="sample_period_s")
-    p_gen.add_argument("--config", help="key=value config file; flags win")
-    p_gen.set_defaults(func=cmd_generate)
-
-    p_train = sub.add_parser("train", help="train one model on one cycle CSV")
-    p_train.add_argument("--data", help="telemetry CSV")
-    p_train.add_argument("--optimizer", type=_parse_optimizer,
-                         metavar="{sgd,rmsprop,adam,adamax}")
-    p_train.add_argument("--lr", type=float,
-                         help="learning rate (default: per-optimizer)")
-    p_train.add_argument("--hidden", type=_parse_hidden,
-                         help="comma-separated hidden sizes (default 256,256,256; "
-                         "empty string for a linear model)")
-    p_train.add_argument("--out-model", dest="out_model", help="model JSON path")
-    p_train.add_argument("--out-log", dest="out_log", help="training log CSV path")
-    p_train.add_argument("--export-features", dest="export_features",
-                         help="also dump the design matrix CSV here")
-    _add_training_flags(p_train)
-    _add_data_flags(p_train)
-    p_train.add_argument("--config", help="key=value config file; flags win")
-    p_train.set_defaults(func=cmd_train)
-
-    p_eval = sub.add_parser("evaluate", help="score a stored model on a cycle CSV")
-    p_eval.add_argument("--model", help="model JSON from train")
-    p_eval.add_argument("--data", help="telemetry CSV")
-    p_eval.add_argument("--predictions",
-                        help="optional per-sample soc_true,soc_pred CSV")
-    _add_data_flags(p_eval)
-    p_eval.add_argument("--config", help="key=value config file; flags win")
-    p_eval.set_defaults(func=cmd_evaluate)
-
-    p_cmp = sub.add_parser("compare",
-                           help="benchmark optimizers across drive cycles")
-    p_cmp.add_argument("--data", nargs="+", help="telemetry CSV paths")
-    p_cmp.add_argument("--data-dir", dest="data_dir",
-                       help="directory of telemetry CSVs")
-    p_cmp.add_argument("--optimizers", type=_parse_optimizer_list,
-                       metavar="LIST", help="comma-separated (default "
-                       "sgd,rmsprop,adamax)")
-    p_cmp.add_argument("--lr", type=_parse_lr_spec, metavar="SPEC",
-                       help="one float for all, or sgd=0.001,adamax=0.05")
-    p_cmp.add_argument("--k", type=int, help="cross-validation folds (default 4)")
-    p_cmp.add_argument("--fold-mode", dest="fold_mode", type=FoldMode,
-                       choices=list(FoldMode), metavar="{shuffled,contiguous}")
-    p_cmp.add_argument("--hidden", type=_parse_hidden,
-                       help="comma-separated hidden sizes")
-    p_cmp.add_argument("--out", help="results CSV path")
-    p_cmp.add_argument("--out-table", dest="out_table", help="text table path")
-    p_cmp.add_argument("--logs-dir", dest="logs_dir",
-                       help="write per-run training logs here")
-    p_cmp.add_argument("--jobs", type=int, help="parallel training runs (default 1)")
-    p_cmp.add_argument("--omit-timing", action="store_const", const=True,
-                       dest="omit_timing",
-                       help="zero the seconds column for byte-reproducible output")
-    _add_training_flags(p_cmp)
-    _add_data_flags(p_cmp)
-    p_cmp.add_argument("--config", help="key=value config file; flags win")
-    p_cmp.set_defaults(func=cmd_compare)
-
+    for name, (func, schema, summary) in COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for key, setting in schema.items():
+            command.add_argument(_flag(key), dest=key, help=_help(setting),
+                                 **setting.flag)
+        command.add_argument("--config", help="key=value config file; flags win")
+        command.set_defaults(func=func, schema=schema)
+    sub.choices["generate"].add_argument(
+        "--ambient-c", dest="t_ambient_c", help="alias of --t-ambient-c"
+    )
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # --help printed its text
+            return exc.code
+        return args.func(_resolve(args, args.schema))
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -281,6 +281,21 @@ def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
     )
 
 
+def check_data_settings(
+    soc0_percent: float = 100.0, capacity_ah: float = 2.9, window: int = 1
+) -> None:
+    """The rules coulomb_count and moving_average apply to their settings.
+
+    Every default passes, so a caller names only the settings it checks.
+    """
+    if not isfinite(capacity_ah) or capacity_ah <= 0:
+        raise InputError(f"capacity must be finite and > 0 Ah, got {capacity_ah}")
+    if not 0.0 <= soc0_percent <= 100.0:
+        raise InputError(f"initial SOC must be in [0, 100], got {soc0_percent}")
+    if window < 1:
+        raise InputError(f"window must be >= 1, got {window}")
+
+
 def coulomb_count(
     telemetry: Telemetry, soc0_percent: float, capacity_ah: float
 ) -> SocSeries:
@@ -290,10 +305,7 @@ def coulomb_count(
     piecewise-linear current. Results are clamped to [0, 100] and the clamp
     count reported.
     """
-    if capacity_ah <= 0:
-        raise InputError(f"capacity must be > 0 Ah, got {capacity_ah}")
-    if not 0.0 <= soc0_percent <= 100.0:
-        raise InputError(f"initial SOC must be in [0, 100], got {soc0_percent}")
+    check_data_settings(soc0_percent=soc0_percent, capacity_ah=capacity_ah)
     if len(telemetry) < 2:
         raise InputError("coulomb counting needs at least 2 records")
 
@@ -302,7 +314,8 @@ def coulomb_count(
     discharged_ah = np.concatenate(
         ([0.0], np.cumsum(0.5 * (i[:-1] + i[1:]) * dt_h))
     )
-    soc = soc0_percent - 100.0 * discharged_ah / capacity_ah
+    with np.errstate(over="ignore"):  # an overflow clamps like any SOC out of range
+        soc = soc0_percent - 100.0 * discharged_ah / capacity_ah
     clamp_count = int(np.count_nonzero((soc < 0.0) | (soc > 100.0)))
     return SocSeries(
         soc_percent=np.clip(soc, 0.0, 100.0),
@@ -318,8 +331,7 @@ def moving_average(series: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarr
     During warm-up (i < window-1) the mean runs over the available prefix,
     so output length always equals input length.
     """
-    if window < 1:
-        raise InputError(f"window must be >= 1, got {window}")
+    check_data_settings(window=window)
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise InputError("series must be non-empty")

@@ -27,6 +27,7 @@ from .data import (
     DesignMatrix,
     apply_normalization,
     build_design_matrix,
+    check_data_settings,
     coulomb_count,
     fit_normalization,
     ingest_csv,
@@ -481,9 +482,10 @@ def run_comparison(
         raise InputError(f"need jobs >= 1, got {jobs}")
     if layer_specs is None:
         layer_specs = mlp_specs(4, DEFAULT_HIDDEN)
-    # every rate is checked here, before any ingestion, whether or not its
-    # optimizer runs
+    # every rate and data setting is checked here, before any ingestion, so
+    # that a bad one is an error, not a reason to skip every cycle
     rated = {alg: replace(h, eta=eta) for alg, eta in (learning_rates or {}).items()}
+    check_data_settings(soc0_percent, capacity_ah, window)
 
     cycles: list[tuple[str, DesignMatrix]] = []
     failures: list[tuple[str, str]] = []

@@ -10,6 +10,7 @@ so counting the generated current recovers the internal SOC trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -49,6 +50,9 @@ class SyntheticCellParams:
     sample_period_s: float = 0.1
 
     def __post_init__(self):
+        for name, value in ((f.name, getattr(self, f.name)) for f in fields(self)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.capacity_ah <= 0:
             raise ConfigError(f"capacity_ah must be > 0, got {self.capacity_ah}")
         if self.r_internal_ohm < 0:
@@ -128,32 +132,45 @@ def generate_cycle(
 
     ``amplitude_a`` sets the discharge current of the constant and pulse
     profiles; the random mix draws its own seeded segments.
+    A cycle with more rows than numpy can allocate, or whose voltage or
+    temperature overflows float64, is rejected.
     """
-    if duration_s <= 0:
-        raise ConfigError(f"duration must be > 0 s, got {duration_s}")
+    if not math.isfinite(duration_s) or duration_s <= 0:
+        raise ConfigError(f"duration must be finite and > 0 s, got {duration_s}")
     if not 0.0 <= soc0_percent <= 100.0:
         raise ConfigError(f"initial SOC must be in [0, 100], got {soc0_percent}")
+    if not math.isfinite(amplitude_a):
+        raise ConfigError(f"current must be finite, got {amplitude_a}")
 
-    n = int(np.floor(duration_s / params.sample_period_s)) + 1
-    times = np.arange(n) * params.sample_period_s
+    try:
+        n = math.floor(duration_s / params.sample_period_s) + 1
+        times = np.arange(n) * params.sample_period_s
+    except (OverflowError, ValueError, MemoryError):
+        raise ConfigError(
+            f"a {duration_s} s cycle sampled every {params.sample_period_s} s "
+            "has more rows than can be allocated"
+        ) from None
     current = _current_profile(
         profile, times, amplitude_a, seed, params.capacity_ah, soc0_percent
     )
 
-    # trapezoidal SOC, matching coulomb_count exactly on the same grid
-    dt_h = np.diff(times) / 3600.0
-    discharged_ah = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (current[:-1] + current[1:]) * dt_h))
-    )
-    soc = soc0_percent - 100.0 * discharged_ah / params.capacity_ah
+    # overflow to inf or nan is caught by the finiteness check at the end
+    with np.errstate(over="ignore", invalid="ignore"):
+        # trapezoidal SOC, matching coulomb_count exactly on the same grid
+        dt_h = np.diff(times) / 3600.0
+        discharged_ah = np.concatenate(
+            ([0.0], np.cumsum(0.5 * (current[:-1] + current[1:]) * dt_h))
+        )
+        soc = soc0_percent - 100.0 * discharged_ah / params.capacity_ah
 
-    ocv = params.ocv_v_min + (params.ocv_v_max - params.ocv_v_min) * soc / 100.0
-    voltage = ocv - current * params.r_internal_ohm
+        ocv = params.ocv_v_min + (params.ocv_v_max - params.ocv_v_min) * soc / 100.0
+        voltage = ocv - current * params.r_internal_ohm
+
+        power = current**2 * params.r_internal_ohm
+        equilibrium = params.t_ambient_c + params.heating_k_per_w * power
 
     # forward-Euler first-order thermal response, over Python floats: the
     # same IEEE double arithmetic as numpy scalars, at a fraction of the cost
-    power = current**2 * params.r_internal_ohm
-    equilibrium = params.t_ambient_c + params.heating_k_per_w * power
     dt = params.sample_period_s
     rate = min(params.cooling_rate_per_s * dt, 1.0)  # keep Euler step stable
     temp = float(params.t_ambient_c)
@@ -162,11 +179,13 @@ def generate_cycle(
         temp = temp + rate * (eq - temp)
         temperature.append(temp)
 
-    return SyntheticCycle(
-        records=Telemetry(times, voltage, current, temperature),
-        soc_percent=soc,
-        params=params,
-    )
+    records = Telemetry(times, voltage, current, temperature)
+    if not (np.isfinite(records.voltage_v).all()
+            and np.isfinite(records.temperature_c).all()):
+        raise ConfigError(
+            "cell settings overflow: voltage or temperature is not finite"
+        )
+    return SyntheticCycle(records=records, soc_percent=soc, params=params)
 
 
 def write_cycle_csv(telemetry: Telemetry, path: str | Path) -> None:
@@ -181,30 +200,3 @@ def write_cycle_csv(telemetry: Telemetry, path: str | Path) -> None:
             f"{t!r},{v!r},{i!r},{c!r}\n"
             for t, v, i, c in zip(*(col.tolist() for col in columns))
         )
-
-
-_CELL_PARAM_KEYS = frozenset(f.name for f in fields(SyntheticCellParams))
-
-
-def read_cell_config(path: str | Path) -> SyntheticCellParams:
-    """Cell parameters from a plain key=value file; unknown keys rejected."""
-    values: dict[str, float] = {}
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path} line {line_no}: expected key=value")
-        key, _, value = stripped.partition("=")
-        key = key.strip()
-        if key not in _CELL_PARAM_KEYS:
-            raise ConfigError(f"{path} line {line_no}: unknown key {key!r}")
-        try:
-            values[key] = float(value.strip())
-        except ValueError:
-            raise ConfigError(
-                f"{path} line {line_no}: non-numeric value for {key!r}"
-            ) from None
-    return SyntheticCellParams(**values)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -13,12 +14,22 @@ from socbench.cli import main
 from socbench.data import apply_normalization
 from socbench.harness import prepare_cycle
 from socbench.network import forward, init_network, load_model, mlp_specs, save_model
+from socbench.synthetic import (
+    Profile,
+    SyntheticCellParams,
+    generate_cycle,
+    write_cycle_csv,
+)
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def error_lines(err):
+    return [line for line in err.splitlines() if line.startswith("error:")]
 
 
 @pytest.fixture()
@@ -83,6 +94,87 @@ class TestGenerate:
         code, _, err = run_cli(capsys, "generate", "--config", str(cfg))
         assert code == 2
         assert "bogus" in err
+
+
+class TestGenerateConfig:
+    """The cell parameters read from a --config file as key=value lines."""
+
+    GENERATE = ["generate", "--profile", "random", "--duration", "120", "--seed", "3"]
+
+    def test_key_value_parsing(self, tmp_path, capsys):
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text(
+            "# test cell\ncapacity_ah = 3.2\nr_internal_ohm=0.05\n\n"
+            "t_ambient_c = 10\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "cfg.csv"
+        code, _, _ = run_cli(capsys, *self.GENERATE, "--config", str(cfg),
+                             "--out", str(out))
+        assert code == 0
+        params = SyntheticCellParams(capacity_ah=3.2, r_internal_ohm=0.05,
+                                     t_ambient_c=10.0)
+        # untouched default: a CLI that changed it would write other bytes
+        assert params.ocv_v_max == 4.2
+        expected = tmp_path / "library.csv"
+        write_cycle_csv(generate_cycle(params, Profile.RANDOM_MIX, 120.0, 3).records,
+                        expected)
+        assert out.read_bytes() == expected.read_bytes()
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("resistance=0.05\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, *self.GENERATE, "--config", str(cfg),
+                               "--out", str(out))
+        assert code == 2
+        assert "unknown key" in err and "resistance" in err
+        assert not out.exists()
+
+    def test_non_numeric_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cell.cfg"
+        cfg.write_text("capacity_ah=big\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, *self.GENERATE, "--config", str(cfg),
+                               "--out", str(out))
+        assert code == 2
+        assert "config key capacity_ah: bad value 'big'" in err
+        assert not out.exists()
+
+    def test_ambient_c_is_an_alias(self, tmp_path, capsys):
+        outs = []
+        for flag in ("--ambient-c", "--t-ambient-c"):
+            out = tmp_path / f"{flag}.csv"
+            code, _, _ = run_cli(capsys, *self.GENERATE, flag, "10", "--out", str(out))
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+        default = tmp_path / "default.csv"
+        run_cli(capsys, *self.GENERATE, "--out", str(default))
+        assert default.read_bytes() != outs[0]
+
+
+GENERATE_NUMBERS = ["--duration", "--current", "--ambient-c"] + [
+    "--" + f.name.replace("_", "-") for f in fields(SyntheticCellParams)
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300"])
+@pytest.mark.parametrize("flag", GENERATE_NUMBERS)
+def test_generate_writes_no_non_finite_file(tmp_path, capsys, flag, value):
+    out = tmp_path / "g.csv"
+    argv = {"--profile": "constant", "--duration": "60", "--seed": "1",
+            "--out": str(out), flag: value}
+    code, _, err = run_cli(capsys, "generate", *(f"{k}={v}" for k, v in argv.items()))
+    if value != "1e300" or flag in ("--duration", "--current", "--ocv-v-min"):
+        assert code == 2
+    if code == 2:
+        assert len(error_lines(err)) == 1
+        assert not out.exists()
+    else:
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+        assert np.isfinite(rows).all()
 
 
 class TestTrain:
@@ -605,3 +697,129 @@ class TestCompare:
         assert names == [
             "mix_adamax_final.csv", "mix_adamax_fold0.csv", "mix_adamax_fold1.csv",
         ]
+
+
+class TestSettingChecks:
+    """Each bad setting value exits 2 with one error line and no output,
+    whether it comes from a flag, a config file or the environment."""
+
+    def train_argv(self, cycle_file, out, *extra):
+        return ["train", "--data", str(cycle_file), "--optimizer", "sgd",
+                "--epochs", "1", "--hidden", "2", "--soc0", "90",
+                "--out-model", str(out), "--out-log", str(out) + ".log", *extra]
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("flag", "--seed: bad value '-1' (--seed must be >= 0)"),
+            ("config", "config key seed: bad value '-5' (--seed must be >= 0)"),
+            ("env", "SOC_BENCH_SEED: bad value '-1' (--seed must be >= 0)"),
+            ("generate", "--seed: bad value '-2' (--seed must be >= 0)"),
+        ],
+    )
+    def test_negative_seed(self, cycle_file, tmp_path, capsys, monkeypatch,
+                           source, message):
+        out = tmp_path / "out"
+        argv = self.train_argv(cycle_file, out)
+        if source == "flag":
+            argv += ["--seed", "-1"]
+        elif source == "config":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("seed = -5\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        elif source == "env":
+            monkeypatch.setenv("SOC_BENCH_SEED", "-1")
+        else:
+            argv = ["generate", "--profile", "random", "--duration", "60",
+                    "--seed", "-2", "--out", str(out)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_non_utf8_config(self, cycle_file, tmp_path, capsys):
+        cfg = tmp_path / "bytes.cfg"
+        cfg.write_bytes(b"epochs=1\nseed=\xff\n")
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, *self.train_argv(cycle_file, out),
+                               "--config", str(cfg))
+        assert code == 2
+        assert err == f"error: {cfg}: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_capacity(self, cycle_file, tmp_path, capsys, source):
+        out = tmp_path / "m.json"
+        argv = self.train_argv(cycle_file, out)
+        if source == "flag":
+            argv += ["--capacity-ah", "inf"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("capacity_ah=inf\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == "error: capacity must be finite and > 0 Ah, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--soc0", "nan", "initial SOC must be in [0, 100], got nan"),
+            ("--capacity-ah", "inf", "capacity must be finite and > 0 Ah, got inf"),
+            ("--window", "0", "window must be >= 1, got 0"),
+        ],
+    )
+    def test_compare_data_setting_fails_before_any_cycle(
+        self, cycle_file, tmp_path, capsys, flag, value, message
+    ):
+        # not a reason to skip every cycle and exit 0
+        out = tmp_path / "r.csv"
+        code, _, err = run_cli(
+            capsys, "compare", "--data", str(cycle_file), "--optimizers", "adamax",
+            "--epochs", "1", "--k", "2", "--hidden", "2", flag, value,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "--profile", "square"],
+             "--profile: bad value 'square' (--profile must be one of: "
+             "constant, pulse, random)"),
+            (["compare", "--fold-mode", "purged"],
+             "--fold-mode: bad value 'purged' (--fold-mode must be one of: "
+             "shuffled, contiguous)"),
+            (["train", "--data", "absent.csv", "--optimizer", "sgd",
+              "--epochs", "1.5"],
+             "--epochs: bad value '1.5' (--epochs must be an integer)"),
+            (["train", "--bogus"], "unrecognized arguments: --bogus"),
+        ],
+    )
+    def test_parser_errors_are_one_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+
+
+def test_every_flag_is_its_config_key_with_dashes():
+    """The README's rule: a config key is its flag without the leading
+    dashes and with underscores, for every setting of every command."""
+    commands = cli.build_parser()._subparsers._group_actions[0].choices
+    assert sorted(commands) == ["compare", "evaluate", "generate", "train"]
+    for name, command in commands.items():
+        flags = {
+            option: action.dest
+            for action in command._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help", "--config", "--ambient-c")
+        }
+        schema = command.get_default("schema")
+        assert flags == {"--" + key.replace("_", "-"): key for key in schema}, name
+    generate = commands["generate"]
+    aliases = [a for a in generate._actions if "--ambient-c" in a.option_strings]
+    assert [a.dest for a in aliases] == ["t_ambient_c"]

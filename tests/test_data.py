@@ -232,6 +232,11 @@ class TestCoulombCount:
         with pytest.raises(InputError):
             coulomb_count(records_from(times, [1.0, 1.0]), 100.0, 0.0)
 
+    @pytest.mark.parametrize("capacity", [np.inf, -np.inf, np.nan])
+    def test_non_finite_capacity_rejected(self, capacity):
+        with pytest.raises(InputError, match="capacity must be finite"):
+            coulomb_count(records_from([0.0, 1.0], [1.0, 1.0]), 100.0, capacity)
+
     def test_too_few_records_rejected(self):
         with pytest.raises(InputError):
             coulomb_count(records_from([0.0], [1.0]), 100.0, 2.9)

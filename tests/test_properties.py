@@ -1,14 +1,15 @@
 """Property tests: the in-place forward/backward, the blocked predict, the
 flat-vector optimizer steps, the array-based ingest, the columnar generator
 and writer against the straightforward code they replace, kept here as
-references; plus the model-file round trip and invariants of the SOC
-features."""
+references; plus the model-file round trip, invariants of the SOC
+features and the command line's exit-code contract."""
 
 import copy
 import csv
 import io
 import json
 import math
+import os
 import random
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from dataclasses import fields
@@ -35,6 +36,7 @@ from socbench import (
     optimizers,
     write_cycle_csv,
 )
+from socbench import cli
 from socbench.cli import main
 from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
 from socbench.errors import ModelMismatchError
@@ -811,3 +813,216 @@ def test_coulomb_count_is_additive_over_segments(steps, currents, split):
     assert same_bits(whole.soc_percent[:k], head.soc_percent)
     np.testing.assert_allclose(whole.soc_percent[k - 1 :], tail.soc_percent,
                                rtol=0, atol=1e-9)
+
+
+# --- the whole command line: every setting, from every source -------------
+
+NUMBER_EDGES = ["-1", "0", "0.5", "nan", "inf", "-inf", "1e300", "1e-300",
+                "1e-310", "1e400", "", "abc"]
+INT_EDGES = ["-1", "0", "1", "2", "4", "", "abc", "2.5", "1e400", "nan"]
+SWITCH_EDGES = ["true", "no", "1", "maybe", ""]
+# each drawn value of these stays small where it passes validation, so an
+# example never allocates or trains for real
+SPECIAL_EDGES = {
+    "hidden": ["", "2", "2,2", "0", "-1", "2,", "abc", "1e400"],
+    "optimizer": ["sgd", "ADAMAX", "nadam", ""],
+    "optimizers": ["sgd", "rmsprop,adamax", ",", "", "foo"],
+    "fold_mode": ["shuffled", "contiguous", "purged", ""],
+    "profile": ["constant", "pulse", "random", "square", ""],
+    "seed": ["-1", "0", "7", "", "abc", "1e400", "99999999999999999999"],
+}
+PATH_KEYS = {"data", "data_dir", "model", "out", "out_model", "out_log",
+             "export_features", "predictions", "out_table", "logs_dir"}
+INT_KEYS = {"epochs", "batch_size", "window", "k", "jobs"}
+CLI_EXIT_CODES = {0, 1, 2, 3, 4}
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    """Read-only inputs: a 200-row cycle, a 4-2-1 model and bad files."""
+    root = tmp_path_factory.mktemp("cli_inputs")
+    cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                           Profile.RANDOM_MIX, 199.0, seed=5)
+    write_cycle_csv(cycle.records, root / "cycle.csv")
+    (root / "csvs").mkdir()
+    write_cycle_csv(cycle.records, root / "csvs" / "one.csv")
+    save_model(root / "model.json", init_network(mlp_specs(4, [2]), seed=0),
+               normalization=NormalizationStats(np.zeros(4), np.ones(4)))
+    (root / "bytes.txt").write_bytes(b"time_s,\xff\n")
+    (root / "empty.txt").write_text("", encoding="utf-8")
+    (root / "empty_dir").mkdir()
+    return root
+
+
+def edge_values(key, setting, inputs, out_dir):
+    """The drawn raw texts of one setting."""
+    if key in ("data", "model"):
+        names = ["cycle.csv", "model.json", "bytes.txt", "empty.txt", "empty_dir",
+                 "absent.csv"]
+        return [str(inputs / name) for name in names]
+    if key == "data_dir":
+        names = ["csvs", "empty_dir", "cycle.csv", "absent"]
+        return [str(inputs / name) for name in names]
+    if key in PATH_KEYS:
+        # an output goes to a fresh file, a directory, a missing one or nowhere
+        return [str(out_dir / key), str(out_dir), str(out_dir / "absent" / key), ""]
+    if key in SPECIAL_EDGES:
+        return SPECIAL_EDGES[key]
+    if setting.convert is cli._parse_lr_spec:
+        return ["0.01", "sgd=nan", "adam=-5,sgd=0.1", "foo=1", "=", ""]
+    if setting.flag == cli._SWITCH:
+        return SWITCH_EDGES
+    return INT_EDGES if key in INT_KEYS else NUMBER_EDGES
+
+
+def rejected_values(setting, values):
+    """(raw, reason) for each value the setting's converter rejects."""
+    rejected = []
+    for raw in values:
+        try:
+            setting.convert(raw)
+        except ValueError as exc:
+            rejected.append((raw, str(exc)))
+    return rejected
+
+
+# tiny runs: 200 rows, 2 hidden units, 1 epoch, 2 folds
+BASE_ARGS = {
+    "generate": {"profile": "random", "duration": "30", "seed": "1", "out": "g.csv"},
+    "train": {"data": "cycle.csv", "optimizer": "adamax", "hidden": "2",
+              "epochs": "1", "out_model": "m.json", "out_log": "l.csv"},
+    "evaluate": {"model": "model.json", "data": "cycle.csv"},
+    "compare": {"data": "cycle.csv", "optimizers": "sgd", "hidden": "2",
+                "epochs": "1", "k": "2", "out": "r.csv"},
+}
+
+
+def base_values(command, inputs, out_dir):
+    return {
+        key: str(inputs / raw) if key in ("data", "model")
+        else str(out_dir / raw) if key in PATH_KEYS else raw
+        for key, raw in BASE_ARGS[command].items()
+    }
+
+
+def run_main(argv, env_seed, cwd):
+    """main(argv) run in cwd, where default output paths land, with
+    SOC_BENCH_SEED set to env_seed (None: unset)."""
+    saved_env = os.environ.pop("SOC_BENCH_SEED", None)
+    saved_cwd = os.getcwd()
+    if env_seed is not None:
+        os.environ["SOC_BENCH_SEED"] = env_seed
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        os.chdir(cwd)
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        raise AssertionError(f"main raised SystemExit({exc.code})") from None
+    finally:
+        os.chdir(saved_cwd)
+        os.environ.pop("SOC_BENCH_SEED", None)
+        if saved_env is not None:
+            os.environ["SOC_BENCH_SEED"] = saved_env
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_cli_exits_with_a_documented_code(
+    tmp_path_factory, cli_inputs, command, data
+):
+    """Any mix of edge values, from flags, a config file and SOC_BENCH_SEED,
+    and any misused argument, ends in a documented exit code with no
+    exception; a failure prints exactly one line starting with error:."""
+    schema = cli.COMMANDS[command][1]
+    out_dir = tmp_path_factory.mktemp("cli_out")
+    values = {
+        key: ("flag", raw)
+        for key, raw in base_values(command, cli_inputs, out_dir).items()
+    }
+    drawn = st.lists(st.sampled_from(sorted(schema)), max_size=4, unique=True)
+    for key in data.draw(drawn):
+        edges = edge_values(key, schema[key], cli_inputs, out_dir)
+        raw = data.draw(st.sampled_from(edges))
+        values[key] = (data.draw(st.sampled_from(["flag", "config"])), raw)
+
+    argv, lines = [command], []
+    for key, (source, raw) in values.items():
+        flag = "--" + key.replace("_", "-")
+        if source == "config":
+            lines.append(f"{key}={raw}")
+        elif schema[key].flag == cli._SWITCH:
+            argv.append(flag)
+        elif data.draw(st.booleans()):
+            argv.append(f"{flag}={raw}")
+        else:
+            argv += [flag, raw]  # a value like -inf reads as an option here
+    # stray and incomplete arguments, and --help
+    argv += data.draw(st.lists(st.sampled_from(["--bogus", "stray", "--seed", "-h"]),
+                               max_size=1))
+    config = data.draw(st.sampled_from(
+        ["lines", "lines", "lines", "none", "none", "bytes", "directory", "absent"]
+    ))
+    if config == "lines":
+        extra = st.sampled_from(["# note", "", "bogus=1", "novalue"])
+        lines += data.draw(st.lists(extra, max_size=1))
+        (out_dir / "run.cfg").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv += ["--config", str(out_dir / "run.cfg")]
+    elif config != "none":
+        target = {"bytes": cli_inputs / "bytes.txt", "directory": cli_inputs,
+                  "absent": out_dir / "absent.cfg"}[config]
+        argv += ["--config", str(target)]
+    env_seed = data.draw(st.sampled_from([None] * 7 + SPECIAL_EDGES["seed"]))
+
+    code, err = run_main(argv, env_seed, out_dir)
+    assert code in CLI_EXIT_CODES
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (0 if code == 0 else 1), err
+
+
+@pytest.mark.parametrize("command", sorted(BASE_ARGS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rejected_value_is_one_check_from_any_source(
+    tmp_path_factory, cli_inputs, command, data
+):
+    """A value its converter rejects exits 2 with the same error line from
+    a flag, a config file or (for the seed) SOC_BENCH_SEED, before any
+    input is read or output written."""
+    schema = cli.COMMANDS[command][1]
+    out_dir = tmp_path_factory.mktemp("cli_out")
+    rejected = {
+        key: rejected_values(setting, edge_values(key, setting, cli_inputs, out_dir))
+        for key, setting in schema.items()
+    }
+    key = data.draw(st.sampled_from(sorted(key for key in rejected if rejected[key])))
+    setting = schema[key]
+    raw, why = data.draw(st.sampled_from(rejected[key]))
+    flag = "--" + key.replace("_", "-")
+    sources = ["config"] + (["env"] if setting.env else [])
+    if schema[key].flag != cli._SWITCH:
+        sources.append("flag")
+    source = data.draw(st.sampled_from(sources))
+
+    # every other setting valid; a bad value fails before any file is opened
+    argv, env_seed = [command], None
+    for other, value in base_values(command, cli_inputs, out_dir).items():
+        if other != key:
+            argv.append(f"--{other.replace('_', '-')}={value}")
+    if source == "flag":
+        argv.append(f"{flag}={raw}")
+        where = flag
+    elif source == "config":
+        (out_dir / "run.cfg").write_text(f"{key}={raw}\n", encoding="utf-8")
+        argv += ["--config", str(out_dir / "run.cfg")]
+        where = f"config key {key}"
+    else:
+        env_seed, where = raw, "SOC_BENCH_SEED"
+
+    code, err = run_main(argv, env_seed, out_dir)
+    assert code == 2
+    assert err == f"error: {where}: bad value {raw!r} ({flag} {why})\n"
+    written = [path.name for path in out_dir.iterdir()]
+    assert written == (["run.cfg"] if source == "config" else [])

@@ -12,7 +12,6 @@ from socbench import (
     ingest_csv,
     write_cycle_csv,
 )
-from socbench.synthetic import read_cell_config
 
 
 class TestConstantDischarge:
@@ -171,29 +170,3 @@ class TestValidation:
             generate_cycle(SyntheticCellParams(), Profile.RANDOM_MIX,
                            duration_s=10.0, seed=1, soc0_percent=105.0)
 
-
-class TestCellConfigFile:
-    def test_key_value_parsing(self, tmp_path):
-        cfg = tmp_path / "cell.cfg"
-        cfg.write_text(
-            "# test cell\ncapacity_ah = 3.2\nr_internal_ohm=0.05\n\n"
-            "t_ambient_c = 10\n",
-            encoding="utf-8",
-        )
-        params = read_cell_config(cfg)
-        assert params.capacity_ah == 3.2
-        assert params.r_internal_ohm == 0.05
-        assert params.t_ambient_c == 10.0
-        assert params.ocv_v_max == 4.2  # untouched default
-
-    def test_unknown_key_rejected(self, tmp_path):
-        cfg = tmp_path / "cell.cfg"
-        cfg.write_text("resistance=0.05\n", encoding="utf-8")
-        with pytest.raises(ConfigError, match="unknown key"):
-            read_cell_config(cfg)
-
-    def test_non_numeric_value_rejected(self, tmp_path):
-        cfg = tmp_path / "cell.cfg"
-        cfg.write_text("capacity_ah=big\n", encoding="utf-8")
-        with pytest.raises(ConfigError):
-            read_cell_config(cfg)
