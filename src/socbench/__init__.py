@@ -32,7 +32,6 @@ from .harness import (
     ComparisonReport,
     ExperimentResult,
     FoldMode,
-    FoldSplit,
     TrainingLog,
     cross_validate,
     make_folds,
@@ -41,11 +40,9 @@ from .harness import (
 )
 from .network import (
     Activation,
-    ForwardCache,
     LayerSpec,
     NetworkParameters,
     backward,
-    count_parameters,
     forward,
     init_network,
     load_model,
@@ -59,11 +56,7 @@ from .optimizers import (
     Algorithm,
     Hyperparameters,
     OptimizerState,
-    adam_step,
-    adamax_step,
     optimizer_step,
-    rmsprop_step,
-    sgd_step,
 )
 from .synthetic import Profile, SyntheticCellParams, generate_cycle, write_cycle_csv
 

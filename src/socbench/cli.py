@@ -47,7 +47,6 @@ from .harness import (
 )
 from .network import (
     DEFAULT_HIDDEN,
-    count_parameters,
     load_model,
     loss_mae,
     loss_mse,
@@ -135,6 +134,11 @@ def _parse_lr_spec(text: str) -> float | dict[Algorithm, float]:
         raise ValueError("must be one rate or optimizer=rate pairs") from None
 
 
+def _optional_path(text: str) -> str | None:
+    """An optional output path; empty text leaves it unset."""
+    return text or None
+
+
 def _path_list(value: str | list[str]) -> list[str]:
     """Paths from ``--data a b`` (a list) or ``data=a,b`` (one text)."""
     if isinstance(value, list):
@@ -214,7 +218,8 @@ TRAIN_SCHEMA = {
     "hidden": _HIDDEN,
     "out_model": Setting(str, "model.json", "model JSON path"),
     "out_log": Setting(str, "training_log.csv", "training log CSV path"),
-    "export_features": Setting(str, None, "also dump the design matrix CSV here"),
+    "export_features": Setting(_optional_path, None,
+                               "also dump the design matrix CSV here"),
     **_TRAINING_SCHEMA,
     **_DATA_SCHEMA,
 }
@@ -222,7 +227,8 @@ TRAIN_SCHEMA = {
 EVALUATE_SCHEMA = {
     "model": Setting(str, REQUIRED, "model JSON from train"),
     "data": Setting(str, REQUIRED, "telemetry CSV"),
-    "predictions": Setting(str, None, "optional per-sample soc_true,soc_pred CSV"),
+    "predictions": Setting(_optional_path, None,
+                           "optional per-sample soc_true,soc_pred CSV"),
     **_DATA_SCHEMA,
 }
 
@@ -237,7 +243,7 @@ COMPARE_SCHEMA = {
     "fold_mode": Setting(_choice(FoldMode), "shuffled", "shuffled or contiguous"),
     "hidden": _HIDDEN,
     "out": Setting(str, "comparison_results.csv", "results CSV path"),
-    "out_table": Setting(str, None, "text table path"),
+    "out_table": Setting(_optional_path, None, "text table path"),
     "logs_dir": Setting(str, None, "write per-run training logs here"),
     "jobs": Setting(_number(int, 1), "1", "parallel training runs"),
     "omit_timing": Setting(_parse_bool, "false", "zero the seconds column for "
@@ -304,6 +310,20 @@ def _hyperparameters(cfg: dict, eta) -> Hyperparameters:
     return Hyperparameters(eta=eta, **{key: cfg[key] for key in _TRAINING_SCHEMA})
 
 
+def _check_outputs(cfg: dict, *keys: str) -> None:
+    """Fail before any work on an output path that cannot take a file: a
+    directory, or a path whose parent is not a directory. Unset optional
+    outputs are skipped."""
+    for key in keys:
+        if cfg[key] is None:
+            continue
+        path = Path(cfg[key])
+        if path.is_dir():
+            raise OSError(f"{_flag(key)} {cfg[key]!r}: is a directory")
+        if not path.parent.is_dir():
+            raise OSError(f"{_flag(key)} {cfg[key]!r}: parent is not a directory")
+
+
 def _warn_zero_lr(eta) -> None:
     if eta == 0:
         print("warning: learning rate is 0; parameters will not change",
@@ -350,6 +370,7 @@ def cmd_train(cfg: dict) -> int:
     algorithm = cfg["optimizer"]
     h = _hyperparameters(cfg, cfg["lr"])
     _warn_zero_lr(h.resolve_eta(algorithm))
+    _check_outputs(cfg, "out_model", "out_log", "export_features")
 
     _, raw_dm = _load_design_matrix(cfg["data"], cfg)
     stats = battery_data.fit_normalization(raw_dm)
@@ -368,7 +389,7 @@ def cmd_train(cfg: dict) -> int:
 
     mae = loss_mae(predictions, normalized.targets)
     mse = loss_mse(predictions, normalized.targets)
-    print(f"model: {cfg['out_model']} ({count_parameters(params)} parameters)")
+    print(f"model: {cfg['out_model']} ({params.flat.size} parameters)")
     print(f"log: {cfg['out_log']}")
     print(f"final train MAE {mae!r} MSE {mse!r}")
     return EXIT_OK
@@ -378,6 +399,7 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
+    _check_outputs(cfg, "predictions")
     params, stats, _seed = load_model(cfg["model"])
     if params.specs[-1].output_dim != 1:
         raise ModelMismatchError(
@@ -428,6 +450,7 @@ def cmd_compare(cfg: dict) -> int:
     h = _hyperparameters(cfg, eta)
     for alg in cfg["optimizers"]:
         _warn_zero_lr(rates[alg] if rates and alg in rates else h.resolve_eta(alg))
+    _check_outputs(cfg, "out", "out_table")
 
     report = run_comparison(
         paths,

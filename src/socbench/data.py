@@ -74,8 +74,6 @@ class SocSeries:
     """Coulomb-counted SOC aligned with the telemetry it came from."""
 
     soc_percent: np.ndarray
-    soc0_percent: float
-    capacity_ah: float
     clamp_count: int = 0
 
 
@@ -296,33 +294,38 @@ def check_data_settings(
         raise InputError(f"window must be >= 1, got {window}")
 
 
+def integrate_soc(
+    time_s: np.ndarray, current_a: np.ndarray, soc0_percent: float, capacity_ah: float
+) -> np.ndarray:
+    """SOC(t) = SOC_0 - 100 * (integral of I dt, in Ah) / capacity, unclamped.
+
+    Trapezoidal integration over possibly non-uniform timestamps; exact for
+    piecewise-linear current.
+    """
+    dt_h = np.diff(time_s) / 3600.0
+    discharged_ah = np.concatenate(
+        ([0.0], np.cumsum(0.5 * (current_a[:-1] + current_a[1:]) * dt_h))
+    )
+    return soc0_percent - 100.0 * discharged_ah / capacity_ah
+
+
 def coulomb_count(
     telemetry: Telemetry, soc0_percent: float, capacity_ah: float
 ) -> SocSeries:
-    """SOC(t) = SOC_0 - 100 * (integral of I dt, in Ah) / capacity.
-
-    Trapezoidal integration over possibly non-uniform timestamps; exact for
-    piecewise-linear current. Results are clamped to [0, 100] and the clamp
-    count reported.
-    """
+    """The telemetry's SOC by ``integrate_soc``, clamped to [0, 100], with
+    the clamp count reported."""
     check_data_settings(soc0_percent=soc0_percent, capacity_ah=capacity_ah)
     if len(telemetry) < 2:
         raise InputError("coulomb counting needs at least 2 records")
 
-    t, i = telemetry.time_s, telemetry.current_a
-    dt_h = np.diff(t) / 3600.0
-    discharged_ah = np.concatenate(
-        ([0.0], np.cumsum(0.5 * (i[:-1] + i[1:]) * dt_h))
-    )
-    with np.errstate(over="ignore"):  # an overflow clamps like any SOC out of range
-        soc = soc0_percent - 100.0 * discharged_ah / capacity_ah
+    # an overflow clamps like any SOC out of range; a nan (inf - inf) is
+    # rejected by build_design_matrix
+    with np.errstate(over="ignore", invalid="ignore"):
+        soc = integrate_soc(
+            telemetry.time_s, telemetry.current_a, soc0_percent, capacity_ah
+        )
     clamp_count = int(np.count_nonzero((soc < 0.0) | (soc > 100.0)))
-    return SocSeries(
-        soc_percent=np.clip(soc, 0.0, 100.0),
-        soc0_percent=soc0_percent,
-        capacity_ah=capacity_ah,
-        clamp_count=clamp_count,
-    )
+    return SocSeries(soc_percent=np.clip(soc, 0.0, 100.0), clamp_count=clamp_count)
 
 
 def moving_average(series: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarray:
@@ -346,33 +349,47 @@ def moving_average(series: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarr
 def build_design_matrix(
     telemetry: Telemetry, soc: SocSeries, window: int = DEFAULT_WINDOW
 ) -> DesignMatrix:
-    """Rows of (V, avg V, avg I, avg T) with the Coulomb-counted SOC target."""
+    """Rows of (V, avg V, avg I, avg T) with the Coulomb-counted SOC target;
+    a column holding a non-finite value is rejected by name."""
     if len(telemetry) != soc.soc_percent.shape[0]:
         raise InputError(
             f"{len(telemetry)} records but {soc.soc_percent.shape[0]} SOC values"
         )
     v = telemetry.voltage_v
-    features = np.column_stack(
-        (
-            v,
-            moving_average(v, window),
-            moving_average(telemetry.current_a, window),
-            moving_average(telemetry.temperature_c, window),
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = np.column_stack(
+            (
+                v,
+                moving_average(v, window),
+                moving_average(telemetry.current_a, window),
+                moving_average(telemetry.temperature_c, window),
+            )
         )
-    )
-    return DesignMatrix(features=features, targets=soc.soc_percent.copy())
+    targets = soc.soc_percent.copy()
+    columns = zip((*FEATURE_NAMES, "soc"), (*features.T, targets))
+    bad = [name for name, column in columns if not np.isfinite(column).all()]
+    if bad:
+        raise DataError(f"non-finite values in {bad} (currents too large?)")
+    return DesignMatrix(features=features, targets=targets)
 
 
 def fit_normalization(dm: DesignMatrix, min_std: float = 1e-12) -> NormalizationStats:
     """Per-feature population mean/std over the given (training) rows.
 
-    Targets are never normalized. A feature with std <= min_std is
-    rejected by name.
+    Targets are never normalized. A feature with std <= min_std, or whose
+    mean or std overflows float64, is rejected by name.
     """
     if len(dm) < 2:
         raise InputError("normalization needs at least 2 rows")
-    means = dm.features.mean(axis=0)
-    stds = dm.features.std(axis=0)  # population (divide-by-N)
+    with np.errstate(over="ignore", invalid="ignore"):
+        means = dm.features.mean(axis=0)
+        stds = dm.features.std(axis=0)  # population (divide-by-N)
+    overflowed = [name for name, m, s in zip(FEATURE_NAMES, means, stds)
+                  if not (isfinite(m) and isfinite(s))]
+    if overflowed:
+        raise DataError(
+            f"feature(s) {overflowed} overflow float64 (currents too large?)"
+        )
     degenerate = [
         FEATURE_NAMES[j] for j in range(len(FEATURE_NAMES)) if stds[j] <= min_std
     ]

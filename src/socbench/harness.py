@@ -56,12 +56,7 @@ class FoldMode(Enum):
     CONTIGUOUS = "contiguous"
 
 
-@dataclass
-class FoldSplit:
-    """Disjoint validation folds covering every row; train = the rest."""
-
-    k: int
-    assignments: list[tuple[np.ndarray, np.ndarray]]  # (train_idx, val_idx) per fold
+Folds = list[tuple[np.ndarray, np.ndarray]]  # (train_idx, val_idx) per fold
 
 
 @dataclass
@@ -75,7 +70,6 @@ class EpochStats:
 @dataclass
 class TrainingLog:
     entries: list[EpochStats]
-    best_epoch: int  # see _best_epoch
 
 
 @dataclass
@@ -98,7 +92,7 @@ class ComparisonReport:
 
 def make_folds(
     n_rows: int, k: int = 4, seed: int = 0, mode: FoldMode = FoldMode.SHUFFLED
-) -> FoldSplit:
+) -> Folds:
     """Partition row indices into k validation folds of near-equal size.
 
     Shuffled mode permutes indices with a seeded generator first;
@@ -112,11 +106,10 @@ def make_folds(
     if mode is FoldMode.SHUFFLED:
         indices = np.random.default_rng(seed).permutation(n_rows)
     blocks = np.array_split(indices, k)
-    assignments = []
-    for fold, val_idx in enumerate(blocks):
-        train_idx = np.concatenate([b for j, b in enumerate(blocks) if j != fold])
-        assignments.append((train_idx, val_idx))
-    return FoldSplit(k=k, assignments=assignments)
+    return [
+        (np.concatenate([b for j, b in enumerate(blocks) if j != fold]), val_idx)
+        for fold, val_idx in enumerate(blocks)
+    ]
 
 
 def train(
@@ -168,17 +161,7 @@ def train(
                 val_mae = val_mse = float("nan")
             entries.append(EpochStats(epoch, train_loss, val_mae, val_mse))
 
-    return params, TrainingLog(entries=entries, best_epoch=_best_epoch(entries))
-
-
-def _best_epoch(entries: list[EpochStats]) -> int:
-    """The epoch of lowest validation MAE, skipping epochs where it is NaN;
-    of lowest train loss when every validation MAE is NaN. Ties go to the
-    earliest epoch."""
-    scored = [e for e in entries if not np.isnan(e.val_mae)]
-    if scored:
-        return min(scored, key=lambda e: e.val_mae).epoch
-    return min(entries, key=lambda e: e.train_loss).epoch
+    return params, TrainingLog(entries=entries)
 
 
 RunOutcome = tuple[float, float, TrainingLog]  # (mae, mse, log) of one run
@@ -198,7 +181,7 @@ def run_fold(
     raw_dm: DesignMatrix,
     h: Hyperparameters,
     algorithm: Algorithm,
-    folds: FoldSplit,
+    folds: Folds,
     fold: int,
 ) -> RunOutcome:
     """One fold of cross-validation: a fresh model, seeded ``h.seed + fold``,
@@ -209,10 +192,8 @@ def run_fold(
     (validation MAE, validation MSE, training log); the scores are those of
     the log's last epoch, measured on the final parameters.
     """
-    train_idx, val_idx = folds.assignments[fold]
-    if train_idx.max(initial=-1) >= len(raw_dm) or val_idx.max(initial=-1) >= len(
-        raw_dm
-    ):
+    train_idx, val_idx = folds[fold]
+    if max(train_idx.max(initial=-1), val_idx.max(initial=-1)) >= len(raw_dm):
         raise InputError(f"fold {fold} indexes beyond the {len(raw_dm)} rows")
     train_part = raw_dm.subset(train_idx)
     stats = fit_normalization(train_part)
@@ -236,12 +217,12 @@ def cross_validate(
     raw_dm: DesignMatrix,
     h: Hyperparameters,
     algorithm: Algorithm,
-    folds: FoldSplit,
+    folds: Folds,
 ) -> CrossValidationResult:
     """One fresh model per fold on unnormalized rows (see ``run_fold``)."""
     runs = [
         run_fold(layer_specs, raw_dm, h, algorithm, folds, fold)
-        for fold in range(len(folds.assignments))
+        for fold in range(len(folds))
     ]
     fold_mae = [mae for mae, _, _ in runs]
     fold_mse = [mse for _, mse, _ in runs]

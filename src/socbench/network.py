@@ -135,10 +135,6 @@ def init_network(specs: list[LayerSpec], seed: int) -> NetworkParameters:
     return params
 
 
-def count_parameters(params: NetworkParameters) -> int:
-    return params.flat.size
-
-
 def _checked_batch(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
     """The batch as a float64 (n, input_dim) array of finite values, for a
     network with a single-unit output layer."""

@@ -146,16 +146,10 @@ class OptimizerState:
 def _check_step(
     params: NetworkParameters,
     grads: NetworkParameters,
-    state: OptimizerState,
-    expected: Algorithm,
+    slots: tuple[NetworkParameters | None, ...],
 ) -> None:
-    if state.algorithm is not expected:
-        raise InputError(
-            f"state is for {state.algorithm.value}, step is {expected.value}"
-        )
     if grads.specs != params.specs:
         raise InputError("gradient shapes do not match parameter shapes")
-    slots = (state.slot_a, state.slot_b)[: _SLOT_COUNT[expected]]
     if any(slot is None or slot.specs != params.specs for slot in slots):
         raise InputError("optimizer state shapes do not match parameter shapes")
     if not np.isfinite(grads.flat).all():
@@ -176,124 +170,69 @@ def _blocks(*vectors: np.ndarray):
         yield *(v[start:stop] for v in vectors), t1[: stop - start], t2[: stop - start]
 
 
-def sgd_step(
-    params: NetworkParameters,
-    grads: NetworkParameters,
-    h: Hyperparameters,
-    state: OptimizerState,
-) -> tuple[NetworkParameters, OptimizerState]:
-    _check_step(params, grads, state, Algorithm.SGD)
-    eta = h.resolve_eta(Algorithm.SGD)
-    for p, g, t1, _ in _blocks(params.flat, grads.flat):
-        # p -= eta * g
-        np.multiply(eta, g, out=t1)
-        p -= t1
-    state.step_count += 1
-    return params, state
-
-
-def rmsprop_step(
-    params: NetworkParameters,
-    grads: NetworkParameters,
-    h: Hyperparameters,
-    state: OptimizerState,
-) -> tuple[NetworkParameters, OptimizerState]:
-    _check_step(params, grads, state, Algorithm.RMSPROP)
-    eta = h.resolve_eta(Algorithm.RMSPROP)
-    for p, g, avg_sq, t1, t2 in _blocks(params.flat, grads.flat, state.slot_a.flat):
-        # avg_sq = rho * avg_sq + ((1 - rho) * g) * g
-        avg_sq *= h.rho
-        np.multiply(1.0 - h.rho, g, out=t1)
-        t1 *= g
-        avg_sq += t1
-        # p -= (eta * g) / sqrt(avg_sq + eps)
-        np.add(avg_sq, h.epsilon, out=t2)
-        np.sqrt(t2, out=t2)
-        np.multiply(eta, g, out=t1)
-        t1 /= t2
-        p -= t1
-    state.step_count += 1
-    return params, state
-
-
-def adam_step(
-    params: NetworkParameters,
-    grads: NetworkParameters,
-    h: Hyperparameters,
-    state: OptimizerState,
-) -> tuple[NetworkParameters, OptimizerState]:
-    _check_step(params, grads, state, Algorithm.ADAM)
-    eta = h.resolve_eta(Algorithm.ADAM)
-    k = state.step_count + 1
-    bias1 = 1.0 - h.beta1**k
-    bias2 = 1.0 - h.beta2**k
-    for p, g, m, v, t1, t2 in _blocks(
-        params.flat, grads.flat, state.slot_a.flat, state.slot_b.flat
-    ):
-        # m = beta1 * m + (1 - beta1) * g
-        m *= h.beta1
-        np.multiply(1.0 - h.beta1, g, out=t1)
-        m += t1
-        # v = beta2 * v + ((1 - beta2) * g) * g
-        v *= h.beta2
-        np.multiply(1.0 - h.beta2, g, out=t1)
-        t1 *= g
-        v += t1
-        # p -= (eta * (m / bias1)) / (sqrt(v / bias2) + eps)
-        np.divide(m, bias1, out=t1)
-        np.multiply(eta, t1, out=t1)
-        np.divide(v, bias2, out=t2)
-        np.sqrt(t2, out=t2)
-        t2 += h.epsilon
-        t1 /= t2
-        p -= t1
-    state.step_count = k
-    return params, state
-
-
-def adamax_step(
-    params: NetworkParameters,
-    grads: NetworkParameters,
-    h: Hyperparameters,
-    state: OptimizerState,
-) -> tuple[NetworkParameters, OptimizerState]:
-    _check_step(params, grads, state, Algorithm.ADAMAX)
-    eta = h.resolve_eta(Algorithm.ADAMAX)
-    k = state.step_count + 1
-    bias1 = 1.0 - h.beta1**k
-    for p, g, m, u, t1, t2 in _blocks(
-        params.flat, grads.flat, state.slot_a.flat, state.slot_b.flat
-    ):
-        # m = beta1 * m + (1 - beta1) * g
-        m *= h.beta1
-        np.multiply(1.0 - h.beta1, g, out=t1)
-        m += t1
-        # u = max(beta2 * u, |g|)
-        np.multiply(h.beta2, u, out=t1)
-        np.abs(g, out=t2)
-        np.maximum(t1, t2, out=u)
-        # p -= ((eta / bias1) * m) / (u + eps)
-        np.multiply(eta / bias1, m, out=t1)
-        np.add(u, h.epsilon, out=t2)
-        t1 /= t2
-        p -= t1
-    state.step_count = k
-    return params, state
-
-
-_STEP_FUNCTIONS = {
-    Algorithm.SGD: sgd_step,
-    Algorithm.RMSPROP: rmsprop_step,
-    Algorithm.ADAM: adam_step,
-    Algorithm.ADAMAX: adamax_step,
-}
-
-
 def optimizer_step(
     params: NetworkParameters,
     grads: NetworkParameters,
     h: Hyperparameters,
     state: OptimizerState,
-) -> tuple[NetworkParameters, OptimizerState]:
-    """Dispatch one update step according to ``state.algorithm``."""
-    return _STEP_FUNCTIONS[state.algorithm](params, grads, h, state)
+) -> None:
+    """One update step of the rule ``state.algorithm``, in place on
+    ``params`` and the state's slots."""
+    algorithm = state.algorithm
+    slots = (state.slot_a, state.slot_b)[: _SLOT_COUNT[algorithm]]
+    _check_step(params, grads, slots)
+    eta = h.resolve_eta(algorithm)
+    k = state.step_count + 1
+    bias1 = 1.0 - h.beta1**k
+    bias2 = 1.0 - h.beta2**k
+    for p, g, *acc, t1, t2 in _blocks(
+        params.flat, grads.flat, *(slot.flat for slot in slots)
+    ):
+        if algorithm is Algorithm.SGD:
+            # p -= eta * g
+            np.multiply(eta, g, out=t1)
+            p -= t1
+        elif algorithm is Algorithm.RMSPROP:
+            (avg_sq,) = acc
+            # avg_sq = rho * avg_sq + ((1 - rho) * g) * g
+            avg_sq *= h.rho
+            np.multiply(1.0 - h.rho, g, out=t1)
+            t1 *= g
+            avg_sq += t1
+            # p -= (eta * g) / sqrt(avg_sq + eps)
+            np.add(avg_sq, h.epsilon, out=t2)
+            np.sqrt(t2, out=t2)
+            np.multiply(eta, g, out=t1)
+            t1 /= t2
+            p -= t1
+        else:
+            m, second = acc  # second moment: v (Adam) or u (Adamax)
+            # m = beta1 * m + (1 - beta1) * g
+            m *= h.beta1
+            np.multiply(1.0 - h.beta1, g, out=t1)
+            m += t1
+            if algorithm is Algorithm.ADAM:
+                v = second
+                # v = beta2 * v + ((1 - beta2) * g) * g
+                v *= h.beta2
+                np.multiply(1.0 - h.beta2, g, out=t1)
+                t1 *= g
+                v += t1
+                # p -= (eta * (m / bias1)) / (sqrt(v / bias2) + eps)
+                np.divide(m, bias1, out=t1)
+                np.multiply(eta, t1, out=t1)
+                np.divide(v, bias2, out=t2)
+                np.sqrt(t2, out=t2)
+                t2 += h.epsilon
+            else:
+                u = second
+                # u = max(beta2 * u, |g|)
+                np.multiply(h.beta2, u, out=t1)
+                np.abs(g, out=t2)
+                np.maximum(t1, t2, out=u)
+                # p -= ((eta / bias1) * m) / (u + eps)
+                np.multiply(eta / bias1, m, out=t1)
+                np.add(u, h.epsilon, out=t2)
+            t1 /= t2
+            p -= t1
+    state.step_count = k

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .data import CSV_HEADER, Telemetry
+from .data import CSV_HEADER, Telemetry, integrate_soc
 
 
 class Profile(Enum):
@@ -132,8 +132,8 @@ def generate_cycle(
 
     ``amplitude_a`` sets the discharge current of the constant and pulse
     profiles; the random mix draws its own seeded segments.
-    A cycle with more rows than numpy can allocate, or whose voltage or
-    temperature overflows float64, is rejected.
+    A cycle of fewer than 2 rows or more than numpy can allocate, or whose
+    voltage or temperature overflows float64, is rejected.
     """
     if not math.isfinite(duration_s) or duration_s <= 0:
         raise ConfigError(f"duration must be finite and > 0 s, got {duration_s}")
@@ -142,26 +142,22 @@ def generate_cycle(
     if not math.isfinite(amplitude_a):
         raise ConfigError(f"current must be finite, got {amplitude_a}")
 
+    rows = f"a {duration_s} s cycle sampled every {params.sample_period_s} s has"
     try:
         n = math.floor(duration_s / params.sample_period_s) + 1
         times = np.arange(n) * params.sample_period_s
     except (OverflowError, ValueError, MemoryError):
-        raise ConfigError(
-            f"a {duration_s} s cycle sampled every {params.sample_period_s} s "
-            "has more rows than can be allocated"
-        ) from None
+        raise ConfigError(f"{rows} more rows than can be allocated") from None
+    if n < 2:
+        raise ConfigError(f"{rows} 1 row; need at least 2")
     current = _current_profile(
         profile, times, amplitude_a, seed, params.capacity_ah, soc0_percent
     )
 
     # overflow to inf or nan is caught by the finiteness check at the end
     with np.errstate(over="ignore", invalid="ignore"):
-        # trapezoidal SOC, matching coulomb_count exactly on the same grid
-        dt_h = np.diff(times) / 3600.0
-        discharged_ah = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (current[:-1] + current[1:]) * dt_h))
-        )
-        soc = soc0_percent - 100.0 * discharged_ah / params.capacity_ah
+        # the Coulomb counter's own integral, so counting recovers this SOC
+        soc = integrate_soc(times, current, soc0_percent, params.capacity_ah)
 
         ocv = params.ocv_v_min + (params.ocv_v_max - params.ocv_v_min) * soc / 100.0
         voltage = ocv - current * params.r_internal_ohm

@@ -19,19 +19,15 @@ from socbench import (
     Profile,
     SyntheticCellParams,
     Telemetry,
-    adam_step,
-    adamax_step,
     backward,
     coulomb_count,
-    count_parameters,
     forward,
     generate_cycle,
     init_network,
     loss_mse,
     make_folds,
     mlp_specs,
-    rmsprop_step,
-    sgd_step,
+    optimizer_step,
 )
 from socbench.cli import main as cli_main
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
@@ -45,7 +41,7 @@ def report(criterion: int, name: str) -> None:
 
 def test_criterion_1_architecture_exactness():
     params = init_network(mlp_specs(4, [256, 256, 256]), seed=0)
-    assert count_parameters(params) == 133_121
+    assert params.flat.size == 133_121
     per_layer = [w.size + b.size for w, b in zip(params.weights, params.biases)]
     assert per_layer == [1_280, 65_792, 65_792, 257]
     report(1, "architecture exactness")
@@ -100,38 +96,35 @@ def test_criterion_3_optimizer_step_oracles():
     # SGD: theta = 1 - 0.01 * 0.5
     params, state, _ = _scalar_setup(Algorithm.SGD)
     params.weights[0][:] = 1.0
-    sgd_step(params, NetworkParameters(params.specs, np.array([0.5, 0.0])),
-             Hyperparameters(eta=0.01), state)
+    optimizer_step(params, NetworkParameters(params.specs, np.array([0.5, 0.0])),
+                   Hyperparameters(eta=0.01), state)
     assert abs(params.weights[0][0, 0] - 0.995) < 1e-12
 
     # RMSProp first step: E[g^2]=0.1, step = -eta / sqrt(0.1 + eps)
     params, state, grads = _scalar_setup(Algorithm.RMSPROP)
-    rmsprop_step(params, grads, Hyperparameters(eta=0.001), state)
+    optimizer_step(params, grads, Hyperparameters(eta=0.001), state)
     expected = -0.001 / math.sqrt(0.1 + 1e-7)
     assert abs(expected - (-3.1623e-3)) < 1e-7
     assert abs(params.weights[0][0, 0] - expected) < 1e-12
 
     # Adam first step: bias-corrected m_hat = v_hat = 1
     params, state, grads = _scalar_setup(Algorithm.ADAM)
-    adam_step(params, grads, Hyperparameters(eta=0.001), state)
+    optimizer_step(params, grads, Hyperparameters(eta=0.001), state)
     expected = -0.001 / (1.0 + 1e-7)
     assert abs(params.weights[0][0, 0] - expected) < 1e-12
 
     # Adamax first step: m=0.1, u=1, step magnitude ~ eta
     params, state, grads = _scalar_setup(Algorithm.ADAMAX)
-    adamax_step(params, grads, Hyperparameters(eta=0.001), state)
+    optimizer_step(params, grads, Hyperparameters(eta=0.001), state)
     expected = -(0.001 / 0.1) * 0.1 / (1.0 + 1e-7)
     assert abs(params.weights[0][0, 0] - expected) < 1e-12
 
     # zero gradient with zero accumulators is a fixed point for all four
-    for algorithm, step_fn in [
-        (Algorithm.SGD, sgd_step), (Algorithm.RMSPROP, rmsprop_step),
-        (Algorithm.ADAM, adam_step), (Algorithm.ADAMAX, adamax_step),
-    ]:
+    for algorithm in Algorithm:
         params, state, _ = _scalar_setup(algorithm)
         params.weights[0][:] = 0.75
         zero = NetworkParameters(params.specs, np.zeros(2))
-        step_fn(params, zero, Hyperparameters(eta=0.5), state)
+        optimizer_step(params, zero, Hyperparameters(eta=0.5), state)
         assert params.weights[0][0, 0] == 0.75
     report(3, "optimizer step oracles")
 
@@ -194,7 +187,7 @@ def test_criterion_6_fold_properties():
         for k in range(2, 11):
             for mode in FoldMode:
                 split = make_folds(n, k=k, seed=int(rng.integers(0, 1000)), mode=mode)
-                validation = [v for _, v in split.assignments]
+                validation = [v for _, v in split]
                 joined = np.concatenate(validation)
                 assert joined.size == n
                 assert np.unique(joined).size == n

@@ -31,7 +31,9 @@ def test_every_traced_name_resolves():
     assert missing == []
 
 
-@pytest.mark.parametrize("optimizer, vectors", [("sgd", 2), ("adamax", 4)])
+@pytest.mark.parametrize(
+    "optimizer, vectors", [("sgd", 2), ("rmsprop", 3), ("adam", 4), ("adamax", 4)]
+)
 def test_traced_train_counts_step_bytes(tmp_path, capsys, optimizer, vectors):
     """A traced run reads the parameters' views and tests each optimizer
     slot for truth; a slot that cannot be tested (a bare array) would crash

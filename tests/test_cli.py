@@ -3,13 +3,17 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from socbench import cli
+from socbench import cli, harness
 from socbench.cli import main
 from socbench.data import apply_normalization
 from socbench.harness import prepare_cycle
@@ -20,6 +24,9 @@ from socbench.synthetic import (
     generate_cycle,
     write_cycle_csv,
 )
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +79,22 @@ class TestGenerate:
         )
         assert code == 2
         assert "duration" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [("--duration", "0.05"), ("--duration", "60", "--sample-period-s", "1e300")],
+        ids=["short-duration", "huge-period"],
+    )
+    def test_one_row_cycle_refused(self, tmp_path, capsys, flags):
+        out = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "generate", "--profile", "constant", "--seed", "1", *flags,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert error_lines(err) == [err.strip()]
+        assert "need at least 2" in err
+        assert not out.exists()
 
     def test_cell_config_file_with_flag_override(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -697,6 +720,101 @@ class TestCompare:
         assert names == [
             "mix_adamax_final.csv", "mix_adamax_fold0.csv", "mix_adamax_fold1.csv",
         ]
+
+
+class TestOutputPaths:
+    """An output path that cannot take a file exits 1 before any input is
+    read or any model trained."""
+
+    OUTPUTS = [
+        ("train", "--out-model"), ("train", "--out-log"),
+        ("train", "--export-features"), ("evaluate", "--predictions"),
+        ("compare", "--out"), ("compare", "--out-table"),
+    ]
+
+    @pytest.mark.parametrize("command, flag", OUTPUTS)
+    @pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+    def test_unusable_output_fails_before_any_work(
+        self, cycle_file, tmp_path, capsys, monkeypatch, command, flag, kind
+    ):
+        started = []
+
+        def refuse(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("work started before the output check")
+
+        for owner, name in [(harness, "ingest_csv"), (harness, "train"),
+                            (cli, "train"), (cli, "load_model")]:
+            monkeypatch.setattr(owner, name, refuse)
+        argv = {
+            "train": ["--data", str(cycle_file), "--optimizer", "sgd",
+                      "--out-model", str(tmp_path / "m.json"),
+                      "--out-log", str(tmp_path / "l.csv")],
+            "evaluate": ["--model", str(tmp_path / "m.json"),
+                         "--data", str(cycle_file)],
+            "compare": ["--data", str(cycle_file), "--out", str(tmp_path / "r.csv")],
+        }[command]
+        bad = tmp_path if kind == "directory" else tmp_path / "absent" / "f.csv"
+        code, out, err = run_cli(capsys, command, *argv, flag, str(bad))
+        assert code == 1
+        assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
+        assert out == ""
+        assert started == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.csv"]
+
+
+class TestHugeCurrents:
+    """Finite currents too large to integrate or average in float64."""
+
+    @pytest.fixture(params=["every-row", "one-row"])
+    def huge_cycle(self, request, tmp_path):
+        cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                               Profile.RANDOM_MIX, 599.0, seed=3)
+        current = cycle.records.current_a
+        if request.param == "every-row":
+            current[:] = 1e308
+        else:
+            current[300] = 1e308
+        path = tmp_path / "huge.csv"
+        write_cycle_csv(cycle.records, path)
+        return request.param, path
+
+    def run(self, tmp_path, *argv):
+        """The CLI in a fresh interpreter with default warning filters, so a
+        numpy warning would reach stderr."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        return subprocess.run(
+            [sys.executable, "-m", "socbench.cli", *argv], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_train_exits_1_with_one_error_line(self, tmp_path, huge_cycle):
+        _, path = huge_cycle
+        proc = self.run(tmp_path, "train", "--data", str(path), "--optimizer",
+                        "sgd", "--hidden", "2", "--epochs", "1")
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert re.match(r"error: .*\['i_avg'\].* \(currents too large\?\)$",
+                        proc.stderr)
+        assert not (tmp_path / "model.json").exists()
+
+    def test_compare_skips_or_exits_1_without_warnings(self, tmp_path, huge_cycle):
+        # a cycle whose features overflow fails its ingestion and is skipped;
+        # one whose feature statistics overflow stops the comparison
+        kind, path = huge_cycle
+        proc = self.run(tmp_path, "compare", "--data", str(path), "--optimizers",
+                        "sgd", "--hidden", "2", "--epochs", "1", "--k", "2")
+        if kind == "every-row":
+            assert proc.returncode == 0
+            assert proc.stderr == ""
+            assert "[skipped] huge: non-finite values in ['i_avg']" in proc.stdout
+        else:
+            assert proc.returncode == 1
+            assert proc.stderr.count("\n") == 1
+            assert proc.stderr.startswith("error: feature(s) ['i_avg'] overflow")
 
 
 class TestSettingChecks:

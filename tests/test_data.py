@@ -296,6 +296,21 @@ class TestDesignMatrix:
         np.testing.assert_allclose(dm.features[:, 3], 30.0)
         np.testing.assert_array_equal(dm.targets, soc.soc_percent)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "currents, columns",
+        [([1e308] * 4, ["i_avg"]), ([1e308, 1e308, -1e308, -1e308], ["i_avg", "soc"])],
+    )
+    def test_huge_currents_rejected_by_column_name(self, currents, columns):
+        # the integral and the averages overflow to inf and nan, silently
+        records = records_from(np.arange(4.0), np.array(currents))
+        soc = coulomb_count(records, 100.0, 2.9)
+        with pytest.raises(DataError) as info:
+            build_design_matrix(records, soc)
+        assert str(info.value) == (
+            f"non-finite values in {columns} (currents too large?)"
+        )
+
     def test_single_row_warmup(self):
         records = Telemetry([0.0, 1.0], [4.0, 3.9], [1.0, 1.0], [25.0, 25.0])
         soc = coulomb_count(records, 100.0, 2.9)
@@ -313,7 +328,7 @@ class TestDesignMatrix:
 
     def test_length_mismatch_rejected(self):
         records = records_from([0.0, 1.0, 2.0], [1.0, 1.0, 1.0])
-        soc = SocSeries(np.array([100.0, 99.0]), 100.0, 2.9)
+        soc = SocSeries(np.array([100.0, 99.0]))
         with pytest.raises(InputError):
             build_design_matrix(records, soc)
 
@@ -330,6 +345,14 @@ class TestDesignMatrix:
 
 
 class TestNormalization:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_statistics_overflowing_float64_rejected_by_name(self):
+        rng = np.random.default_rng(4)
+        features = rng.normal(size=(4, 4))
+        features[:, 2] = [1e308, 0.0, 0.0, 0.0]  # finite, but its square is not
+        with pytest.raises(DataError, match=r"\['i_avg'\] overflow float64"):
+            fit_normalization(DesignMatrix(features, np.zeros(4)))
+
     def test_worked_example(self):
         dm = DesignMatrix(
             features=np.array([[2.0, 0.0, 1.0, 5.0],

@@ -29,8 +29,6 @@ from socbench import (
 from socbench import harness
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import (
-    EpochStats,
-    _best_epoch,
     _one_blas_thread,
     _openblas_thread_api,
     chronological_split,
@@ -55,24 +53,24 @@ def linear_design(n=400, seed=0, noise=0.0):
 class TestMakeFolds:
     def test_balanced_sizes_example(self):
         split = make_folds(10, k=4, seed=1)
-        sizes = sorted(len(v) for _, v in split.assignments)
+        sizes = sorted(len(v) for _, v in split)
         assert sizes == [2, 2, 3, 3]
 
     def test_contiguous_blocks(self):
         split = make_folds(8, k=4, seed=0, mode=FoldMode.CONTIGUOUS)
-        vals = [v.tolist() for _, v in split.assignments]
+        vals = [v.tolist() for _, v in split]
         assert vals == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
     @pytest.mark.parametrize("n,k", [(10, 4), (8, 4), (101, 7), (9999, 10), (5, 5)])
     @pytest.mark.parametrize("mode", list(FoldMode))
     def test_partition_properties(self, n, k, mode):
         split = make_folds(n, k=k, seed=3, mode=mode)
-        all_val = np.concatenate([v for _, v in split.assignments])
+        all_val = np.concatenate([v for _, v in split])
         assert len(all_val) == n
         assert len(np.unique(all_val)) == n
-        sizes = [len(v) for _, v in split.assignments]
+        sizes = [len(v) for _, v in split]
         assert max(sizes) - min(sizes) <= 1
-        for train_idx, val_idx in split.assignments:
+        for train_idx, val_idx in split:
             assert len(np.intersect1d(train_idx, val_idx)) == 0
             assert len(train_idx) + len(val_idx) == n
 
@@ -80,11 +78,11 @@ class TestMakeFolds:
         a = make_folds(50, k=4, seed=1)
         b = make_folds(50, k=4, seed=1)
         c = make_folds(50, k=4, seed=2)
-        for (_, va), (_, vb) in zip(a.assignments, b.assignments):
+        for (_, va), (_, vb) in zip(a, b):
             np.testing.assert_array_equal(va, vb)
         assert any(
             not np.array_equal(va, vc)
-            for (_, va), (_, vc) in zip(a.assignments, c.assignments)
+            for (_, va), (_, vc) in zip(a, c)
         )
 
     def test_k_exceeding_rows_rejected(self):
@@ -131,7 +129,6 @@ class TestTrain:
         h = Hyperparameters(eta=0.01, batch_size=16, epochs=4, seed=9)
         _, log_a = train(specs, normalized, h, Algorithm.ADAMAX)
         _, log_b = train(specs, normalized, h, Algorithm.ADAMAX)
-        assert log_a.best_epoch == log_b.best_epoch
         for ea, eb in zip(log_a.entries, log_b.entries):
             # val fields are NaN here (no validation set), so compare bitwise
             assert ea.epoch == eb.epoch
@@ -148,24 +145,8 @@ class TestTrain:
         _, log = train(mlp_specs(4, [8]), normalized, h, Algorithm.ADAM, val_dm=val)
         assert [e.epoch for e in log.entries] == [1, 2, 3, 4, 5, 6]
         assert all(np.isfinite(e.val_mae) for e in log.entries)
-        assert log.best_epoch == min(log.entries, key=lambda e: e.val_mae).epoch
 
-    def test_best_epoch_skips_nan_validation_scores(self):
-        nan = float("nan")
-        entries = [
-            EpochStats(1, 5.0, nan, nan),
-            EpochStats(2, 4.0, 3.0, 9.0),
-            EpochStats(3, 3.0, nan, nan),
-            EpochStats(4, 2.0, 2.5, 6.0),
-            EpochStats(5, 1.0, nan, nan),
-        ]
-        assert _best_epoch(entries) == 4
-        # a NaN in first place must not win either
-        assert _best_epoch(entries[:3]) == 2
-        all_nan = [EpochStats(e, loss, nan, nan) for e, loss in [(1, 3.0), (2, 1.0)]]
-        assert _best_epoch(all_nan) == 2
-
-    def test_nan_validation_targets_fall_back_to_train_loss(self):
+    def test_nan_validation_targets_give_nan_scores(self):
         dm = linear_design(n=64, noise=0.1)
         normalized = apply_normalization(dm, fit_normalization(dm))
         val = normalized.subset(np.arange(8))
@@ -173,7 +154,6 @@ class TestTrain:
         h = Hyperparameters(eta=0.01, batch_size=16, epochs=4, seed=3)
         _, log = train(mlp_specs(4, [8]), normalized, h, Algorithm.ADAM, val_dm=val)
         assert all(np.isnan(e.val_mae) for e in log.entries)
-        assert log.best_epoch == min(log.entries, key=lambda e: e.train_loss).epoch
 
     def test_divergence_raises_with_context(self):
         dm = linear_design(n=64)
@@ -205,7 +185,7 @@ class TestCrossValidate:
         folds = make_folds(len(dm), k=3, seed=2)
         h = Hyperparameters(eta=0.01, batch_size=16, epochs=2, seed=4)
         specs = mlp_specs(4, [8])
-        for fold, (train_idx, val_idx) in enumerate(folds.assignments):
+        for fold, (train_idx, val_idx) in enumerate(folds):
             mae, mse, log = harness.run_fold(specs, dm, h, Algorithm.ADAM, folds, fold)
             assert (mae, mse) == (log.entries[-1].val_mae, log.entries[-1].val_mse)
             # the same run, repeated, then scored with an explicit forward
@@ -334,11 +314,8 @@ class TestRunComparison:
             results = [replace(r, seconds=0.0) for r in report.results]
             # repr compares floats exactly and NaN (no validation rows) as equal
             logs = {
-                key: (
-                    log.best_epoch,
-                    [(e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse))
-                     for e in log.entries],
-                )
+                key: [(e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse))
+                      for e in log.entries]
                 for key, log in report.logs.items()
             }
             return results, logs

@@ -16,25 +16,13 @@ from socbench import (
     NetworkParameters,
     NumericError,
     OptimizerState,
-    adam_step,
-    adamax_step,
     init_network,
     mlp_specs,
     optimizer_step,
-    rmsprop_step,
-    sgd_step,
 )
 from socbench.errors import ConfigError
 from socbench.network import DEFAULT_HIDDEN
 from socbench.optimizers import DEFAULT_LEARNING_RATES
-
-STEPS = {
-    Algorithm.SGD: sgd_step,
-    Algorithm.RMSPROP: rmsprop_step,
-    Algorithm.ADAM: adam_step,
-    Algorithm.ADAMAX: adamax_step,
-}
-
 
 def scalar_param(value=1.0):
     params = init_network([LayerSpec(1, 1, Activation.IDENTITY)], seed=0)
@@ -67,15 +55,15 @@ class TestSgdOracle:
     def test_single_step(self):
         params = scalar_param(1.0)
         state = OptimizerState.initial(Algorithm.SGD, params)
-        sgd_step(params, scalar_grad(0.5), Hyperparameters(eta=0.01), state)
+        optimizer_step(params, scalar_grad(0.5), Hyperparameters(eta=0.01), state)
         assert theta(params) == pytest.approx(0.995, abs=1e-12)
 
     def test_two_steps(self):
         params = scalar_param(0.0)
         state = OptimizerState.initial(Algorithm.SGD, params)
         h = Hyperparameters(eta=0.1)
-        sgd_step(params, scalar_grad(1.0), h, state)
-        sgd_step(params, scalar_grad(1.0), h, state)
+        optimizer_step(params, scalar_grad(1.0), h, state)
+        optimizer_step(params, scalar_grad(1.0), h, state)
         assert theta(params) == pytest.approx(-0.2, abs=1e-12)
         assert state.step_count == 2
 
@@ -85,7 +73,7 @@ class TestRmspropOracle:
         params = scalar_param(0.0)
         state = OptimizerState.initial(Algorithm.RMSPROP, params)
         h = Hyperparameters(eta=0.001)
-        rmsprop_step(params, scalar_grad(1.0), h, state)
+        optimizer_step(params, scalar_grad(1.0), h, state)
         expected = -0.001 / math.sqrt(0.1 + 1e-7)
         assert expected == pytest.approx(-3.1623e-3, abs=1e-7)
         assert theta(params) == pytest.approx(expected, abs=1e-12)
@@ -100,7 +88,7 @@ class TestRmspropOracle:
         previous = theta(params)
         for _ in range(400):
             previous = theta(params)
-            rmsprop_step(params, scalar_grad(g), h, state)
+            optimizer_step(params, scalar_grad(g), h, state)
         final_step = theta(params) - previous
         assert state.slot_a.weights[0][0, 0] == pytest.approx(g * g, rel=1e-12)
         assert final_step == pytest.approx(
@@ -113,7 +101,7 @@ class TestAdamOracle:
     def test_first_step(self):
         params = scalar_param(0.0)
         state = OptimizerState.initial(Algorithm.ADAM, params)
-        adam_step(params, scalar_grad(1.0), Hyperparameters(eta=0.001), state)
+        optimizer_step(params, scalar_grad(1.0), Hyperparameters(eta=0.001), state)
         expected = -0.001 / (1.0 + 1e-7)  # m_hat=1, v_hat=1 after bias correction
         assert expected == pytest.approx(-9.999999e-4, abs=1e-10)
         assert theta(params) == pytest.approx(expected, abs=1e-12)
@@ -122,7 +110,7 @@ class TestAdamOracle:
     def test_first_step_magnitude_is_eta(self, c):
         params = scalar_param(0.0)
         state = OptimizerState.initial(Algorithm.ADAM, params)
-        adam_step(params, scalar_grad(c), Hyperparameters(eta=0.001), state)
+        optimizer_step(params, scalar_grad(c), Hyperparameters(eta=0.001), state)
         assert theta(params) == pytest.approx(-0.001 * np.sign(c), rel=1e-6)
 
 
@@ -130,7 +118,7 @@ class TestAdamaxOracle:
     def test_first_step(self):
         params = scalar_param(0.0)
         state = OptimizerState.initial(Algorithm.ADAMAX, params)
-        adamax_step(params, scalar_grad(1.0), Hyperparameters(eta=0.001), state)
+        optimizer_step(params, scalar_grad(1.0), Hyperparameters(eta=0.001), state)
         # m=0.1, u=1, step = -(eta/0.1) * 0.1 / (1 + eps)
         expected = -(0.001 / 0.1) * 0.1 / (1.0 + 1e-7)
         assert expected == pytest.approx(-9.999999e-4, abs=1e-10)
@@ -142,15 +130,15 @@ class TestAdamaxOracle:
     def test_first_step_magnitude_is_eta(self, c):
         params = scalar_param(0.0)
         state = OptimizerState.initial(Algorithm.ADAMAX, params)
-        adamax_step(params, scalar_grad(c), Hyperparameters(eta=0.001), state)
+        optimizer_step(params, scalar_grad(c), Hyperparameters(eta=0.001), state)
         assert theta(params) == pytest.approx(-0.001 * np.sign(c), rel=1e-6)
 
     def test_infinity_accumulator_decays_via_max(self):
         params = scalar_param(0.0)
         state = OptimizerState.initial(Algorithm.ADAMAX, params)
         h = Hyperparameters(eta=0.001)
-        adamax_step(params, scalar_grad(4.0), h, state)
-        adamax_step(params, scalar_grad(0.1), h, state)
+        optimizer_step(params, scalar_grad(4.0), h, state)
+        optimizer_step(params, scalar_grad(0.1), h, state)
         assert state.slot_b.weights[0][0, 0] == pytest.approx(0.999 * 4.0, abs=1e-15)
 
 
@@ -161,7 +149,7 @@ class TestSharedProperties:
         before = params.flat.copy()
         state = OptimizerState.initial(algorithm, params)
         grads = gradient(params.specs, [np.zeros((2, 3))], [np.zeros(2)])
-        STEPS[algorithm](params, grads, Hyperparameters(eta=0.5), state)
+        optimizer_step(params, grads, Hyperparameters(eta=0.5), state)
         np.testing.assert_array_equal(params.flat, before)
         assert state.step_count == 1
 
@@ -176,7 +164,7 @@ class TestSharedProperties:
             params = init_network([LayerSpec(6, 1, Activation.IDENTITY)], seed=0)
             params.weights[0][:] = weights
             state = OptimizerState.initial(algorithm, params)
-            STEPS[algorithm](
+            optimizer_step(
                 params,
                 gradient(params.specs, [grads], [np.zeros(1)]),
                 Hyperparameters(eta=0.05),
@@ -197,7 +185,7 @@ class TestSharedProperties:
             params = init_network([LayerSpec(4, 2, Activation.IDENTITY)], seed=1)
             before = params.weights[0].copy()
             state = OptimizerState.initial(algorithm, params)
-            STEPS[algorithm](
+            optimizer_step(
                 params,
                 gradient(params.specs, [scale * g], [np.zeros(2)]),
                 Hyperparameters(eta=0.001),
@@ -215,7 +203,7 @@ class TestSharedProperties:
             params = init_network([LayerSpec(4, 2, Activation.IDENTITY)], seed=1)
             before = params.weights[0].copy()
             state = OptimizerState.initial(Algorithm.SGD, params)
-            sgd_step(
+            optimizer_step(
                 params,
                 gradient(params.specs, [scale * g], [np.zeros(2)]),
                 Hyperparameters(eta=0.01),
@@ -236,7 +224,7 @@ class TestSharedProperties:
             grads = gradient(
                 params.specs, [rng.normal(size=(3, 4))], [rng.normal(size=3)]
             )
-            STEPS[algorithm](params, grads, h, state)
+            optimizer_step(params, grads, h, state)
             if algorithm is Algorithm.RMSPROP:
                 assert np.min(state.slot_a.flat) >= 0
             if algorithm in (Algorithm.ADAM, Algorithm.ADAMAX):
@@ -256,7 +244,7 @@ class TestSharedProperties:
             h = Hyperparameters(eta=0.02)
             seen = []
             for gv in grad_values:
-                STEPS[algorithm](
+                optimizer_step(
                     params,
                     gradient(params.specs, [gv], [np.zeros(3)]),
                     h,
@@ -267,17 +255,6 @@ class TestSharedProperties:
 
         for a, b in zip(trajectory(), trajectory()):
             np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("algorithm", list(Algorithm))
-    def test_dispatch_matches_direct_call(self, algorithm):
-        params = scalar_param(1.0)
-        state = OptimizerState.initial(algorithm, params)
-        optimizer_step(params, scalar_grad(1.0), Hyperparameters(eta=0.01), state)
-        direct = scalar_param(1.0)
-        direct_state = OptimizerState.initial(algorithm, direct)
-        STEPS[algorithm](direct, scalar_grad(1.0), Hyperparameters(eta=0.01),
-                         direct_state)
-        assert theta(params) == theta(direct)
 
 
 class TestMemory:
@@ -302,12 +279,6 @@ class TestMemory:
 
 
 class TestValidation:
-    def test_wrong_algorithm_state(self):
-        params = scalar_param()
-        state = OptimizerState.initial(Algorithm.ADAM, params)
-        with pytest.raises(InputError):
-            sgd_step(params, scalar_grad(1.0), Hyperparameters(eta=0.01), state)
-
     def test_shape_mismatch(self):
         params = scalar_param()
         state = OptimizerState.initial(Algorithm.SGD, params)
@@ -315,7 +286,7 @@ class TestValidation:
             [LayerSpec(2, 1, Activation.IDENTITY)], [np.ones((1, 2))], [np.zeros(1)]
         )
         with pytest.raises(InputError):
-            sgd_step(params, bad, Hyperparameters(eta=0.01), state)
+            optimizer_step(params, bad, Hyperparameters(eta=0.01), state)
 
     @pytest.mark.parametrize(
         "algorithm", [Algorithm.RMSPROP, Algorithm.ADAM, Algorithm.ADAMAX]
@@ -331,7 +302,7 @@ class TestValidation:
         before = params.flat.copy()
         grads = NetworkParameters(params.specs, np.ones_like(params.flat))
         with pytest.raises(InputError, match="optimizer state shapes"):
-            STEPS[algorithm](params, grads, Hyperparameters(eta=0.01), state)
+            optimizer_step(params, grads, Hyperparameters(eta=0.01), state)
         assert params.flat.tobytes() == before.tobytes()
         assert state.step_count == 0
 
@@ -355,7 +326,7 @@ class TestValidation:
         slots = [s for s in (state.slot_a, state.slot_b) if s is not None]
         slots_before = [s.flat.copy() for s in slots]
         with pytest.raises(InputError):
-            STEPS[algorithm](params, grads, Hyperparameters(eta=0.01), state)
+            optimizer_step(params, grads, Hyperparameters(eta=0.01), state)
         assert params.flat.tobytes() == before.tobytes()
         for slot, want in zip(slots, slots_before, strict=True):
             assert slot.flat.tobytes() == want.tobytes()
@@ -365,7 +336,8 @@ class TestValidation:
         params = scalar_param()
         state = OptimizerState.initial(Algorithm.SGD, params)
         with pytest.raises(NumericError):
-            sgd_step(params, scalar_grad(np.inf), Hyperparameters(eta=0.01), state)
+            optimizer_step(params, scalar_grad(np.inf), Hyperparameters(eta=0.01),
+                           state)
 
     def test_hyperparameter_defaults(self):
         h = Hyperparameters()
@@ -405,5 +377,5 @@ class TestValidation:
         h = Hyperparameters(eta=0.0)
         params = scalar_param(1.0)
         state = OptimizerState.initial(Algorithm.SGD, params)
-        sgd_step(params, scalar_grad(5.0), h, state)
+        optimizer_step(params, scalar_grad(5.0), h, state)
         assert theta(params) == 1.0

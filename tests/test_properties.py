@@ -39,7 +39,7 @@ from socbench import (
 from socbench import cli
 from socbench.cli import main
 from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
-from socbench.errors import ModelMismatchError
+from socbench.errors import ConfigError, ModelMismatchError
 from socbench.harness import _one_blas_thread
 from socbench.network import (
     DEFAULT_HIDDEN,
@@ -759,6 +759,10 @@ def reference_temperatures(params, current):
 def test_generated_temperatures_match_numpy_scalar_recurrence(
     params, profile, duration_s, seed, amplitude_a
 ):
+    if duration_s / params.sample_period_s < 1.0:  # one row: refused
+        with pytest.raises(ConfigError, match="need at least 2"):
+            generate_cycle(params, profile, duration_s, seed)
+        return
     cycle = generate_cycle(params, profile, duration_s, seed, soc0_percent=60.0,
                            amplitude_a=amplitude_a)
     want = reference_temperatures(params, cycle.records.current_a)
