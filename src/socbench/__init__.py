@@ -5,6 +5,7 @@ how SGD, RMSProp, Adam, and Adamax affect MAE/MSE on held-out data.
 """
 
 from .data import (
+    DataSettings,
     DesignMatrix,
     DriveCycle,
     NormalizationStats,
@@ -32,7 +33,6 @@ from .harness import (
     ComparisonReport,
     ExperimentResult,
     FoldMode,
-    TrainingLog,
     cross_validate,
     make_folds,
     run_comparison,

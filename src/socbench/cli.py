@@ -26,6 +26,7 @@ from typing import Any
 import numpy as np
 
 from . import data as battery_data
+from .data import FEATURE_NAMES, DataSettings
 from .errors import (
     ConfigError,
     DataError,
@@ -171,10 +172,12 @@ class Setting:
 
 _SWITCH = {"action": "store_const", "const": "true"}
 _HYPER = {f.name: str(f.default) for f in dataclasses.fields(Hyperparameters)}
+# lower(): a switch's default reads "false", as its flag values do
+_DATA = {f.name: str(f.default).lower() for f in dataclasses.fields(DataSettings)}
 
 _SEED = Setting(_number(int, 0), _HYPER["seed"],
                 "seed for all randomness, else $SOC_BENCH_SEED", env="SOC_BENCH_SEED")
-_SOC0 = Setting(_float, "100.0", "initial SOC in percent")
+_SOC0 = Setting(_float, _DATA["soc0_percent"], "initial SOC in percent")
 
 GENERATE_SCHEMA = {
     "profile": Setting(_choice(Profile), REQUIRED, "constant, pulse or random"),
@@ -191,10 +194,10 @@ GENERATE_SCHEMA = {
 
 _DATA_SCHEMA = {
     "soc0": _SOC0,
-    "capacity_ah": Setting(_float, "2.9", "capacity in Ah if the CSV gives none"),
-    "window": Setting(_int, str(battery_data.DEFAULT_WINDOW),
-                      "moving-average window in samples"),
-    "invert_current": Setting(_parse_bool, "false",
+    "capacity_ah": Setting(_float, _DATA["capacity_ah"],
+                           "capacity in Ah if the CSV gives none"),
+    "window": Setting(_int, _DATA["window"], "moving-average window in samples"),
+    "invert_current": Setting(_parse_bool, _DATA["invert_current"],
                               "flip the current sign at ingestion", flag=_SWITCH),
 }
 
@@ -310,15 +313,24 @@ def _hyperparameters(cfg: dict, eta) -> Hyperparameters:
     return Hyperparameters(eta=eta, **{key: cfg[key] for key in _TRAINING_SCHEMA})
 
 
-def _check_outputs(cfg: dict, *keys: str) -> None:
-    """Fail before any work on an output path that cannot take a file: a
-    directory, or a path whose parent is not a directory. Unset optional
-    outputs are skipped."""
-    for key in keys:
-        if cfg[key] is None:
+def _data_settings(cfg: dict) -> DataSettings:
+    return DataSettings(soc0_percent=cfg["soc0"], capacity_ah=cfg["capacity_ah"],
+                        window=cfg["window"], invert_current=cfg["invert_current"])
+
+
+def _check_outputs(cfg: dict, *keys: str, directory: str | None = None) -> None:
+    """Fail before any work on an output path that cannot take a file (a
+    directory), on a ``directory`` output that exists but is not one, and
+    on any output whose parent is not a directory. Unset optional outputs
+    are skipped."""
+    for key in [*keys, directory]:
+        if key is None or cfg[key] is None:
             continue
         path = Path(cfg[key])
-        if path.is_dir():
+        if key == directory:
+            if path.exists() and not path.is_dir():
+                raise OSError(f"{_flag(key)} {cfg[key]!r}: is not a directory")
+        elif path.is_dir():
             raise OSError(f"{_flag(key)} {cfg[key]!r}: is a directory")
         if not path.parent.is_dir():
             raise OSError(f"{_flag(key)} {cfg[key]!r}: parent is not a directory")
@@ -356,23 +368,14 @@ def cmd_generate(cfg: dict) -> int:
 # --- train ------------------------------------------------------------------
 
 
-def _load_design_matrix(path, cfg: dict):
-    return prepare_cycle(
-        path,
-        soc0_percent=cfg["soc0"],
-        capacity_ah=cfg["capacity_ah"],
-        window=cfg["window"],
-        invert_current=cfg["invert_current"],
-    )
-
-
 def cmd_train(cfg: dict) -> int:
     algorithm = cfg["optimizer"]
     h = _hyperparameters(cfg, cfg["lr"])
+    data = _data_settings(cfg)
     _warn_zero_lr(h.resolve_eta(algorithm))
     _check_outputs(cfg, "out_model", "out_log", "export_features")
 
-    _, raw_dm = _load_design_matrix(cfg["data"], cfg)
+    _, raw_dm = prepare_cycle(cfg["data"], data)
     stats = battery_data.fit_normalization(raw_dm)
     normalized = battery_data.apply_normalization(raw_dm, stats)
     specs = mlp_specs(raw_dm.features.shape[1], cfg["hidden"])
@@ -399,22 +402,27 @@ def cmd_train(cfg: dict) -> int:
 
 
 def cmd_evaluate(cfg: dict) -> int:
+    data = _data_settings(cfg)
     _check_outputs(cfg, "predictions")
     params, stats, _seed = load_model(cfg["model"])
     if params.specs[-1].output_dim != 1:
         raise ModelMismatchError(
             f"model has {params.specs[-1].output_dim} outputs, evaluate needs 1"
         )
-    _, raw_dm = _load_design_matrix(cfg["data"], cfg)
+    _, raw_dm = prepare_cycle(cfg["data"], data)
     if params.specs[0].input_dim != raw_dm.features.shape[1]:
         raise ModelMismatchError(
             f"model expects {params.specs[0].input_dim} features, "
             f"data provides {raw_dm.features.shape[1]}"
         )
     dm = raw_dm if stats is None else battery_data.apply_normalization(raw_dm, stats)
-    predictions = predict(params, dm.features)
-    mae = loss_mae(predictions, dm.targets)
-    mse = loss_mse(predictions, dm.targets)
+    # an overflow (huge finite currents) is reported as one error below
+    with np.errstate(over="ignore", invalid="ignore"):
+        predictions = predict(params, dm.features)
+        mae = loss_mae(predictions, dm.targets)
+        mse = loss_mse(predictions, dm.targets)
+    if not (np.isfinite(predictions).all() and np.isfinite([mae, mse]).all()):
+        raise DataError("non-finite predictions or scores (currents too large?)")
     rmse = float(np.sqrt(mse))
     if cfg["predictions"]:
         with Path(cfg["predictions"]).open("w", newline="", encoding="utf-8") as fh:
@@ -448,9 +456,10 @@ def cmd_compare(cfg: dict) -> int:
     eta = lr if isinstance(lr, float) else None
     rates = lr if isinstance(lr, dict) else None
     h = _hyperparameters(cfg, eta)
+    data = _data_settings(cfg)
     for alg in cfg["optimizers"]:
         _warn_zero_lr(rates[alg] if rates and alg in rates else h.resolve_eta(alg))
-    _check_outputs(cfg, "out", "out_table")
+    _check_outputs(cfg, "out", "out_table", directory="logs_dir")
 
     report = run_comparison(
         paths,
@@ -458,12 +467,9 @@ def cmd_compare(cfg: dict) -> int:
         h,
         k=cfg["k"],
         learning_rates=rates,
-        layer_specs=mlp_specs(4, cfg["hidden"]),
+        layer_specs=mlp_specs(len(FEATURE_NAMES), cfg["hidden"]),
         fold_mode=cfg["fold_mode"],
-        soc0_percent=cfg["soc0"],
-        capacity_ah=cfg["capacity_ah"],
-        window=cfg["window"],
-        invert_current=cfg["invert_current"],
+        data=data,
         jobs=cfg["jobs"],
     )
 
@@ -473,7 +479,7 @@ def cmd_compare(cfg: dict) -> int:
         Path(cfg["out_table"]).write_text(table, encoding="utf-8")
     if cfg["logs_dir"]:
         logs_dir = Path(cfg["logs_dir"])
-        logs_dir.mkdir(parents=True, exist_ok=True)
+        logs_dir.mkdir(exist_ok=True)
         for (cycle, optimizer, run), log in sorted(report.logs.items()):
             write_training_log_csv(log, logs_dir / f"{cycle}_{optimizer}_{run}.csv")
     sys.stdout.write(table)

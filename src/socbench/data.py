@@ -28,6 +28,7 @@ TEMPERATURE_BOUNDS = (-40.0, 80.0)
 
 DEFAULT_WINDOW = 400
 FEATURE_NAMES = ("v", "v_avg", "i_avg", "t_avg")
+MIN_STD = 1e-12  # a feature's std at or below this is degenerate
 
 
 @dataclass(eq=False)
@@ -90,6 +91,28 @@ class DesignMatrix:
     def subset(self, indices) -> "DesignMatrix":
         idx = np.asarray(indices, dtype=np.intp)
         return DesignMatrix(self.features[idx].copy(), self.targets[idx].copy())
+
+
+@dataclass(frozen=True)
+class DataSettings:
+    """How a cycle becomes features: the Coulomb counter's initial SOC and
+    capacity (used when the CSV has no capacity_ah column), the
+    moving-average window, and whether ingestion flips the current's sign."""
+
+    soc0_percent: float = 100.0
+    capacity_ah: float = 2.9
+    window: int = DEFAULT_WINDOW
+    invert_current: bool = False
+
+    def __post_init__(self):
+        if not isfinite(self.capacity_ah) or self.capacity_ah <= 0:
+            raise InputError(
+                f"capacity must be finite and > 0 Ah, got {self.capacity_ah}"
+            )
+        if not 0.0 <= self.soc0_percent <= 100.0:
+            raise InputError(f"initial SOC must be in [0, 100], got {self.soc0_percent}")
+        if self.window < 1:
+            raise InputError(f"window must be >= 1, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -279,21 +302,6 @@ def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
     )
 
 
-def check_data_settings(
-    soc0_percent: float = 100.0, capacity_ah: float = 2.9, window: int = 1
-) -> None:
-    """The rules coulomb_count and moving_average apply to their settings.
-
-    Every default passes, so a caller names only the settings it checks.
-    """
-    if not isfinite(capacity_ah) or capacity_ah <= 0:
-        raise InputError(f"capacity must be finite and > 0 Ah, got {capacity_ah}")
-    if not 0.0 <= soc0_percent <= 100.0:
-        raise InputError(f"initial SOC must be in [0, 100], got {soc0_percent}")
-    if window < 1:
-        raise InputError(f"window must be >= 1, got {window}")
-
-
 def integrate_soc(
     time_s: np.ndarray, current_a: np.ndarray, soc0_percent: float, capacity_ah: float
 ) -> np.ndarray:
@@ -314,7 +322,7 @@ def coulomb_count(
 ) -> SocSeries:
     """The telemetry's SOC by ``integrate_soc``, clamped to [0, 100], with
     the clamp count reported."""
-    check_data_settings(soc0_percent=soc0_percent, capacity_ah=capacity_ah)
+    DataSettings(soc0_percent=soc0_percent, capacity_ah=capacity_ah)  # raises if bad
     if len(telemetry) < 2:
         raise InputError("coulomb counting needs at least 2 records")
 
@@ -334,7 +342,7 @@ def moving_average(series: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarr
     During warm-up (i < window-1) the mean runs over the available prefix,
     so output length always equals input length.
     """
-    check_data_settings(window=window)
+    DataSettings(window=window)  # raises if bad
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise InputError("series must be non-empty")
@@ -373,10 +381,10 @@ def build_design_matrix(
     return DesignMatrix(features=features, targets=targets)
 
 
-def fit_normalization(dm: DesignMatrix, min_std: float = 1e-12) -> NormalizationStats:
+def fit_normalization(dm: DesignMatrix) -> NormalizationStats:
     """Per-feature population mean/std over the given (training) rows.
 
-    Targets are never normalized. A feature with std <= min_std, or whose
+    Targets are never normalized. A feature with std <= MIN_STD, or whose
     mean or std overflows float64, is rejected by name.
     """
     if len(dm) < 2:
@@ -391,7 +399,7 @@ def fit_normalization(dm: DesignMatrix, min_std: float = 1e-12) -> Normalization
             f"feature(s) {overflowed} overflow float64 (currents too large?)"
         )
     degenerate = [
-        FEATURE_NAMES[j] for j in range(len(FEATURE_NAMES)) if stds[j] <= min_std
+        FEATURE_NAMES[j] for j in range(len(FEATURE_NAMES)) if stds[j] <= MIN_STD
     ]
     if degenerate:
         raise DataError(f"degenerate feature(s) with ~zero variance: {degenerate}")

@@ -35,12 +35,17 @@ class NumericError(SocBenchError):
 class TrainingDivergedError(NumericError):
     """Training loss became non-finite."""
 
-    def __init__(self, epoch: int, batch: int):
+    def __init__(self, epoch: int, batch: int, message: str | None = None):
         self.epoch = epoch
         self.batch = batch
         super().__init__(
-            f"training diverged: non-finite loss at epoch {epoch}, batch {batch}"
+            message
+            or f"training diverged: non-finite loss at epoch {epoch}, batch {batch}"
         )
+
+    def __reduce__(self):
+        # the message as it stands: run_fold prefixes it with the fold
+        return type(self), (self.epoch, self.batch, str(self))
 
 
 class ModelMismatchError(SocBenchError):

@@ -24,10 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
+    FEATURE_NAMES,
+    DataSettings,
     DesignMatrix,
     apply_normalization,
     build_design_matrix,
-    check_data_settings,
     coulomb_count,
     fit_normalization,
     ingest_csv,
@@ -47,6 +48,7 @@ from .network import (
 )
 from .optimizers import Algorithm, Hyperparameters, OptimizerState, optimizer_step
 
+TRAIN_FRACTION = 0.8  # leading share of each cycle's rows used for training
 RESULT_COLUMNS = ["cycle", "optimizer", "mae", "mse", "rmse", "seconds", "seed"]
 LOG_COLUMNS = ["epoch", "train_loss", "val_mae", "val_mse"]
 
@@ -67,9 +69,7 @@ class EpochStats:
     val_mse: float
 
 
-@dataclass
-class TrainingLog:
-    entries: list[EpochStats]
+TrainingLog = list[EpochStats]  # one entry per completed epoch
 
 
 @dataclass
@@ -134,7 +134,7 @@ def train(
 
     x, y = train_dm.features, train_dm.targets
     n = len(train_dm)
-    entries: list[EpochStats] = []
+    log: TrainingLog = []
     # overflow, and the NaN it leads to, IS the divergence signal: the loss
     # and gradient checks raise on it, so numpy is not asked to warn
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,21 +159,12 @@ def train(
                 val_mse = loss_mse(val_preds, val_dm.targets)
             else:
                 val_mae = val_mse = float("nan")
-            entries.append(EpochStats(epoch, train_loss, val_mae, val_mse))
+            log.append(EpochStats(epoch, train_loss, val_mae, val_mse))
 
-    return params, TrainingLog(entries=entries)
+    return params, log
 
 
 RunOutcome = tuple[float, float, TrainingLog]  # (mae, mse, log) of one run
-
-
-@dataclass
-class CrossValidationResult:
-    fold_mae: list[float]
-    fold_mse: list[float]
-    mean_mae: float
-    mean_mse: float
-    logs: list[TrainingLog]
 
 
 def run_fold(
@@ -208,7 +199,7 @@ def run_fold(
     except SocBenchError as exc:
         exc.args = (f"fold {fold}: {exc}",)
         raise
-    last = log.entries[-1]
+    last = log[-1]
     return last.val_mae, last.val_mse, log
 
 
@@ -218,42 +209,29 @@ def cross_validate(
     h: Hyperparameters,
     algorithm: Algorithm,
     folds: Folds,
-) -> CrossValidationResult:
+) -> list[RunOutcome]:
     """One fresh model per fold on unnormalized rows (see ``run_fold``)."""
-    runs = [
+    return [
         run_fold(layer_specs, raw_dm, h, algorithm, folds, fold)
         for fold in range(len(folds))
     ]
-    fold_mae = [mae for mae, _, _ in runs]
-    fold_mse = [mse for _, mse, _ in runs]
-    return CrossValidationResult(
-        fold_mae=fold_mae,
-        fold_mse=fold_mse,
-        mean_mae=float(np.mean(fold_mae)),
-        mean_mse=float(np.mean(fold_mse)),
-        logs=[log for _, _, log in runs],
-    )
 
 
-def chronological_split(dm: DesignMatrix, train_fraction: float = 0.8):
-    """First train_fraction of rows for training, the rest held out."""
-    n_train = int(round(len(dm) * train_fraction))
+def chronological_split(dm: DesignMatrix):
+    """First TRAIN_FRACTION of rows for training, the rest held out."""
+    n_train = int(round(len(dm) * TRAIN_FRACTION))
     n_train = min(max(n_train, 1), len(dm) - 1)
     return dm.subset(np.arange(n_train)), dm.subset(np.arange(n_train, len(dm)))
 
 
 def prepare_cycle(
-    path: str | Path,
-    soc0_percent: float = 100.0,
-    capacity_ah: float = 2.9,
-    window: int = 400,
-    invert_current: bool = False,
+    path: str | Path, settings: DataSettings = DataSettings()
 ) -> tuple[str, DesignMatrix]:
     """Ingest one cycle CSV and build its (unnormalized) design matrix."""
-    cycle = ingest_csv(path, invert_current=invert_current)
-    capacity = cycle.capacity_ah if cycle.capacity_ah is not None else capacity_ah
-    soc = coulomb_count(cycle.records, soc0_percent, capacity)
-    return cycle.name, build_design_matrix(cycle.records, soc, window)
+    cycle = ingest_csv(path, invert_current=settings.invert_current)
+    capacity = settings.capacity_ah if cycle.capacity_ah is None else cycle.capacity_ah
+    soc = coulomb_count(cycle.records, settings.soc0_percent, capacity)
+    return cycle.name, build_design_matrix(cycle.records, soc, settings.window)
 
 
 def _final_fit(
@@ -440,10 +418,7 @@ def run_comparison(
     learning_rates: dict[Algorithm, float] | None = None,
     layer_specs: list[LayerSpec] | None = None,
     fold_mode: FoldMode = FoldMode.SHUFFLED,
-    soc0_percent: float = 100.0,
-    capacity_ah: float = 2.9,
-    window: int = 400,
-    invert_current: bool = False,
+    data: DataSettings = DataSettings(),
     jobs: int = 1,
 ) -> ComparisonReport:
     """Evaluate every optimizer on every cycle.
@@ -462,25 +437,17 @@ def run_comparison(
     if jobs < 1:
         raise InputError(f"need jobs >= 1, got {jobs}")
     if layer_specs is None:
-        layer_specs = mlp_specs(4, DEFAULT_HIDDEN)
-    # every rate and data setting is checked here, before any ingestion, so
-    # that a bad one is an error, not a reason to skip every cycle
+        layer_specs = mlp_specs(len(FEATURE_NAMES), DEFAULT_HIDDEN)
+    # every rate is checked here and every data setting was checked when
+    # ``data`` was built, both before any ingestion, so that a bad one is an
+    # error, not a reason to skip every cycle
     rated = {alg: replace(h, eta=eta) for alg, eta in (learning_rates or {}).items()}
-    check_data_settings(soc0_percent, capacity_ah, window)
 
     cycles: list[tuple[str, DesignMatrix]] = []
     failures: list[tuple[str, str]] = []
     for path in cycle_paths:
         try:
-            cycles.append(
-                prepare_cycle(
-                    path,
-                    soc0_percent=soc0_percent,
-                    capacity_ah=capacity_ah,
-                    window=window,
-                    invert_current=invert_current,
-                )
-            )
+            cycles.append(prepare_cycle(path, data))
         except SocBenchError as exc:
             failures.append((Path(path).stem, str(exc)))
 
@@ -538,7 +505,7 @@ def write_training_log_csv(log: TrainingLog, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOG_COLUMNS)
-        for e in log.entries:
+        for e in log:
             writer.writerow(
                 [e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse)]
             )

@@ -68,7 +68,7 @@ class SyntheticCellParams:
         if self.heating_k_per_w < 0 or self.cooling_rate_per_s < 0:
             raise ConfigError("thermal coefficients must be >= 0")
 
-    def ocv(self, soc_percent: float) -> float:
+    def ocv(self, soc_percent: float | np.ndarray) -> float | np.ndarray:
         return self.ocv_v_min + (self.ocv_v_max - self.ocv_v_min) * soc_percent / 100.0
 
 
@@ -159,8 +159,7 @@ def generate_cycle(
         # the Coulomb counter's own integral, so counting recovers this SOC
         soc = integrate_soc(times, current, soc0_percent, params.capacity_ah)
 
-        ocv = params.ocv_v_min + (params.ocv_v_max - params.ocv_v_min) * soc / 100.0
-        voltage = ocv - current * params.r_internal_ohm
+        voltage = params.ocv(soc) - current * params.r_internal_ohm
 
         power = current**2 * params.r_internal_ohm
         equilibrium = params.t_ambient_c + params.heating_k_per_w * power

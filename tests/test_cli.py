@@ -15,7 +15,7 @@ import pytest
 
 from socbench import cli, harness
 from socbench.cli import main
-from socbench.data import apply_normalization
+from socbench.data import DataSettings, apply_normalization
 from socbench.harness import prepare_cycle
 from socbench.network import forward, init_network, load_model, mlp_specs, save_model
 from socbench.synthetic import (
@@ -392,7 +392,7 @@ class TestEvaluate:
         assert len(lines) == 1 + 300
         # reference: the same values written row by row with csv.writer
         params, stats, _ = load_model(model)
-        _, raw_dm = prepare_cycle(cycle_file, soc0_percent=90.0)
+        _, raw_dm = prepare_cycle(cycle_file, DataSettings(soc0_percent=90.0))
         dm = apply_normalization(raw_dm, stats)
         predictions, _ = forward(params, dm.features)
         expected = io.StringIO()
@@ -723,13 +723,13 @@ class TestCompare:
 
 
 class TestOutputPaths:
-    """An output path that cannot take a file exits 1 before any input is
-    read or any model trained."""
+    """An output path that cannot take its file (or, for --logs-dir, its
+    directory) exits 1 before any input is read or any model trained."""
 
     OUTPUTS = [
         ("train", "--out-model"), ("train", "--out-log"),
         ("train", "--export-features"), ("evaluate", "--predictions"),
-        ("compare", "--out"), ("compare", "--out-table"),
+        ("compare", "--out"), ("compare", "--out-table"), ("compare", "--logs-dir"),
     ]
 
     @pytest.mark.parametrize("command, flag", OUTPUTS)
@@ -755,6 +755,8 @@ class TestOutputPaths:
             "compare": ["--data", str(cycle_file), "--out", str(tmp_path / "r.csv")],
         }[command]
         bad = tmp_path if kind == "directory" else tmp_path / "absent" / "f.csv"
+        if flag == "--logs-dir" and kind == "directory":
+            bad = cycle_file  # a directory output's unusable kind is a file
         code, out, err = run_cli(capsys, command, *argv, flag, str(bad))
         assert code == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
@@ -815,6 +817,28 @@ class TestHugeCurrents:
             assert proc.returncode == 1
             assert proc.stderr.count("\n") == 1
             assert proc.stderr.startswith("error: feature(s) ['i_avg'] overflow")
+
+    def test_evaluate_exits_1_before_writing_predictions(
+        self, tmp_path, huge_cycle, cycle_file, capsys
+    ):
+        # a model trained on a normal cycle; a huge current in the scored
+        # cycle overflows the features or the forward pass and its scores
+        model = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(cycle_file), "--optimizer", "sgd",
+            "--hidden", "2", "--epochs", "1", "--out-model", str(model),
+            "--out-log", str(tmp_path / "l.csv"),
+        )
+        assert code == 0
+        preds = tmp_path / "preds.csv"
+        _, path = huge_cycle
+        proc = self.run(tmp_path, "evaluate", "--model", str(model),
+                        "--data", str(path), "--predictions", str(preds))
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        assert re.match(r"error: .* \(currents too large\?\)$", proc.stderr)
+        assert proc.stdout == ""
+        assert not preds.exists()
 
 
 class TestSettingChecks:
@@ -901,6 +925,34 @@ class TestSettingChecks:
         assert code == 2
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "compare"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--soc0", "101", "initial SOC must be in [0, 100], got 101.0"),
+            ("--capacity-ah", "0", "capacity must be finite and > 0 Ah, got 0.0"),
+            ("--window", "-3", "window must be >= 1, got -3"),
+        ],
+    )
+    def test_data_setting_fails_before_any_input(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        # the --data (and --model) files do not exist: a bad data setting is
+        # reported first, whichever command reads them
+        absent = str(tmp_path / "absent.csv")
+        argv = {
+            "train": ["--optimizer", "sgd", "--out-model", str(tmp_path / "m.json"),
+                      "--out-log", str(tmp_path / "l.csv")],
+            "evaluate": ["--model", str(tmp_path / "absent.json")],
+            "compare": ["--out", str(tmp_path / "r.csv")],
+        }[command]
+        code, out, err = run_cli(capsys, command, "--data", absent, *argv,
+                                 flag, value)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -1,5 +1,6 @@
 """Folds, training loop, cross-validation, and the comparison experiment."""
 
+import pickle
 import threading
 import time
 from dataclasses import replace
@@ -107,7 +108,7 @@ class TestTrain:
         specs = mlp_specs(4, [])  # linear model
         h = Hyperparameters(eta=0.05, batch_size=32, epochs=200, seed=1)
         params, log = train(specs, normalized, h, Algorithm.ADAM)
-        assert log.entries[-1].train_loss < 1e-3
+        assert log[-1].train_loss < 1e-3
 
     def test_zero_learning_rate_is_noop(self):
         dm = linear_design(n=64)
@@ -119,7 +120,7 @@ class TestTrain:
         fresh = init_network(specs, h.seed)
         params, log = train(specs, normalized, h, Algorithm.SGD)
         np.testing.assert_array_equal(params.flat, fresh.flat)
-        losses = [e.train_loss for e in log.entries]
+        losses = [e.train_loss for e in log]
         assert losses[0] == losses[1] == losses[2]
 
     def test_same_seed_bitwise_identical_log(self):
@@ -129,7 +130,7 @@ class TestTrain:
         h = Hyperparameters(eta=0.01, batch_size=16, epochs=4, seed=9)
         _, log_a = train(specs, normalized, h, Algorithm.ADAMAX)
         _, log_b = train(specs, normalized, h, Algorithm.ADAMAX)
-        for ea, eb in zip(log_a.entries, log_b.entries):
+        for ea, eb in zip(log_a, log_b):
             # val fields are NaN here (no validation set), so compare bitwise
             assert ea.epoch == eb.epoch
             assert ea.train_loss == eb.train_loss
@@ -143,8 +144,8 @@ class TestTrain:
         val = apply_normalization(linear_design(n=40, seed=4), fit_normalization(dm))
         h = Hyperparameters(eta=0.01, batch_size=32, epochs=6, seed=2)
         _, log = train(mlp_specs(4, [8]), normalized, h, Algorithm.ADAM, val_dm=val)
-        assert [e.epoch for e in log.entries] == [1, 2, 3, 4, 5, 6]
-        assert all(np.isfinite(e.val_mae) for e in log.entries)
+        assert [e.epoch for e in log] == [1, 2, 3, 4, 5, 6]
+        assert all(np.isfinite(e.val_mae) for e in log)
 
     def test_nan_validation_targets_give_nan_scores(self):
         dm = linear_design(n=64, noise=0.1)
@@ -153,7 +154,7 @@ class TestTrain:
         val.targets[:] = np.nan
         h = Hyperparameters(eta=0.01, batch_size=16, epochs=4, seed=3)
         _, log = train(mlp_specs(4, [8]), normalized, h, Algorithm.ADAM, val_dm=val)
-        assert all(np.isnan(e.val_mae) for e in log.entries)
+        assert all(np.isnan(e.val_mae) for e in log)
 
     def test_divergence_raises_with_context(self):
         dm = linear_design(n=64)
@@ -162,6 +163,27 @@ class TestTrain:
         h = Hyperparameters(eta=1e6, batch_size=8, epochs=5, seed=0)
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(specs, dm, h, Algorithm.SGD)
+
+    @pytest.mark.parametrize("raised_by", ["train", "run_fold"])
+    def test_divergence_error_survives_pickling(self, raised_by):
+        # as a process pool would hand it back: type, message, epoch, batch
+        dm = linear_design(n=64)
+        specs = mlp_specs(4, [16, 16])
+        h = Hyperparameters(eta=1e6, batch_size=8, epochs=5, seed=0)
+        with pytest.raises(TrainingDivergedError) as info:
+            if raised_by == "train":
+                train(specs, dm, h, Algorithm.SGD)
+            else:
+                folds = make_folds(len(dm), k=2, seed=0)
+                harness.run_fold(specs, dm, h, Algorithm.SGD, folds, 1)
+        error = info.value
+        prefix = "fold 1: " if raised_by == "run_fold" else ""
+        assert str(error).startswith(prefix + "training diverged: ")
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is TrainingDivergedError
+        assert (str(copy), copy.epoch, copy.batch) == (
+            str(error), error.epoch, error.batch
+        )
 
     def test_empty_training_set_rejected(self):
         dm = DesignMatrix(np.empty((0, 4)), np.empty(0))
@@ -174,11 +196,9 @@ class TestCrossValidate:
         dm = linear_design(n=200, noise=0.5)
         folds = make_folds(len(dm), k=4, seed=7)
         h = Hyperparameters(eta=0.05, batch_size=32, epochs=30, seed=7)
-        cv = cross_validate(mlp_specs(4, []), dm, h, Algorithm.ADAM, folds)
-        assert len(cv.fold_mae) == 4
-        assert len(cv.logs) == 4
-        assert cv.mean_mae == pytest.approx(np.mean(cv.fold_mae), abs=1e-15)
-        assert cv.mean_mse == pytest.approx(np.mean(cv.fold_mse), abs=1e-15)
+        runs = cross_validate(mlp_specs(4, []), dm, h, Algorithm.ADAM, folds)
+        assert len(runs) == 4
+        assert [len(log) for _, _, log in runs] == [30] * 4
 
     def test_fold_scores_are_the_last_epoch_and_a_fresh_forward(self):
         dm = linear_design(n=120, noise=0.3)
@@ -187,7 +207,7 @@ class TestCrossValidate:
         specs = mlp_specs(4, [8])
         for fold, (train_idx, val_idx) in enumerate(folds):
             mae, mse, log = harness.run_fold(specs, dm, h, Algorithm.ADAM, folds, fold)
-            assert (mae, mse) == (log.entries[-1].val_mae, log.entries[-1].val_mse)
+            assert (mae, mse) == (log[-1].val_mae, log[-1].val_mse)
             # the same run, repeated, then scored with an explicit forward
             stats = fit_normalization(dm.subset(train_idx))
             params, _ = train(
@@ -206,8 +226,8 @@ class TestCrossValidate:
         dm = DesignMatrix(rng.normal(size=(120, 4)), np.full(120, 42.0))
         folds = make_folds(len(dm), k=3, seed=1)
         h = Hyperparameters(eta=0.2, batch_size=8, epochs=200, seed=1)
-        cv = cross_validate(mlp_specs(4, []), dm, h, Algorithm.ADAM, folds)
-        assert cv.mean_mae < 0.05
+        runs = cross_validate(mlp_specs(4, []), dm, h, Algorithm.ADAM, folds)
+        assert np.mean([mae for mae, _, _ in runs]) < 0.05
 
     def test_degenerate_feature_propagates_data_error(self):
         rng = np.random.default_rng(16)
@@ -315,7 +335,7 @@ class TestRunComparison:
             # repr compares floats exactly and NaN (no validation rows) as equal
             logs = {
                 key: [(e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse))
-                      for e in log.entries]
+                      for e in log]
                 for key, log in report.logs.items()
             }
             return results, logs
@@ -513,7 +533,7 @@ class TestOutputs:
         assert lines[0] == "epoch,train_loss,val_mae,val_mse"
         assert len(lines) == 1 + 3
         epoch1 = lines[1].split(",")
-        assert float(epoch1[1]) == log.entries[0].train_loss
+        assert float(epoch1[1]) == log[0].train_loss
 
     def test_table_layout(self, small_cycle_files):
         report = run_comparison(
