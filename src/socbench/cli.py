@@ -7,10 +7,9 @@ same key is the setting's name in a ``--config`` file. A setting resolves
 in priority order: explicit flag, then key=value config file, then (for
 the seed) the SOC_BENCH_SEED environment variable, then the default. The
 raw text from any of these goes through the entry's converter, so a bad
-value meets the same check whatever its source. Exit codes: 0 success,
-1 I/O or data ingestion, 2 usage/config (every bad setting value), 3
-numeric divergence, 4 model/data mismatch; a failure prints one line
-starting ``error:`` on stderr.
+value meets the same check whatever its source. A failure prints one
+line starting ``error:`` on stderr and exits with the ``exit_code`` its
+error class declares (see errors.py), or 1 for an OSError.
 """
 
 from __future__ import annotations
@@ -27,42 +26,23 @@ import numpy as np
 
 from . import data as battery_data
 from .data import FEATURE_NAMES, DataSettings
-from .errors import (
-    ConfigError,
-    DataError,
-    IngestionError,
-    InputError,
-    ModelMismatchError,
-    NumericError,
-    SocBenchError,
-)
+from .errors import ConfigError, ModelMismatchError, SocBenchError
 from .harness import (
     FoldMode,
     _one_blas_thread,
     format_results_table,
     prepare_cycle,
     run_comparison,
+    score,
     train,
     write_results_csv,
     write_training_log_csv,
 )
-from .network import (
-    DEFAULT_HIDDEN,
-    load_model,
-    loss_mae,
-    loss_mse,
-    mlp_specs,
-    predict,
-    save_model,
-)
+from .network import DEFAULT_HIDDEN, load_model, mlp_specs, save_model
 from .optimizers import Algorithm, Hyperparameters
 from .synthetic import Profile, SyntheticCellParams, generate_cycle, write_cycle_csv
 
 EXIT_OK = 0
-EXIT_IO = 1
-EXIT_USAGE = 2
-EXIT_DIVERGED = 3
-EXIT_MISMATCH = 4
 
 
 # --- converters: raw text to value; a ValueError says what the value must be
@@ -242,7 +222,7 @@ COMPARE_SCHEMA = {
                           "comma-separated update rules"),
     "lr": Setting(_parse_lr_spec, None, "one rate for all, or sgd=0.001,adamax=0.05 "
                   "(default: per-optimizer)"),
-    "k": Setting(_int, "4", "cross-validation folds"),
+    "k": Setting(_number(int, 2), "4", "cross-validation folds"),
     "fold_mode": Setting(_choice(FoldMode), "shuffled", "shuffled or contiguous"),
     "hidden": _HIDDEN,
     "out": Setting(str, "comparison_results.csv", "results CSV path"),
@@ -385,13 +365,11 @@ def cmd_train(cfg: dict) -> int:
     # one BLAS thread, as in every compare run (see harness._one_blas_thread)
     with _one_blas_thread():
         params, log = train(specs, normalized, h, algorithm)
-        predictions = predict(params, normalized.features)
+        _, mae, mse = score(params, None, normalized)
 
     save_model(cfg["out_model"], params, normalization=stats, seed=h.seed)
     write_training_log_csv(log, cfg["out_log"])
 
-    mae = loss_mae(predictions, normalized.targets)
-    mse = loss_mse(predictions, normalized.targets)
     print(f"model: {cfg['out_model']} ({params.flat.size} parameters)")
     print(f"log: {cfg['out_log']}")
     print(f"final train MAE {mae!r} MSE {mse!r}")
@@ -415,21 +393,14 @@ def cmd_evaluate(cfg: dict) -> int:
             f"model expects {params.specs[0].input_dim} features, "
             f"data provides {raw_dm.features.shape[1]}"
         )
-    dm = raw_dm if stats is None else battery_data.apply_normalization(raw_dm, stats)
-    # an overflow (huge finite currents) is reported as one error below
-    with np.errstate(over="ignore", invalid="ignore"):
-        predictions = predict(params, dm.features)
-        mae = loss_mae(predictions, dm.targets)
-        mse = loss_mse(predictions, dm.targets)
-    if not (np.isfinite(predictions).all() and np.isfinite([mae, mse]).all()):
-        raise DataError("non-finite predictions or scores (currents too large?)")
+    predictions, mae, mse = score(params, stats, raw_dm)
     rmse = float(np.sqrt(mse))
     if cfg["predictions"]:
         with Path(cfg["predictions"]).open("w", newline="", encoding="utf-8") as fh:
             fh.write("soc_true,soc_pred\n")
             fh.writelines(
                 f"{truth!r},{pred!r}\n"
-                for truth, pred in zip(dm.targets.tolist(), predictions.tolist())
+                for truth, pred in zip(raw_dm.targets.tolist(), predictions.tolist())
             )
         print(f"predictions: {cfg['predictions']}")
     print(f"MAE {mae!r} MSE {mse!r} RMSE {rmse!r}")
@@ -541,18 +512,10 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:  # --help printed its text
             return exc.code
         return args.func(_resolve(args, args.schema))
-    except (ConfigError, InputError) as exc:
+    except (SocBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except ModelMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (IngestionError, DataError, SocBenchError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        # an OSError ends as any error without a code of its own does
+        return getattr(exc, "exit_code", SocBenchError.exit_code)
 
 
 if __name__ == "__main__":

@@ -52,14 +52,6 @@ class Telemetry:
     def __len__(self) -> int:
         return self.time_s.shape[0]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Telemetry):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
-
 
 @dataclass
 class DriveCycle:
@@ -208,12 +200,10 @@ def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
         if CAPACITY_COLUMN in header:
             capacity_col = header.index(CAPACITY_COLUMN)
 
-        # the accepted rows, one list per column, in file order
+        # the accepted rows as (t, v, i, temp), and their line numbers, in
+        # file order
         line_nos: list[int] = []
-        times: list[float] = []
-        volts: list[float] = []
-        currents: list[float] = []
-        temps: list[float] = []
+        rows: list[tuple[float, float, float, float]] = []
         capacity_ah = capacity_line = None
         bad_lines: list[str] = []
         for line_no, raw in enumerate(reader, start=2):
@@ -259,24 +249,19 @@ def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
                         )
                         continue
             line_nos.append(line_no)
-            times.append(t)
-            volts.append(v)
-            currents.append(-i if invert_current else i)
-            temps.append(temp)
+            rows.append((t, v, -i if invert_current else i, temp))
 
     if bad_lines:
         raise IngestionError(f"{path}: rejected rows: " + "; ".join(bad_lines))
-    if not times:
+    if not rows:
         raise IngestionError(f"{path}: no data rows")
 
     # stable: rows sharing a timestamp keep file order, so each run of equal
     # timestamps starts with its earliest line
-    order = np.argsort(np.array(times), kind="stable")
+    table = np.array(rows)
+    order = np.argsort(table[:, 0], kind="stable")
     lines = np.array(line_nos)[order]
-    t = np.array(times)[order]
-    v = np.array(volts)[order]
-    i = np.array(currents)[order]
-    temp = np.array(temps)[order]
+    t, v, i, temp = table[order].T
 
     # a row repeating its predecessor's timestamp is dropped when it repeats
     # the first row of that run of timestamps exactly, and is a conflict

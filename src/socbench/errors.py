@@ -1,6 +1,6 @@
 """Exception hierarchy shared by all socbench modules.
 
-The CLI maps these onto its documented exit codes, so raising the right
+Each class declares the CLI exit code it ends in, so raising the right
 class matters more than the message text.
 """
 
@@ -8,15 +8,21 @@ class matters more than the message text.
 class SocBenchError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class ConfigError(SocBenchError):
     """Invalid configuration: bad flag values, malformed config files,
     unknown config keys, layer dimension mismatches."""
 
+    exit_code = 2
+
 
 class InputError(SocBenchError):
     """A well-formed call received data violating its preconditions
     (shape mismatch, non-finite values, empty input)."""
+
+    exit_code = 2
 
 
 class IngestionError(SocBenchError):
@@ -30,6 +36,8 @@ class DataError(SocBenchError):
 
 class NumericError(SocBenchError):
     """Numerical failure during computation (non-finite gradients)."""
+
+    exit_code = 3
 
 
 class TrainingDivergedError(NumericError):
@@ -50,6 +58,8 @@ class TrainingDivergedError(NumericError):
 
 class ModelMismatchError(SocBenchError):
     """A stored model is incompatible with the data it was applied to."""
+
+    exit_code = 4
 
 
 class InternalError(SocBenchError):

@@ -27,13 +27,14 @@ from .data import (
     FEATURE_NAMES,
     DataSettings,
     DesignMatrix,
+    NormalizationStats,
     apply_normalization,
     build_design_matrix,
     coulomb_count,
     fit_normalization,
     ingest_csv,
 )
-from .errors import InputError, SocBenchError, TrainingDivergedError
+from .errors import DataError, InputError, SocBenchError, TrainingDivergedError
 from .network import (
     DEFAULT_HIDDEN,
     LayerSpec,
@@ -234,6 +235,26 @@ def prepare_cycle(
     return cycle.name, build_design_matrix(cycle.records, soc, settings.window)
 
 
+def score(
+    params: NetworkParameters, stats: NormalizationStats | None, raw_dm: DesignMatrix
+) -> tuple[np.ndarray, float, float]:
+    """Predictions for ``raw_dm``'s rows, normalized with ``stats`` (used as
+    they are when ``stats`` is None), and their MAE and MSE.
+
+    Finite rows can still overflow float64 on the way (huge currents), so a
+    non-finite normalized feature, prediction or score is a DataError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        dm = raw_dm if stats is None else apply_normalization(raw_dm, stats)
+        if np.isfinite(dm.features).all():
+            predictions = predict(params, dm.features)
+            mae = loss_mae(predictions, dm.targets)
+            mse = loss_mse(predictions, dm.targets)
+            if np.isfinite(predictions).all() and np.isfinite([mae, mse]).all():
+                return predictions, mae, mse
+    raise DataError("non-finite predictions or scores (currents too large?)")
+
+
 def _final_fit(
     layer_specs: list[LayerSpec],
     train_raw: DesignMatrix,
@@ -246,8 +267,8 @@ def _final_fit(
     params, log = train(
         layer_specs, apply_normalization(train_raw, stats), h, algorithm
     )
-    preds = predict(params, apply_normalization(test_raw, stats).features)
-    return loss_mae(preds, test_raw.targets), loss_mse(preds, test_raw.targets), log
+    _, mae, mse = score(params, stats, test_raw)
+    return mae, mse, log
 
 
 def _pair_runs(

@@ -78,7 +78,6 @@ class SyntheticCycle:
 
     records: Telemetry
     soc_percent: np.ndarray
-    params: SyntheticCellParams
 
 
 def _current_profile(
@@ -180,7 +179,7 @@ def generate_cycle(
         raise ConfigError(
             "cell settings overflow: voltage or temperature is not finite"
         )
-    return SyntheticCycle(records=records, soc_percent=soc, params=params)
+    return SyntheticCycle(records=records, soc_percent=soc)
 
 
 def write_cycle_csv(telemetry: Telemetry, path: str | Path) -> None:

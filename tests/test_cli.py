@@ -230,7 +230,7 @@ class TestTrain:
             return wrapper
 
         monkeypatch.setattr(cli, "train", recording(cli.train))
-        monkeypatch.setattr(cli, "predict", recording(cli.predict))
+        monkeypatch.setattr(harness, "predict", recording(harness.predict))
         code, _, _ = run_cli(
             capsys, "train", "--data", str(cycle_file), "--optimizer", "adamax",
             "--epochs", "1", "--hidden", "8", "--soc0", "90",
@@ -238,7 +238,8 @@ class TestTrain:
             "--out-log", str(tmp_path / "l.csv"),
         )
         assert code == 0
-        assert seen == [("train", 1), ("predict", 1)]
+        # train's own end-of-epoch pass, then the final score
+        assert seen == [("train", 1), ("predict", 1), ("predict", 1)]
         assert blas_threads() == 2
 
     def test_invalid_optimizer_lists_choices(self, cycle_file, tmp_path, capsys):
@@ -768,15 +769,19 @@ class TestOutputPaths:
 class TestHugeCurrents:
     """Finite currents too large to integrate or average in float64."""
 
-    @pytest.fixture(params=["every-row", "one-row"])
+    @pytest.fixture(params=["every-row", "one-row", "held-out-tail"])
     def huge_cycle(self, request, tmp_path):
+        # 600 rows: row 300 is a training row of compare's 80/20 split, row
+        # 560 a held-out one
         cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
                                Profile.RANDOM_MIX, 599.0, seed=3)
         current = cycle.records.current_a
         if request.param == "every-row":
             current[:] = 1e308
-        else:
+        elif request.param == "one-row":
             current[300] = 1e308
+        else:
+            current[560] = 1e308
         path = tmp_path / "huge.csv"
         write_cycle_csv(cycle.records, path)
         return request.param, path
@@ -803,20 +808,31 @@ class TestHugeCurrents:
                         proc.stderr)
         assert not (tmp_path / "model.json").exists()
 
-    def test_compare_skips_or_exits_1_without_warnings(self, tmp_path, huge_cycle):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_compare_skips_or_exits_1_without_warnings(
+        self, tmp_path, huge_cycle, jobs
+    ):
         # a cycle whose features overflow fails its ingestion and is skipped;
-        # one whose feature statistics overflow stops the comparison
+        # one whose feature statistics overflow stops the comparison, and so
+        # does one whose held-out rows overflow the final fit's scores
         kind, path = huge_cycle
         proc = self.run(tmp_path, "compare", "--data", str(path), "--optimizers",
-                        "sgd", "--hidden", "2", "--epochs", "1", "--k", "2")
+                        "sgd", "--hidden", "2", "--epochs", "1", "--k", "2",
+                        "--jobs", jobs)
         if kind == "every-row":
             assert proc.returncode == 0
             assert proc.stderr == ""
             assert "[skipped] huge: non-finite values in ['i_avg']" in proc.stdout
-        else:
-            assert proc.returncode == 1
-            assert proc.stderr.count("\n") == 1
+            return
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1
+        if kind == "one-row":
             assert proc.stderr.startswith("error: feature(s) ['i_avg'] overflow")
+        else:
+            assert proc.stderr == (
+                "error: non-finite predictions or scores (currents too large?)\n"
+            )
+        assert not (tmp_path / "comparison_results.csv").exists()
 
     def test_evaluate_exits_1_before_writing_predictions(
         self, tmp_path, huge_cycle, cycle_file, capsys
@@ -837,6 +853,36 @@ class TestHugeCurrents:
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1
         assert re.match(r"error: .* \(currents too large\?\)$", proc.stderr)
+        assert proc.stdout == ""
+        assert not preds.exists()
+
+    def test_evaluate_exits_1_when_normalization_overflows(
+        self, tmp_path, cycle_file, capsys
+    ):
+        # a stored i_avg std of 1e-3 takes one 1.7e308 current, averaged over
+        # a window of 1, beyond float64 when the features are normalized
+        model = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(cycle_file), "--optimizer", "sgd",
+            "--hidden", "2", "--epochs", "1", "--soc0", "90",
+            "--out-model", str(model), "--out-log", str(tmp_path / "l.csv"),
+        )
+        assert code == 0
+        doc = json.loads(model.read_text(encoding="utf-8"))
+        doc["normalization"]["stds"][2] = 1e-3
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                               Profile.RANDOM_MIX, 599.0, seed=3)
+        cycle.records.current_a[300] = 1.7e308
+        path = tmp_path / "huge.csv"
+        write_cycle_csv(cycle.records, path)
+        preds = tmp_path / "preds.csv"
+        proc = self.run(tmp_path, "evaluate", "--model", str(model), "--data",
+                        str(path), "--window", "1", "--predictions", str(preds))
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: non-finite predictions or scores (currents too large?)\n"
+        )
         assert proc.stdout == ""
         assert not preds.exists()
 
@@ -924,6 +970,34 @@ class TestSettingChecks:
         )
         assert code == 2
         assert err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("flag", "--k: bad value '1' (--k must be >= 2)"),
+            ("config", "config key k: bad value '1' (--k must be >= 2)"),
+        ],
+    )
+    def test_compare_k_below_2_fails_before_any_input(
+        self, cycle_file, tmp_path, capsys, monkeypatch, source, message
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("prepare_cycle was called")
+
+        monkeypatch.setattr(harness, "prepare_cycle", never)
+        out = tmp_path / "r.csv"
+        argv = ["compare", "--data", str(cycle_file), "--out", str(out)]
+        if source == "flag":
+            argv += ["--k", "1"]
+        else:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("k = 1\n", encoding="utf-8")
+            argv += ["--config", str(cfg)]
+        code, stdout, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "compare"])

@@ -1,5 +1,7 @@
 """Ingestion, Coulomb counting, moving averages, and normalization."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,12 @@ from socbench import (
     moving_average,
 )
 from socbench.data import DesignMatrix, _ingest_rows, write_design_matrix_csv
+
+
+def column_bytes(records):
+    """Telemetry columns as bytes: equal only when equal bit for bit, so
+    -0.0 differs from 0.0, as it does not under np.array_equal."""
+    return [getattr(records, f.name).tobytes() for f in fields(records)]
 
 
 def records_from(times, currents, voltage=3.7, temperature=25.0):
@@ -172,8 +180,9 @@ class TestIngest:
         f = tmp_path / "c.csv"
         write_csv(f, rows)
         cycle = ingest_csv(f, invert_current=True)
-        assert cycle.records == Telemetry([0.0, 1.0], [4.2, 4.1], [2.0, 2.0],
-                                          [25.0, 25.0])
+        assert column_bytes(cycle.records) == column_bytes(
+            Telemetry([0.0, 1.0], [4.2, 4.1], [2.0, 2.0], [25.0, 25.0])
+        )
         assert cycle.capacity_ah is None
 
     def test_invert_current(self, tmp_path):
