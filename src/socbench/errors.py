@@ -52,7 +52,7 @@ class TrainingDivergedError(NumericError):
         )
 
     def __reduce__(self):
-        # the message as it stands: run_fold prefixes it with the fold
+        # the message as it stands, with a comparison's cycle/optimizer/run prefix
         return type(self), (self.epoch, self.batch, str(self))
 
 

@@ -34,7 +34,13 @@ from .data import (
     fit_normalization,
     ingest_csv,
 )
-from .errors import DataError, InputError, SocBenchError, TrainingDivergedError
+from .errors import (
+    DataError,
+    IngestionError,
+    InputError,
+    SocBenchError,
+    TrainingDivergedError,
+)
 from .network import (
     DEFAULT_HIDDEN,
     LayerSpec,
@@ -189,17 +195,13 @@ def run_fold(
         raise InputError(f"fold {fold} indexes beyond the {len(raw_dm)} rows")
     train_part = raw_dm.subset(train_idx)
     stats = fit_normalization(train_part)
-    try:
-        _, log = train(
-            layer_specs,
-            apply_normalization(train_part, stats),
-            replace(h, seed=h.seed + fold),
-            algorithm,
-            val_dm=apply_normalization(raw_dm.subset(val_idx), stats),
-        )
-    except SocBenchError as exc:
-        exc.args = (f"fold {fold}: {exc}",)
-        raise
+    _, log = train(
+        layer_specs,
+        apply_normalization(train_part, stats),
+        replace(h, seed=h.seed + fold),
+        algorithm,
+        val_dm=apply_normalization(raw_dm.subset(val_idx), stats),
+    )
     last = log[-1]
     return last.val_mae, last.val_mse, log
 
@@ -271,51 +273,49 @@ def _final_fit(
     return mae, mse, log
 
 
-def _pair_runs(
-    raw_dm: DesignMatrix,
+def _run_pairs(
+    cycles: list[tuple[str, DesignMatrix]],
+    pairs: list[tuple[Algorithm, Hyperparameters]],
     layer_specs: list[LayerSpec],
-    h: Hyperparameters,
-    algorithm: Algorithm,
     k: int,
     fold_mode: FoldMode,
-) -> list[Callable[[], RunOutcome]]:
-    """The training runs of one (cycle, optimizer) pair in log order: its k
-    fold runs, then the final fit.
-
-    A fold run builds its fold's subsets when it starts, so only running
-    tasks hold them.
+    jobs: int,
+) -> tuple[list[ExperimentResult], dict[tuple[str, str, str], TrainingLog]]:
+    """Every training run of every (cycle, optimizer) pair on ``jobs``
+    threads: per pair, runs ``fold0`` ... ``fold{k-1}``, then ``final``.
+    Returns each pair's result in task order (the final fit's test scores,
+    seconds summed over its runs) and each run's log by (cycle, optimizer,
+    run). No run changes the split; a fold builds its subsets as it starts.
     """
-    train_raw, test_raw = chronological_split(raw_dm)
-    folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
-    runs = [
-        partial(run_fold, layer_specs, train_raw, h, algorithm, folds, fold)
-        for fold in range(k)
-    ]
-    runs.append(partial(_final_fit, layer_specs, train_raw, test_raw, h, algorithm))
-    return runs
-
-
-def _pair_result(
-    cycle_name: str,
-    algorithm: Algorithm,
-    h: Hyperparameters,
-    timed: list[tuple[RunOutcome, float]],
-) -> tuple[ExperimentResult, dict[str, TrainingLog]]:
-    """Combine a pair's timed runs (folds, then the final fit) into its
-    result: test metrics of the final fit, seconds summed over the runs."""
-    *fold_runs, ((mae, mse, final_log), _) = timed
-    logs = {f"fold{fold}": log for fold, ((_, _, log), _) in enumerate(fold_runs)}
-    logs["final"] = final_log
-    result = ExperimentResult(
-        cycle=cycle_name,
-        optimizer=algorithm,
-        mae=mae,
-        mse=mse,
-        rmse=float(np.sqrt(mse)),
-        seconds=sum(seconds for _, seconds in timed),
-        seed=h.seed,
+    tasks = []
+    for name, raw_dm in cycles:
+        train_raw, test_raw = chronological_split(raw_dm)
+        for algorithm, h in pairs:
+            folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
+            for fold in range(k):
+                thunk = partial(
+                    run_fold, layer_specs, train_raw, h, algorithm, folds, fold
+                )
+                tasks.append((name, algorithm, h, f"fold{fold}", thunk))
+            thunk = partial(_final_fit, layer_specs, train_raw, test_raw, h, algorithm)
+            tasks.append((name, algorithm, h, "final", thunk))
+    timed = _run_all(
+        [(f"{name}/{alg.value}/{run}", thunk) for name, alg, _, run, thunk in tasks],
+        jobs,
     )
-    return result, logs
+
+    results = []
+    logs: dict[tuple[str, str, str], TrainingLog] = {}
+    seconds = 0.0
+    for (name, algorithm, h, run, _), ((mae, mse, log), elapsed) in zip(tasks, timed):
+        logs[(name, algorithm.value, run)] = log
+        seconds += elapsed
+        if run == "final":
+            results.append(ExperimentResult(
+                name, algorithm, mae, mse, float(np.sqrt(mse)), seconds, h.seed
+            ))
+            seconds = 0.0
+    return results, logs
 
 
 def run_single_experiment(
@@ -328,8 +328,10 @@ def run_single_experiment(
     fold_mode: FoldMode = FoldMode.SHUFFLED,
 ) -> tuple[ExperimentResult, dict[str, TrainingLog]]:
     """The full protocol for one (cycle, optimizer) pair, run serially."""
-    runs = _pair_runs(raw_dm, layer_specs, h, algorithm, k, fold_mode)
-    return _pair_result(cycle_name, algorithm, h, _run_all(runs, jobs=1))
+    (result,), logs = _run_pairs(
+        [(cycle_name, raw_dm)], [(algorithm, h)], layer_specs, k, fold_mode, jobs=1
+    )
+    return result, {run: log for (_, _, run), log in logs.items()}
 
 
 # OpenBLAS thread-count entry points, tried in order: numpy's bundled
@@ -404,16 +406,22 @@ def _one_blas_thread():
                 set_(_pin_restore)
 
 
-def _timed(run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
+def _timed(name: str, run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
+    """``run``'s outcome and wall time; an error it raises is prefixed with
+    the run's ``name`` (``cycle/optimizer/run``) on the thread that ran it."""
     started = time.perf_counter()
-    outcome = run()
+    try:
+        outcome = run()
+    except SocBenchError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
     return outcome, time.perf_counter() - started
 
 
 def _run_all(
-    runs: list[Callable[[], RunOutcome]], jobs: int
+    runs: list[tuple[str, Callable[[], RunOutcome]]], jobs: int
 ) -> list[tuple[RunOutcome, float]]:
-    """Every run with its wall time, in task order, on ``jobs`` threads.
+    """Every named run with its wall time, in task order, on ``jobs`` threads.
 
     Results are read in task order, so the error raised is that of the
     earliest failing run, as in a serial loop; runs still queued then are
@@ -422,10 +430,10 @@ def _run_all(
     """
     with _one_blas_thread():
         if jobs == 1:
-            return [_timed(run) for run in runs]
+            return [_timed(name, run) for name, run in runs]
         pool = ThreadPoolExecutor(max_workers=jobs)
         try:
-            futures = [pool.submit(_timed, run) for run in runs]
+            futures = [pool.submit(_timed, name, run) for name, run in runs]
             return [future.result() for future in futures]
         finally:
             pool.shutdown(cancel_futures=True)
@@ -444,12 +452,14 @@ def run_comparison(
 ) -> ComparisonReport:
     """Evaluate every optimizer on every cycle.
 
-    A cycle that fails ingestion is skipped and recorded in the report.
-    The unit of work is one training run (a fold or a final fit); with
-    ``jobs > 1`` the runs go to a thread pool. OpenBLAS is pinned to one
-    thread while the runs go, whatever ``jobs`` is, and restored after.
-    Results come back sorted by (cycle, optimizer) regardless of
-    scheduling, and are bit-identical for a fixed seed and any ``jobs``.
+    A cycle that fails ingestion is skipped and recorded in the report;
+    when every cycle fails, that is an IngestionError naming each one and
+    its reason. The unit of work is one named training run (a fold or a
+    final fit); with ``jobs > 1`` the runs go to a thread pool. OpenBLAS is
+    pinned to one thread while the runs go, whatever ``jobs`` is, and
+    restored after. Results come back sorted by (cycle, optimizer)
+    regardless of scheduling, and are bit-identical for a fixed seed and
+    any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")
@@ -471,23 +481,12 @@ def run_comparison(
             cycles.append(prepare_cycle(path, data))
         except SocBenchError as exc:
             failures.append((Path(path).stem, str(exc)))
+    if not cycles:
+        reasons = "; ".join(f"{name}: {reason}" for name, reason in failures)
+        raise IngestionError(f"no cycle could be ingested: {reasons}")
 
-    pairs = []
-    for name, raw_dm in cycles:
-        for algorithm in optimizers:
-            pair_h = rated.get(algorithm, h)
-            runs = _pair_runs(raw_dm, layer_specs, pair_h, algorithm, k, fold_mode)
-            pairs.append((name, algorithm, pair_h, runs))
-    timed = iter(_run_all([run for *_, runs in pairs for run in runs], jobs))
-
-    results = []
-    logs: dict[tuple[str, str, str], TrainingLog] = {}
-    for name, algorithm, pair_h, runs in pairs:
-        pair_timed = [next(timed) for _ in runs]
-        result, pair_logs = _pair_result(name, algorithm, pair_h, pair_timed)
-        results.append(result)
-        for run, log in pair_logs.items():
-            logs[(name, algorithm.value, run)] = log
+    pairs = [(algorithm, rated.get(algorithm, h)) for algorithm in optimizers]
+    results, logs = _run_pairs(cycles, pairs, layer_specs, k, fold_mode, jobs)
     results.sort(key=lambda r: (r.cycle, r.optimizer.value))
     return ComparisonReport(results=results, failures=failures, logs=logs)
 

@@ -683,7 +683,7 @@ class TestCompare:
             outcomes.append((code, err))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 3
-        assert "fold 0: training diverged" in outcomes[0][1]
+        assert "mix/sgd/fold0: training diverged" in outcomes[0][1]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -700,7 +700,7 @@ class TestCompare:
         )
         assert code == 3
         assert err == (
-            "error: fold 0: training diverged: non-finite loss at epoch 1, "
+            "error: mix/sgd/fold0: training diverged: non-finite loss at epoch 1, "
             "batch 3\n"
         )
 
@@ -812,26 +812,24 @@ class TestHugeCurrents:
     def test_compare_skips_or_exits_1_without_warnings(
         self, tmp_path, huge_cycle, jobs
     ):
-        # a cycle whose features overflow fails its ingestion and is skipped;
-        # one whose feature statistics overflow stops the comparison, and so
-        # does one whose held-out rows overflow the final fit's scores
+        # a cycle whose features overflow fails its ingestion, which leaves
+        # no cycle to compare; one whose feature statistics overflow stops
+        # the comparison in its first fold, and one whose held-out rows
+        # overflow the final fit's scores stops it there
         kind, path = huge_cycle
         proc = self.run(tmp_path, "compare", "--data", str(path), "--optimizers",
                         "sgd", "--hidden", "2", "--epochs", "1", "--k", "2",
                         "--jobs", jobs)
-        if kind == "every-row":
-            assert proc.returncode == 0
-            assert proc.stderr == ""
-            assert "[skipped] huge: non-finite values in ['i_avg']" in proc.stdout
-            return
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1
-        if kind == "one-row":
-            assert proc.stderr.startswith("error: feature(s) ['i_avg'] overflow")
-        else:
-            assert proc.stderr == (
-                "error: non-finite predictions or scores (currents too large?)\n"
-            )
+        assert proc.stderr.startswith({
+            "every-row": "error: no cycle could be ingested: "
+                         "huge: non-finite values in ['i_avg']",
+            "one-row": "error: huge/sgd/fold0: feature(s) ['i_avg'] overflow",
+            "held-out-tail": "error: huge/sgd/final: "
+                             "non-finite predictions or scores (currents too large?)\n",
+        }[kind])
+        assert proc.stdout == ""
         assert not (tmp_path / "comparison_results.csv").exists()
 
     def test_evaluate_exits_1_before_writing_predictions(

@@ -1,6 +1,7 @@
 """Folds, training loop, cross-validation, and the comparison experiment."""
 
 import pickle
+import re
 import threading
 import time
 from dataclasses import replace
@@ -13,6 +14,7 @@ from socbench import (
     DataError,
     FoldMode,
     Hyperparameters,
+    IngestionError,
     InputError,
     Profile,
     SyntheticCellParams,
@@ -49,6 +51,20 @@ def linear_design(n=400, seed=0, noise=0.0):
     if noise:
         targets = targets + rng.normal(scale=noise, size=n)
     return DesignMatrix(features, targets)
+
+
+def log_values(log):
+    """A training log's entries; repr compares floats exactly and NaN (no
+    validation rows) as equal."""
+    return [(e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse))
+            for e in log]
+
+
+def assert_survives_pickling(error):
+    """As a process pool would hand it back: type, message and fields."""
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert (str(copy), vars(copy)) == (str(error), vars(error))
 
 
 class TestMakeFolds:
@@ -164,26 +180,19 @@ class TestTrain:
         with pytest.raises(TrainingDivergedError, match="epoch"):
             train(specs, dm, h, Algorithm.SGD)
 
-    @pytest.mark.parametrize("raised_by", ["train", "run_fold"])
-    def test_divergence_error_survives_pickling(self, raised_by):
-        # as a process pool would hand it back: type, message, epoch, batch
-        dm = linear_design(n=64)
-        specs = mlp_specs(4, [16, 16])
+    @pytest.mark.parametrize("raised_by", ["train", "run_comparison"])
+    def test_divergence_error_survives_pickling(self, raised_by, small_cycle_files):
         h = Hyperparameters(eta=1e6, batch_size=8, epochs=5, seed=0)
         with pytest.raises(TrainingDivergedError) as info:
             if raised_by == "train":
-                train(specs, dm, h, Algorithm.SGD)
+                train(mlp_specs(4, [16, 16]), linear_design(n=64), h, Algorithm.SGD)
             else:
-                folds = make_folds(len(dm), k=2, seed=0)
-                harness.run_fold(specs, dm, h, Algorithm.SGD, folds, 1)
+                run_comparison(small_cycle_files, [Algorithm.SGD], h, k=2,
+                               layer_specs=mlp_specs(4, [8]))
         error = info.value
-        prefix = "fold 1: " if raised_by == "run_fold" else ""
+        prefix = "mix_a/sgd/fold0: " if raised_by == "run_comparison" else ""
         assert str(error).startswith(prefix + "training diverged: ")
-        copy = pickle.loads(pickle.dumps(error))
-        assert type(copy) is TrainingDivergedError
-        assert (str(copy), copy.epoch, copy.batch) == (
-            str(error), error.epoch, error.batch
-        )
+        assert_survives_pickling(error)
 
     def test_empty_training_set_rejected(self):
         dm = DesignMatrix(np.empty((0, 4)), np.empty(0))
@@ -236,6 +245,14 @@ class TestCrossValidate:
         dm = DesignMatrix(features, rng.uniform(size=40))
         folds = make_folds(40, k=4, seed=0)
         with pytest.raises(DataError):
+            cross_validate(
+                mlp_specs(4, []), dm, Hyperparameters(eta=0.01), Algorithm.SGD, folds
+            )
+
+    def test_fold_beyond_the_rows_rejected_by_name(self):
+        dm = linear_design(n=64)
+        folds = make_folds(len(dm) + 5, k=2, seed=0)
+        with pytest.raises(InputError, match=r"^fold 0 indexes beyond the 64 rows$"):
             cross_validate(
                 mlp_specs(4, []), dm, Hyperparameters(eta=0.01), Algorithm.SGD, folds
             )
@@ -308,6 +325,51 @@ class TestRunComparison:
         assert len(report.failures) == 1
         assert report.failures[0][0] == "bad"
 
+    def test_no_ingested_cycle_is_an_ingestion_error(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time_s,voltage_v,current_a,temperature_c\n0.0,9.9,1.0,25\n",
+                       encoding="utf-8")
+        with pytest.raises(IngestionError) as info:
+            run_comparison([bad, tmp_path / "gone.csv"], [Algorithm.SGD], small_h())
+        assert re.fullmatch(
+            r"no cycle could be ingested: bad: .*rejected rows: line 2: .*; "
+            r"gone: data file not found: .*gone\.csv",
+            str(info.value),
+        )
+
+    def test_final_fit_error_names_its_run_and_survives_pickling(self, tmp_path):
+        # a held-out row whose current overflows the final fit's scores
+        cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                               Profile.RANDOM_MIX, 599.0, seed=3)
+        cycle.records.current_a[560] = 1e308
+        path = tmp_path / "huge.csv"
+        write_cycle_csv(cycle.records, path)
+        with pytest.raises(DataError) as info:
+            run_comparison([path], [Algorithm.SGD], replace(small_h(), epochs=1),
+                           k=2, layer_specs=mlp_specs(4, [2]))
+        assert str(info.value) == (
+            "huge/sgd/final: non-finite predictions or scores (currents too large?)"
+        )
+        assert_survives_pickling(info.value)
+
+    def test_single_experiment_is_a_pair_of_the_comparison(self, small_cycle_files):
+        h = small_h(2)
+        specs = mlp_specs(4, SMALL_NET)
+        report = run_comparison([small_cycle_files[0]], [Algorithm.ADAMAX], h, k=2,
+                                learning_rates={Algorithm.ADAMAX: 0.05},
+                                layer_specs=specs)
+        name, raw_dm = harness.prepare_cycle(small_cycle_files[0])
+        result, logs = harness.run_single_experiment(
+            name, raw_dm, specs, replace(h, eta=0.05), Algorithm.ADAMAX, k=2
+        )
+        (expected,) = report.results
+        assert replace(result, seconds=0.0) == replace(expected, seconds=0.0)
+        assert list(logs) == ["fold0", "fold1", "final"]
+        assert {("mix_a", "adamax", run): log_values(log)
+                for run, log in logs.items()} == {
+            key: log_values(log) for key, log in report.logs.items()
+        }
+
     def test_deterministic_repeat(self, small_cycle_files):
         kwargs = dict(
             optimizers=[Algorithm.ADAMAX],
@@ -332,12 +394,7 @@ class TestRunComparison:
 
         def values(report):
             results = [replace(r, seconds=0.0) for r in report.results]
-            # repr compares floats exactly and NaN (no validation rows) as equal
-            logs = {
-                key: [(e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse))
-                      for e in log]
-                for key, log in report.logs.items()
-            }
+            logs = {key: log_values(log) for key, log in report.logs.items()}
             return results, logs
 
         serial = values(run_comparison(small_cycle_files, jobs=1, **kwargs))
@@ -376,7 +433,7 @@ class TestRunComparison:
                 run_comparison(small_cycle_files, jobs=jobs, **kwargs)
             errors.append(str(caught.value))
         assert errors[0] == errors[1]
-        assert errors[0].startswith("fold 1: training diverged")
+        assert errors[0].startswith("mix_a/sgd/fold1: training diverged")
         # 2 cycles x 2 optimizers x (2 folds + final fit) runs were queued
         assert len(started) < 12
 
