@@ -393,7 +393,9 @@ def cmd_evaluate(cfg: dict) -> int:
             f"model expects {params.specs[0].input_dim} features, "
             f"data provides {raw_dm.features.shape[1]}"
         )
-    predictions, mae, mse = score(params, stats, raw_dm)
+    # one output product over all rows, as the predictions have always been
+    # computed; blocks would change a few of them at more than one thread
+    predictions, mae, mse = score(params, stats, raw_dm, like_forward=True)
     rmse = float(np.sqrt(mse))
     if cfg["predictions"]:
         with Path(cfg["predictions"]).open("w", newline="", encoding="utf-8") as fh:

@@ -41,7 +41,7 @@ class NumericError(SocBenchError):
 
 
 class TrainingDivergedError(NumericError):
-    """Training loss became non-finite."""
+    """Training loss or gradient became non-finite."""
 
     def __init__(self, epoch: int, batch: int, message: str | None = None):
         self.epoch = epoch

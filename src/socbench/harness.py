@@ -38,6 +38,7 @@ from .errors import (
     DataError,
     IngestionError,
     InputError,
+    NumericError,
     SocBenchError,
     TrainingDivergedError,
 )
@@ -131,7 +132,9 @@ def train(
     Each epoch visits a fresh seeded shuffle of the rows in batches of
     h.batch_size (last batch may be short), one optimizer step per batch.
     Per-epoch stats are measured after the epoch: MSE over the full
-    training set, MAE/MSE over the validation set when one is given.
+    training set, MAE/MSE over the validation set when one is given. A
+    non-finite batch loss or gradient is a TrainingDivergedError naming
+    its epoch and batch.
     """
     if len(train_dm) == 0:
         raise InputError("training set is empty")
@@ -149,12 +152,21 @@ def train(
             order = shuffle_rng.permutation(n)
             for start in range(0, n, h.batch_size):
                 batch = order[start : start + h.batch_size]
+                batch_no = start // h.batch_size
                 predictions, cache = forward(params, x[batch])
                 batch_loss = np.mean((predictions - y[batch]) ** 2)
                 if not np.isfinite(batch_loss):
-                    raise TrainingDivergedError(epoch, start // h.batch_size)
+                    raise TrainingDivergedError(epoch, batch_no)
                 grads = backward(params, cache, y[batch])
-                optimizer_step(params, grads, h, state)
+                try:
+                    optimizer_step(params, grads, h, state)
+                except NumericError as exc:  # the step's non-finite gradient
+                    raise TrainingDivergedError(
+                        epoch,
+                        batch_no,
+                        "training diverged: non-finite gradient at "
+                        f"epoch {epoch}, batch {batch_no}",
+                    ) from exc
 
             train_preds = predict(params, x)
             train_loss = loss_mse(train_preds, y)
@@ -238,10 +250,17 @@ def prepare_cycle(
 
 
 def score(
-    params: NetworkParameters, stats: NormalizationStats | None, raw_dm: DesignMatrix
+    params: NetworkParameters,
+    stats: NormalizationStats | None,
+    raw_dm: DesignMatrix,
+    *,
+    like_forward: bool = False,
 ) -> tuple[np.ndarray, float, float]:
     """Predictions for ``raw_dm``'s rows, normalized with ``stats`` (used as
     they are when ``stats`` is None), and their MAE and MSE.
+
+    The predictions come from ``predict``, blocked end to end unless
+    ``like_forward`` (see there).
 
     Finite rows can still overflow float64 on the way (huge currents), so a
     non-finite normalized feature, prediction or score is a DataError.
@@ -249,7 +268,7 @@ def score(
     with np.errstate(over="ignore", invalid="ignore"):
         dm = raw_dm if stats is None else apply_normalization(raw_dm, stats)
         if np.isfinite(dm.features).all():
-            predictions = predict(params, dm.features)
+            predictions = predict(params, dm.features, like_forward=like_forward)
             mae = loss_mae(predictions, dm.targets)
             mse = loss_mse(predictions, dm.targets)
             if np.isfinite(predictions).all() and np.isfinite([mae, mse]).all():

@@ -182,50 +182,55 @@ def forward(
     return a[:, 0], cache
 
 
-SCORE_ROWS = 512  # rows per block of predict()'s hidden layers
+SCORE_ROWS = 512  # rows per block of predict()
 
 
-def predict(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
-    """Predictions of shape (n,), equal bit for bit to
-    ``forward(params, batch)[0]``, without keeping every layer's output.
+def predict(
+    params: NetworkParameters, batch: np.ndarray, *, like_forward: bool = False
+) -> np.ndarray:
+    """Predictions of shape (n,), without keeping every layer's output.
 
-    The hidden layers run on blocks of SCORE_ROWS rows, the last block
-    taking the remainder, and the last hidden layer writes each block into
-    one (n, width) array. A pass holds that array plus about two blocks
-    (1 MB each for the default network), not one n-row array per layer.
-    Two things keep the result bit-exact:
+    Each block of SCORE_ROWS rows, the last block taking the remainder,
+    runs through every layer into one (n, 1) result, so a pass holds that
+    result plus about two blocks (1 MB each for the default network)
+    whatever n is. The bits do not depend on the OpenBLAS thread count,
+    and they equal ``forward(params, batch)[0]`` computed on one thread.
+    No block is shorter than SCORE_ROWS rows unless n is: a 1-4 row block
+    takes a different GEMM path and rounds differently from the same rows
+    inside a large product.
 
-    - The output layer is one product over all n rows. A (n, width) @
-      (width, 1) product runs through OpenBLAS's threaded matrix-vector
-      kernel, which splits the rows between its threads, and rows at the
-      end of a thread's range round differently; per-block output
-      products change a few predictions.
-    - No block is shorter than SCORE_ROWS rows unless n is. A 1-4 row
-      block takes a different GEMM path and rounds differently from the
-      same rows inside a large product.
+    ``like_forward=True`` keeps the output layer as one product over all n
+    rows, so the last hidden layer writes its blocks into one (n, width)
+    array, and the result equals ``forward(params, batch)[0]`` at any
+    thread count. A (n, width) @ (width, 1) product runs through
+    OpenBLAS's threaded matrix-vector kernel, which splits the rows between
+    its threads, and rows at the end of a thread's range round
+    differently; so at more than one thread a few predictions differ from
+    the blocked ones. ``evaluate`` passes it to keep the predictions it has
+    always written.
     """
     x = _checked_batch(params, batch)
-    *hidden, (out_spec, out_w, out_b) = zip(
-        params.specs, params.weights, params.biases, strict=True
-    )
+    layers = list(zip(params.specs, params.weights, params.biases, strict=True))
+    blocked = layers[:-1] if like_forward else layers
     a = x
-    if hidden:
-        *inner, (top_spec, top_w, top_b) = hidden
+    if blocked:
+        *inner, (top_spec, top_w, top_b) = blocked
         n = x.shape[0]
-        last = np.empty((n, top_spec.output_dim))
+        a = np.empty((n, top_spec.output_dim))
         n_blocks = max(n // SCORE_ROWS, 1)
         for block in range(n_blocks):
             start = block * SCORE_ROWS
             stop = n if block == n_blocks - 1 else start + SCORE_ROWS
-            a = x[start:stop]
+            rows = x[start:stop]
             for spec, w, b in inner:
-                a = a @ w.T
-                _finish_layer(a, spec, b)
-            a = np.matmul(a, top_w.T, out=last[start:stop])
-            _finish_layer(a, top_spec, top_b)
-        a = last
-    a = a @ out_w.T
-    _finish_layer(a, out_spec, out_b)
+                rows = rows @ w.T
+                _finish_layer(rows, spec, b)
+            rows = np.matmul(rows, top_w.T, out=a[start:stop])
+            _finish_layer(rows, top_spec, top_b)
+    if like_forward:
+        out_spec, out_w, out_b = layers[-1]
+        a = a @ out_w.T
+        _finish_layer(a, out_spec, out_b)
     return a[:, 0]
 
 

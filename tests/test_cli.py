@@ -15,9 +15,16 @@ import pytest
 
 from socbench import cli, harness
 from socbench.cli import main
-from socbench.data import DataSettings, apply_normalization
+from socbench.data import DataSettings, apply_normalization, fit_normalization
 from socbench.harness import prepare_cycle
-from socbench.network import forward, init_network, load_model, mlp_specs, save_model
+from socbench.network import (
+    DEFAULT_HIDDEN,
+    forward,
+    init_network,
+    load_model,
+    mlp_specs,
+    save_model,
+)
 from socbench.synthetic import (
     Profile,
     SyntheticCellParams,
@@ -403,6 +410,35 @@ class TestEvaluate:
             writer.writerow([repr(float(truth)), repr(float(pred))])
         assert preds.read_text(encoding="utf-8") == expected.getvalue()
 
+    def test_predictions_are_the_full_batch_forward_at_two_threads(
+        self, tmp_path, capsys, blas_threads
+    ):
+        """evaluate takes the output layer as one product over all rows, so
+        at two OpenBLAS threads it writes forward's predictions; blocked
+        scoring differs from them in a few rows at this row count."""
+        data, model = tmp_path / "long.csv", tmp_path / "m.json"
+        run_cli(
+            capsys, "generate", "--profile", "random", "--duration", "8193",
+            "--sample-period-s", "1.0", "--seed", "3", "--out", str(data),
+        )
+        _, raw_dm = prepare_cycle(data)
+        assert len(raw_dm) == 8194
+        stats = fit_normalization(raw_dm)
+        params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
+        save_model(model, params, normalization=stats, seed=0)
+        preds = tmp_path / "preds.csv"
+        code, _, _ = run_cli(
+            capsys, "evaluate", "--model", str(model), "--data", str(data),
+            "--predictions", str(preds),
+        )
+        assert code == 0
+        assert blas_threads() == 2
+        want, _ = forward(params, apply_normalization(raw_dm, stats).features)
+        assert preds.read_text(encoding="utf-8").splitlines()[1:] == [
+            f"{truth!r},{pred!r}"
+            for truth, pred in zip(raw_dm.targets.tolist(), want.tolist())
+        ]
+
     def test_feature_count_mismatch_exit_4(self, cycle_file, tmp_path, capsys):
         model = tmp_path / "m.json"
         run_cli(
@@ -702,6 +738,26 @@ class TestCompare:
         assert err == (
             "error: mix/sgd/fold0: training diverged: non-finite loss at epoch 1, "
             "batch 3\n"
+        )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_finite_gradient_names_its_epoch_and_batch(self, tmp_path, capsys, jobs):
+        # the step's gradient overflows while the batch loss is still finite
+        data = tmp_path / "mix.csv"
+        run_cli(
+            capsys, "generate", "--profile", "random", "--duration", "499",
+            "--sample-period-s", "1.0", "--seed", "5", "--out", str(data),
+        )
+        code, out, err = run_cli(
+            capsys, "compare", "--data", str(data), "--optimizers", "sgd",
+            "--lr", "1e6", "--hidden", "16,16", "--batch-size", "8",
+            "--epochs", "5", "--k", "2", "--soc0", "90",
+            "--out", str(tmp_path / "r.csv"), "--jobs", jobs,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: mix/sgd/fold0: training diverged: non-finite gradient at "
+            "epoch 1, batch 3\n"
         )
 
     def test_logs_and_table_written(self, cycle_file, tmp_path, capsys):

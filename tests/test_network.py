@@ -244,28 +244,37 @@ class TestPredict:
         assert type(got.value) is type(want.value)
         assert str(got.value) == str(want.value)
 
-    def test_keeps_one_hidden_layer_output(self):
-        """One n x 256 float64 array plus a fixed number of SCORE_ROWS-row
-        blocks at any n, where forward keeps all three hidden layers'
-        outputs."""
+    @staticmethod
+    def peak(score, params, n, **kwargs):
+        """tracemalloc's peak over one ``score`` call on n random rows."""
+        batch = np.random.default_rng(0).normal(size=(n, 4))
+        tracemalloc.start()
+        try:
+            score(params, batch, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_blocked_path_holds_no_n_by_width_array(self):
+        """The (n, 1) result plus a fixed number of SCORE_ROWS-row blocks at
+        any n: the bound does not grow with n x width."""
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
         block_bytes = SCORE_ROWS * 256 * 8
+        # measured: 2.1 blocks above the result at 20k rows, 2.4 at 60k
+        for n in (20_000, 60_000):
+            assert self.peak(predict, params, n) < n * 8 + 4 * block_bytes
 
-        def peak(score, batch):
-            tracemalloc.start()
-            try:
-                score(params, batch)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        def batch_of(n):
-            return np.random.default_rng(0).normal(size=(n, 4))
-
+    def test_keeps_one_hidden_layer_output(self):
+        """like_forward: one n x 256 float64 array plus a fixed number of
+        SCORE_ROWS-row blocks at any n, where forward keeps all three hidden
+        layers' outputs."""
+        params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
+        block_bytes = SCORE_ROWS * 256 * 8
         # the bound: 1.10 x the layer at 20k rows, 1.03 x at 60k
         for n in (20_000, 60_000):
-            assert peak(predict, batch_of(n)) < n * 256 * 8 + 4 * block_bytes
-        assert peak(forward, batch_of(20_000)) > 2.5 * 20_000 * 256 * 8
+            peak = self.peak(predict, params, n, like_forward=True)
+            assert peak < n * 256 * 8 + 4 * block_bytes
+        assert self.peak(forward, params, 20_000) > 2.5 * 20_000 * 256 * 8
 
 
 class TestLosses:

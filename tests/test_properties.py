@@ -403,20 +403,9 @@ PREDICT_ROWS = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@example(8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, False, 0)
-@example(12290, [256, 256, 256], Activation.RELU, Activation.RELU, True, 1)
-@given(
-    n=PREDICT_ROWS,
-    hidden=st.sampled_from([[], [8], [256, 256, 256]]),
-    hidden_activation=st.sampled_from(list(Activation)),
-    output_activation=st.sampled_from(list(Activation)),
-    one_blas_thread=st.booleans(),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_predict_matches_forward_bit_for_bit(
-    n, hidden, hidden_activation, output_activation, one_blas_thread, seed
-):
+def scoring_network(hidden, hidden_activation, output_activation, seed):
+    """A network with the drawn activations and random biases, so that ReLU
+    clamps some outputs."""
     rng = np.random.default_rng(seed)
     specs = [
         LayerSpec(s.input_dim, s.output_dim, hidden_activation)
@@ -424,12 +413,53 @@ def test_predict_matches_forward_bit_for_bit(
     ] + [LayerSpec(hidden[-1] if hidden else 4, 1, output_activation)]
     params = init_network(specs, seed)
     for b in params.biases:
-        b[:] = rng.normal(scale=0.5, size=b.shape)  # so that ReLU clamps some
+        b[:] = rng.normal(scale=0.5, size=b.shape)
+    return params, rng
+
+
+SCORING_NETWORKS = dict(
+    hidden=st.sampled_from([[], [8], [256, 256, 256]]),
+    hidden_activation=st.sampled_from(list(Activation)),
+    output_activation=st.sampled_from(list(Activation)),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@example(8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, False, 0)
+@example(12290, [256, 256, 256], Activation.RELU, Activation.RELU, True, 1)
+@given(n=PREDICT_ROWS, one_blas_thread=st.booleans(), **SCORING_NETWORKS)
+def test_predict_matches_forward_bit_for_bit(
+    n, hidden, hidden_activation, output_activation, one_blas_thread, seed
+):
+    """``like_forward`` (evaluate's path) equals forward at any thread count."""
+    params, rng = scoring_network(hidden, hidden_activation, output_activation, seed)
     batch = rng.normal(size=(n, 4))
     with _one_blas_thread() if one_blas_thread else nullcontext():
-        got = predict(params, batch)
+        got = predict(params, batch, like_forward=True)
         want, _ = forward(params, batch)
     assert same_bits(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@example(8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 0)
+@example(8500, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 1)
+@example(12290, [256, 256, 256], Activation.RELU, Activation.RELU, 2)
+@example(100_001, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 3)
+@given(n=PREDICT_ROWS, **SCORING_NETWORKS)
+def test_blocked_predict_is_thread_invariant_and_forward_on_one_thread(
+    n, hidden, hidden_activation, output_activation, seed
+):
+    """The blocked path gives the same bits at the default thread count as
+    on one thread, where they equal forward's."""
+    params, rng = scoring_network(hidden, hidden_activation, output_activation, seed)
+    batch = rng.normal(size=(n, 4))
+    got = predict(params, batch)
+    with _one_blas_thread():
+        pinned = predict(params, batch)
+        want, _ = forward(params, batch)
+    assert same_bits(got, pinned)
+    assert same_bits(pinned, want)
 
 
 # --- ingestion --------------------------------------------------------------
