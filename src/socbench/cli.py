@@ -216,7 +216,8 @@ EVALUATE_SCHEMA = {
 }
 
 COMPARE_SCHEMA = {
-    "data": Setting(_path_list, None, "telemetry CSV paths", flag={"nargs": "+"}),
+    "data": Setting(_path_list, None, "telemetry CSV paths; repeats add up",
+                   flag={"nargs": "+", "action": "extend"}),
     "data_dir": Setting(str, None, "directory of telemetry CSVs"),
     "optimizers": Setting(_parse_optimizer_list, "sgd,rmsprop,adamax",
                           "comma-separated update rules"),

@@ -41,19 +41,9 @@ class NumericError(SocBenchError):
 
 
 class TrainingDivergedError(NumericError):
-    """Training loss or gradient became non-finite."""
-
-    def __init__(self, epoch: int, batch: int, message: str | None = None):
-        self.epoch = epoch
-        self.batch = batch
-        super().__init__(
-            message
-            or f"training diverged: non-finite loss at epoch {epoch}, batch {batch}"
-        )
-
-    def __reduce__(self):
-        # the message as it stands, with a comparison's cycle/optimizer/run prefix
-        return type(self), (self.epoch, self.batch, str(self))
+    """Training loss or gradient became non-finite: a batch's loss or
+    gradient (the message names epoch and batch) or the training loss
+    measured after an epoch (the message names the epoch)."""
 
 
 class ModelMismatchError(SocBenchError):

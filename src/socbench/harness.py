@@ -134,7 +134,8 @@ def train(
     Per-epoch stats are measured after the epoch: MSE over the full
     training set, MAE/MSE over the validation set when one is given. A
     non-finite batch loss or gradient is a TrainingDivergedError naming
-    its epoch and batch.
+    its epoch and batch; a non-finite training loss after an epoch is one
+    naming the epoch.
     """
     if len(train_dm) == 0:
         raise InputError("training set is empty")
@@ -156,22 +157,17 @@ def train(
                 predictions, cache = forward(params, x[batch])
                 batch_loss = np.mean((predictions - y[batch]) ** 2)
                 if not np.isfinite(batch_loss):
-                    raise TrainingDivergedError(epoch, batch_no)
+                    raise _diverged("loss", epoch, batch_no)
                 grads = backward(params, cache, y[batch])
                 try:
                     optimizer_step(params, grads, h, state)
                 except NumericError as exc:  # the step's non-finite gradient
-                    raise TrainingDivergedError(
-                        epoch,
-                        batch_no,
-                        "training diverged: non-finite gradient at "
-                        f"epoch {epoch}, batch {batch_no}",
-                    ) from exc
+                    raise _diverged("gradient", epoch, batch_no) from exc
 
             train_preds = predict(params, x)
             train_loss = loss_mse(train_preds, y)
             if not np.isfinite(train_loss):
-                raise TrainingDivergedError(epoch, -1)
+                raise _diverged("training loss", epoch)
             if val_dm is not None:
                 val_preds = predict(params, val_dm.features)
                 val_mae = loss_mae(val_preds, val_dm.targets)
@@ -181,6 +177,15 @@ def train(
             log.append(EpochStats(epoch, train_loss, val_mae, val_mse))
 
     return params, log
+
+
+def _diverged(what: str, epoch: int, batch: int | None = None) -> TrainingDivergedError:
+    """The divergence error for a non-finite ``what`` in a batch or after an epoch."""
+    if batch is None:
+        where = f"after epoch {epoch}"
+    else:
+        where = f"at epoch {epoch}, batch {batch}"
+    return TrainingDivergedError(f"training diverged: non-finite {what} {where}")
 
 
 RunOutcome = tuple[float, float, TrainingLog]  # (mae, mse, log) of one run

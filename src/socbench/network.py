@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import NormalizationStats
 from .errors import ConfigError, InputError, InternalError, ModelMismatchError
 
 
@@ -354,8 +355,6 @@ def load_model(path: str | Path):
     JSON to arrays that do not fit ``layer_specs``, raises
     ModelMismatchError.
     """
-    from .data import NormalizationStats  # local import to avoid a cycle
-
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         specs = [

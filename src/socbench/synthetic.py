@@ -114,8 +114,6 @@ def _current_profile(
         current[pos:end] = seg_current
         soc -= 100.0 * seg_current * seg_len / 3600.0 / capacity_ah
         pos = end
-    if pos < times.size:
-        current[pos:] = current[pos - 1] if pos else 0.0
     return current
 
 

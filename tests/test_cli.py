@@ -291,6 +291,19 @@ class TestTrain:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_zero_byte_data_file_is_io_error(self, tmp_path, capsys, monkeypatch,
+                                             command):
+        monkeypatch.chdir(tmp_path)
+        Path("empty.csv").write_bytes(b"")
+        if command == "train":
+            extra = ["--optimizer", "sgd", "--out-model", "out.json"]
+        else:
+            save_model("m.json", init_network(mlp_specs(4, [2]), seed=0))
+            extra = ["--model", "m.json"]
+        code, out, err = run_cli(capsys, command, "--data", "empty.csv", *extra)
+        assert (code, out, err) == (1, "", "error: empty.csv: empty file\n")
+
     def test_conflicting_capacity_is_io_error(self, tmp_path, capsys):
         data = tmp_path / "cap.csv"
         data.write_text(
@@ -691,6 +704,11 @@ class TestCompare:
         )
         assert code == 2
         assert "no .csv" in err
+        code, _, err = run_cli(
+            capsys, "compare", "--data-dir", str(tmp_path / "r.csv"),
+            "--out", str(tmp_path / "r.csv"),
+        )
+        assert (code, err) == (2, f"error: not a directory: {tmp_path / 'r.csv'}\n")
 
     def test_jobs_below_one_usage_error(self, cycle_file, tmp_path, capsys):
         out = tmp_path / "r.csv"
@@ -759,6 +777,60 @@ class TestCompare:
             "error: mix/sgd/fold0: training diverged: non-finite gradient at "
             "epoch 1, batch 3\n"
         )
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_non_finite_training_loss_names_its_epoch(self, tmp_path, capsys, jobs):
+        # every batch loss and gradient stays finite; the training loss
+        # measured after epoch 3 does not
+        data = tmp_path / "mix.csv"
+        run_cli(
+            capsys, "generate", "--profile", "random", "--duration", "499",
+            "--sample-period-s", "1.0", "--seed", "5", "--soc0", "90",
+            "--out", str(data),
+        )
+        code, out, err = run_cli(
+            capsys, "compare", "--data", str(data), "--optimizers", "sgd",
+            "--lr", "1e6", "--hidden", "16,16", "--batch-size", "1000",
+            "--epochs", "3", "--k", "2", "--soc0", "90",
+            "--out", str(tmp_path / "r.csv"), "--jobs", jobs,
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: mix/sgd/fold1: training diverged: non-finite training loss "
+            "after epoch 3\n"
+        )
+
+    def test_repeated_data_flags_add_up(self):
+        args = cli.build_parser().parse_args(
+            ["compare", "--data", "a.csv", "b.csv", "--data", "c.csv"]
+        )
+        assert args.data == ["a.csv", "b.csv", "c.csv"]
+
+    def test_cycle_that_fails_ingestion_is_a_skipped_line(
+        self, cycle_file, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("time_s,voltage_v,current_a,temperature_c\n0.0,9.9,1.0,25\n",
+                       encoding="utf-8")
+        table = tmp_path / "table.txt"
+        code, out, err = run_cli(
+            capsys, "compare", "--data", str(cycle_file), "--data", str(bad),
+            "--optimizers", "adamax", "--lr", "0.05", "--epochs", "1", "--k", "2",
+            "--hidden", "8", "--soc0", "90", "--out", str(tmp_path / "r.csv"),
+            "--out-table", str(table),
+        )
+        skipped = (f"[skipped] bad: {bad}: rejected rows: line 2: "
+                   "voltage 9.9 outside (0, 6) V")
+        assert (code, err) == (0, "")
+        text = table.read_text(encoding="utf-8")
+        assert text.splitlines()[2].startswith("mix ")
+        assert text.splitlines()[3:] == [skipped]
+        assert out == text + f"results: {tmp_path / 'r.csv'}\n"
+
+    def test_no_datasets_usage_error(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "compare", "--out", str(tmp_path / "r.csv"))
+        assert (code, out) == (2, "")
+        assert err == "error: no datasets: pass --data and/or --data-dir\n"
 
     def test_logs_and_table_written(self, cycle_file, tmp_path, capsys):
         out = tmp_path / "results.csv"

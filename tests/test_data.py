@@ -416,3 +416,10 @@ class TestNormalization:
         dm = DesignMatrix(np.ones((1, 4)), np.ones(1))
         with pytest.raises(InputError):
             fit_normalization(dm)
+
+    def test_stats_of_another_width_rejected(self):
+        rng = np.random.default_rng(13)
+        stats = fit_normalization(DesignMatrix(rng.normal(size=(20, 4)), np.ones(20)))
+        dm = DesignMatrix(np.ones((5, 3)), np.ones(5))
+        with pytest.raises(InputError, match="^3 features but stats cover 4$"):
+            apply_normalization(dm, stats)

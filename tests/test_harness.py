@@ -1,5 +1,6 @@
 """Folds, training loop, cross-validation, and the comparison experiment."""
 
+import inspect
 import pickle
 import re
 import threading
@@ -29,7 +30,7 @@ from socbench import (
     train,
     write_cycle_csv,
 )
-from socbench import harness
+from socbench import errors as error_module, harness
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import (
     _one_blas_thread,
@@ -65,6 +66,10 @@ def assert_survives_pickling(error):
     copy = pickle.loads(pickle.dumps(error))
     assert type(copy) is type(error)
     assert (str(copy), vars(copy)) == (str(error), vars(error))
+
+
+ERROR_CLASSES = [cls for _, cls in inspect.getmembers(error_module, inspect.isclass)
+                 if issubclass(cls, error_module.SocBenchError)]
 
 
 class TestMakeFolds:
@@ -352,6 +357,16 @@ class TestRunComparison:
         )
         assert_survives_pickling(info.value)
 
+    @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
+    def test_every_run_error_survives_pickling_with_its_run_name(self, cls):
+        def fail():
+            raise cls("failed")
+
+        with pytest.raises(cls) as info:
+            harness._timed("mix/sgd/fold1", fail)
+        assert str(info.value) == "mix/sgd/fold1: failed"
+        assert_survives_pickling(info.value)
+
     def test_single_experiment_is_a_pair_of_the_comparison(self, small_cycle_files):
         h = small_h(2)
         specs = mlp_specs(4, SMALL_NET)
@@ -414,7 +429,7 @@ class TestRunComparison:
         def train_or_fail(layer_specs, train_dm, h, algorithm, val_dm=None):
             started.append(h.seed)
             if h.seed == 1:
-                raise TrainingDivergedError(1, 0)
+                raise TrainingDivergedError("training diverged")
             time.sleep(0.2)
             return real_train(layer_specs, train_dm, h, algorithm, val_dm=val_dm)
 

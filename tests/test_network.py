@@ -339,11 +339,14 @@ class TestBackward:
             rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
             assert np.max(rel) < 1e-5
 
-    def test_mismatched_cache_rejected(self):
+    @pytest.mark.parametrize("inputs, hidden", [(4, [9]), (4, [8, 8]), (3, [8])],
+                             ids=["layer-width", "layer-count", "input-width"])
+    def test_mismatched_cache_rejected(self, inputs, hidden):
         params = init_network(mlp_specs(4, [8]), seed=0)
-        other = init_network(mlp_specs(4, [9]), seed=0)
-        _, cache = forward(other, np.ones((3, 4)))
-        with pytest.raises(InternalError):
+        other = init_network(mlp_specs(inputs, hidden), seed=0)
+        _, cache = forward(other, np.ones((3, inputs)))
+        with pytest.raises(InternalError,
+                           match="^forward cache does not match network parameters$"):
             backward(params, cache, np.zeros(3))
 
     def test_wrong_target_length_rejected(self):

@@ -52,7 +52,7 @@ def test_exit_codes_of_the_error_classes_and_the_readme_table():
 
 @pytest.mark.parametrize("cls", [*EXIT_CODES, OSError], ids=lambda cls: cls.__name__)
 def test_main_exits_with_the_code_of_the_error(monkeypatch, capsys, cls):
-    error = cls(2, 5) if cls is errors.TrainingDivergedError else cls("failed")
+    error = cls("failed")
 
     def fail(cfg):
         raise error
