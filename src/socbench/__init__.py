@@ -17,6 +17,7 @@ from .data import (
     fit_normalization,
     ingest_csv,
     moving_average,
+    prepare_cycle,
 )
 from .errors import (
     ConfigError,
@@ -33,7 +34,6 @@ from .harness import (
     ComparisonReport,
     ExperimentResult,
     FoldMode,
-    cross_validate,
     make_folds,
     run_comparison,
     train,

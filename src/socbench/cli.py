@@ -31,7 +31,6 @@ from .harness import (
     FoldMode,
     _one_blas_thread,
     format_results_table,
-    prepare_cycle,
     run_comparison,
     score,
     train,
@@ -356,7 +355,7 @@ def cmd_train(cfg: dict) -> int:
     _warn_zero_lr(h.resolve_eta(algorithm))
     _check_outputs(cfg, "out_model", "out_log", "export_features")
 
-    _, raw_dm = prepare_cycle(cfg["data"], data)
+    raw_dm = battery_data.prepare_cycle(cfg["data"], data)
     stats = battery_data.fit_normalization(raw_dm)
     normalized = battery_data.apply_normalization(raw_dm, stats)
     specs = mlp_specs(raw_dm.features.shape[1], cfg["hidden"])
@@ -388,7 +387,7 @@ def cmd_evaluate(cfg: dict) -> int:
         raise ModelMismatchError(
             f"model has {params.specs[-1].output_dim} outputs, evaluate needs 1"
         )
-    _, raw_dm = prepare_cycle(cfg["data"], data)
+    raw_dm = battery_data.prepare_cycle(cfg["data"], data)
     if params.specs[0].input_dim != raw_dm.features.shape[1]:
         raise ModelMismatchError(
             f"model expects {params.specs[0].input_dim} features, "

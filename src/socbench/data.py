@@ -5,8 +5,8 @@ design matrix (instantaneous voltage plus moving-averaged voltage, current
 and temperature) -> z-score normalization fit on training rows only.
 
 Sign convention: positive current = discharge, so integrating current
-lowers SOC. Datasets using the opposite convention are flipped at
-ingestion with ``invert_current=True``.
+lowers SOC. Datasets using the opposite convention are flipped after
+ingestion, by ``prepare_cycle`` with ``DataSettings(invert_current=True)``.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ class Telemetry:
 class DriveCycle:
     """An ingested drive cycle: time-ordered telemetry plus file metadata."""
 
-    name: str
     records: Telemetry
     capacity_ah: float | None = None  # from the optional capacity_ah column
 
@@ -82,14 +81,14 @@ class DesignMatrix:
 
     def subset(self, indices) -> "DesignMatrix":
         idx = np.asarray(indices, dtype=np.intp)
-        return DesignMatrix(self.features[idx].copy(), self.targets[idx].copy())
+        return DesignMatrix(self.features[idx], self.targets[idx])
 
 
 @dataclass(frozen=True)
 class DataSettings:
-    """How a cycle becomes features: the Coulomb counter's initial SOC and
-    capacity (used when the CSV has no capacity_ah column), the
-    moving-average window, and whether ingestion flips the current's sign."""
+    """How ``prepare_cycle`` makes a cycle's features: the Coulomb counter's
+    initial SOC and capacity (unless the CSV has a capacity_ah column), the
+    moving-average window, and whether to flip the current's sign."""
 
     soc0_percent: float = 100.0
     capacity_ah: float = 2.9
@@ -115,12 +114,12 @@ class NormalizationStats:
     stds: np.ndarray
 
 
-def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
+def ingest_csv(path: str | Path) -> DriveCycle:
     """Parse a telemetry CSV into a time-sorted DriveCycle.
 
     Required header: time_s,voltage_v,current_a,temperature_c. An optional
-    capacity_ah column overrides the configured nominal capacity; rows
-    giving it conflicting values are rejected. Rows out of time order are
+    capacity_ah column is read into ``DriveCycle.capacity_ah``; rows giving
+    it conflicting values are rejected. Rows out of time order are
     sorted; exact duplicate rows are dropped; rows violating sanity bounds
     or duplicate timestamps with conflicting values are rejected with their
     line numbers.
@@ -135,10 +134,8 @@ def ingest_csv(path: str | Path, invert_current: bool = False) -> DriveCycle:
         raise IngestionError(f"data file not found: {path}")
     telemetry = _read_columns(path)
     if telemetry is None:
-        return _ingest_rows(path, invert_current)
-    if invert_current:
-        np.negative(telemetry.current_a, out=telemetry.current_a)
-    return DriveCycle(name=path.stem, records=telemetry)
+        return _ingest_rows(path)
+    return DriveCycle(records=telemetry)
 
 
 def _read_columns(path: Path) -> Telemetry | None:
@@ -183,7 +180,7 @@ def _utf8_lines(fh, path: Path):
         ) from None
 
 
-def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
+def _ingest_rows(path: Path) -> DriveCycle:
     """The row-by-row parse behind ``ingest_csv``, for any file."""
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path))
@@ -249,7 +246,7 @@ def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
                         )
                         continue
             line_nos.append(line_no)
-            rows.append((t, v, -i if invert_current else i, temp))
+            rows.append((t, v, i, temp))
 
     if bad_lines:
         raise IngestionError(f"{path}: rejected rows: " + "; ".join(bad_lines))
@@ -281,7 +278,6 @@ def _ingest_rows(path: Path, invert_current: bool) -> DriveCycle:
 
     keep = ~repeat
     return DriveCycle(
-        name=path.stem,
         records=Telemetry(t[keep], v[keep], i[keep], temp[keep]),
         capacity_ah=capacity_ah,
     )
@@ -364,6 +360,20 @@ def build_design_matrix(
     if bad:
         raise DataError(f"non-finite values in {bad} (currents too large?)")
     return DesignMatrix(features=features, targets=targets)
+
+
+def prepare_cycle(
+    path: str | Path, settings: DataSettings = DataSettings()
+) -> DesignMatrix:
+    """One cycle CSV's unnormalized design matrix under ``settings``, the
+    current's sign flipped if asked; the CSV's capacity_ah column, when it
+    has one, overrides ``settings.capacity_ah``."""
+    cycle = ingest_csv(path)
+    if settings.invert_current:
+        np.negative(cycle.records.current_a, out=cycle.records.current_a)
+    capacity = settings.capacity_ah if cycle.capacity_ah is None else cycle.capacity_ah
+    soc = coulomb_count(cycle.records, settings.soc0_percent, capacity)
+    return build_design_matrix(cycle.records, soc, settings.window)
 
 
 def fit_normalization(dm: DesignMatrix) -> NormalizationStats:

@@ -29,10 +29,8 @@ from .data import (
     DesignMatrix,
     NormalizationStats,
     apply_normalization,
-    build_design_matrix,
-    coulomb_count,
     fit_normalization,
-    ingest_csv,
+    prepare_cycle,
 )
 from .errors import (
     DataError,
@@ -244,16 +242,6 @@ def chronological_split(dm: DesignMatrix):
     return dm.subset(np.arange(n_train)), dm.subset(np.arange(n_train, len(dm)))
 
 
-def prepare_cycle(
-    path: str | Path, settings: DataSettings = DataSettings()
-) -> tuple[str, DesignMatrix]:
-    """Ingest one cycle CSV and build its (unnormalized) design matrix."""
-    cycle = ingest_csv(path, invert_current=settings.invert_current)
-    capacity = settings.capacity_ah if cycle.capacity_ah is None else cycle.capacity_ah
-    soc = coulomb_count(cycle.records, settings.soc0_percent, capacity)
-    return cycle.name, build_design_matrix(cycle.records, soc, settings.window)
-
-
 def score(
     params: NetworkParameters,
     stats: NormalizationStats | None,
@@ -455,12 +443,8 @@ def _run_all(
     with _one_blas_thread():
         if jobs == 1:
             return [_timed(name, run) for name, run in runs]
-        pool = ThreadPoolExecutor(max_workers=jobs)
-        try:
-            futures = [pool.submit(_timed, name, run) for name, run in runs]
-            return [future.result() for future in futures]
-        finally:
-            pool.shutdown(cancel_futures=True)
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_timed, *zip(*runs)))
 
 
 def run_comparison(
@@ -476,14 +460,15 @@ def run_comparison(
 ) -> ComparisonReport:
     """Evaluate every optimizer on every cycle.
 
-    A cycle that fails ingestion is skipped and recorded in the report;
-    when every cycle fails, that is an IngestionError naming each one and
-    its reason. The unit of work is one named training run (a fold or a
-    final fit); with ``jobs > 1`` the runs go to a thread pool. OpenBLAS is
-    pinned to one thread while the runs go, whatever ``jobs`` is, and
-    restored after. Results come back sorted by (cycle, optimizer)
-    regardless of scheduling, and are bit-identical for a fixed seed and
-    any ``jobs``.
+    A cycle is named by its file's stem; two paths with one stem are an
+    InputError before any ingestion. A cycle that fails ingestion is
+    skipped and recorded in the report; when every cycle fails, that is an
+    IngestionError naming each one and its reason. The unit of work is one
+    named training run (a fold or a final fit); with ``jobs > 1`` the runs
+    go to a thread pool. OpenBLAS is pinned to one thread while the runs
+    go, whatever ``jobs`` is, and restored after. Results come back sorted
+    by (cycle, optimizer) regardless of scheduling, and are bit-identical
+    for a fixed seed and any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")
@@ -497,14 +482,19 @@ def run_comparison(
     # ``data`` was built, both before any ingestion, so that a bad one is an
     # error, not a reason to skip every cycle
     rated = {alg: replace(h, eta=eta) for alg, eta in (learning_rates or {}).items()}
+    names = [Path(path).stem for path in cycle_paths]
+    for name in names:
+        if names.count(name) > 1:
+            same = ", ".join(str(p) for p, n in zip(cycle_paths, names) if n == name)
+            raise InputError(f"data files share the cycle name {name!r}: {same}")
 
     cycles: list[tuple[str, DesignMatrix]] = []
     failures: list[tuple[str, str]] = []
-    for path in cycle_paths:
+    for name, path in zip(names, cycle_paths):
         try:
-            cycles.append(prepare_cycle(path, data))
+            cycles.append((name, prepare_cycle(path, data)))
         except SocBenchError as exc:
-            failures.append((Path(path).stem, str(exc)))
+            failures.append((name, str(exc)))
     if not cycles:
         reasons = "; ".join(f"{name}: {reason}" for name, reason in failures)
         raise IngestionError(f"no cycle could be ingested: {reasons}")

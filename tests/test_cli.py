@@ -13,10 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from socbench import cli, harness
+from socbench import cli, data as data_module, harness
 from socbench.cli import main
-from socbench.data import DataSettings, apply_normalization, fit_normalization
-from socbench.harness import prepare_cycle
+from socbench.data import (
+    DataSettings,
+    apply_normalization,
+    fit_normalization,
+    prepare_cycle,
+)
 from socbench.network import (
     DEFAULT_HIDDEN,
     forward,
@@ -413,7 +417,7 @@ class TestEvaluate:
         assert len(lines) == 1 + 300
         # reference: the same values written row by row with csv.writer
         params, stats, _ = load_model(model)
-        _, raw_dm = prepare_cycle(cycle_file, DataSettings(soc0_percent=90.0))
+        raw_dm = prepare_cycle(cycle_file, DataSettings(soc0_percent=90.0))
         dm = apply_normalization(raw_dm, stats)
         predictions, _ = forward(params, dm.features)
         expected = io.StringIO()
@@ -434,7 +438,7 @@ class TestEvaluate:
             capsys, "generate", "--profile", "random", "--duration", "8193",
             "--sample-period-s", "1.0", "--seed", "3", "--out", str(data),
         )
-        _, raw_dm = prepare_cycle(data)
+        raw_dm = prepare_cycle(data)
         assert len(raw_dm) == 8194
         stats = fit_normalization(raw_dm)
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
@@ -507,6 +511,12 @@ class TestConfigValues:
         [
             ("jobs=abc", "config key jobs: bad value 'abc'"),
             ("beta1=0.9x", "config key beta1: bad value '0.9x'"),
+            ("invert_current=maybe", "config key invert_current: bad value 'maybe' "
+             "(--invert-current must be a boolean (true/false, yes/no, on/off, 1/0))"),
+            ("hidden=8,x", "config key hidden: bad value '8,x' "
+             "(--hidden must be comma-separated integers)"),
+            ("lr=sgd=fast", "config key lr: bad value 'sgd=fast' "
+             "(--lr must be one rate or optimizer=rate pairs)"),
         ],
     )
     def test_unconvertible_value_usage_error(
@@ -827,6 +837,32 @@ class TestCompare:
         assert text.splitlines()[3:] == [skipped]
         assert out == text + f"results: {tmp_path / 'r.csv'}\n"
 
+    @pytest.mark.parametrize("source", ["two-folders", "one-file-twice", "data-dir"])
+    def test_duplicate_cycle_names_refused_before_ingestion(
+        self, cycle_file, tmp_path, capsys, monkeypatch, source
+    ):
+        other = tmp_path / "other" / "mix.csv"
+        other.parent.mkdir()
+        other.write_bytes(cycle_file.read_bytes())
+
+        def never(*args, **kwargs):
+            raise AssertionError("prepare_cycle was called")
+
+        monkeypatch.setattr(harness, "prepare_cycle", never)
+        inputs, (first, second) = {
+            "two-folders": (["--data", cycle_file, other], (cycle_file, other)),
+            "one-file-twice": (["--data", cycle_file, cycle_file], (cycle_file,) * 2),
+            "data-dir": (["--data", other, "--data-dir", tmp_path], (other, cycle_file)),
+        }[source]
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(
+            capsys, "compare", *map(str, inputs), "--optimizers", "adamax",
+            "--epochs", "1", "--k", "2", "--hidden", "4", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: data files share the cycle name 'mix': {first}, {second}\n"
+        assert not out.exists()
+
     def test_no_datasets_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "compare", "--out", str(tmp_path / "r.csv"))
         assert (code, out) == (2, "")
@@ -872,7 +908,7 @@ class TestOutputPaths:
             started.append(args)
             raise AssertionError("work started before the output check")
 
-        for owner, name in [(harness, "ingest_csv"), (harness, "train"),
+        for owner, name in [(data_module, "ingest_csv"), (harness, "train"),
                             (cli, "train"), (cli, "load_model")]:
             monkeypatch.setattr(owner, name, refuse)
         argv = {
@@ -1059,6 +1095,19 @@ class TestSettingChecks:
                                "--config", str(cfg))
         assert code == 2
         assert err == f"error: {cfg}: not UTF-8 text\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["missing", "no-equals"])
+    def test_unusable_config_file(self, cycle_file, tmp_path, capsys, kind):
+        cfg = tmp_path / "run.cfg"
+        message = f"config file not found: {cfg}"
+        if kind == "no-equals":
+            cfg.write_text("# comment\nepochs 1\n", encoding="utf-8")
+            message = f"{cfg} line 2: expected key=value"
+        out = tmp_path / "m.json"
+        code, _, err = run_cli(capsys, *self.train_argv(cycle_file, out),
+                               "--config", str(cfg))
+        assert (code, err) == (2, f"error: {message}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config"])

@@ -1,12 +1,11 @@
 """Ingestion, Coulomb counting, moving averages, and normalization."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from socbench import (
     DataError,
+    DataSettings,
     IngestionError,
     InputError,
     SocSeries,
@@ -17,14 +16,9 @@ from socbench import (
     fit_normalization,
     ingest_csv,
     moving_average,
+    prepare_cycle,
 )
 from socbench.data import DesignMatrix, _ingest_rows, write_design_matrix_csv
-
-
-def column_bytes(records):
-    """Telemetry columns as bytes: equal only when equal bit for bit, so
-    -0.0 differs from 0.0, as it does not under np.array_equal."""
-    return [getattr(records, f.name).tobytes() for f in fields(records)]
 
 
 def records_from(times, currents, voltage=3.7, temperature=25.0):
@@ -57,7 +51,6 @@ class TestIngest:
         f = tmp_path / "cycle.csv"
         write_csv(f, ["0.0,4.2,1.0,25.0", "1.0,4.19,1.1,25.1", "2.0,4.18,1.2,25.2"])
         cycle = ingest_csv(f)
-        assert cycle.name == "cycle"
         assert len(cycle.records) == 3
         assert cycle.records.current_a[1] == 1.1
         assert cycle.capacity_ah is None
@@ -160,7 +153,7 @@ class TestIngest:
         f = tmp_path / "c.csv"
         f.write_bytes(content)
         with pytest.raises(IngestionError) as info:
-            ingest(f, False)
+            ingest(f)
         assert str(info.value) == f"{f}: not UTF-8 text: byte 0xff cannot be decoded"
 
     def test_header_only_file_has_no_data_rows(self, tmp_path):
@@ -169,27 +162,47 @@ class TestIngest:
         with pytest.raises(IngestionError, match="no data rows"):
             ingest_csv(f)
 
+
+class TestPrepareCycle:
     @pytest.mark.parametrize(
-        "rows",
-        [
-            ["1.0,4.1,-2.0,25.0", "0.0,4.2,-2.0,25.0"],  # one loadtxt call
-            ["1.0,4.1,-2.0,25.0", '"0.0",4.2,-2.0,25.0'],  # row by row
-        ],
+        "first",
+        ["1.0,4.1,-2.0,25.0", '"1.0",4.1,-2.0,25.0'],
+        ids=["one-call", "row-by-row"],
     )
-    def test_invert_current_on_both_paths(self, tmp_path, rows):
-        f = tmp_path / "c.csv"
-        write_csv(f, rows)
-        cycle = ingest_csv(f, invert_current=True)
-        assert column_bytes(cycle.records) == column_bytes(
-            Telemetry([0.0, 1.0], [4.2, 4.1], [2.0, 2.0], [25.0, 25.0])
-        )
-        assert cycle.capacity_ah is None
+    def test_invert_current_on_both_paths(self, tmp_path, first):
+        """A flipped file gives, bit for bit, what the file written with the
+        other sign gives, whichever parse read it."""
+        flipped, plain = tmp_path / "flipped.csv", tmp_path / "plain.csv"
+        write_csv(flipped, [first, "0.0,4.2,-2.5,25.0", "2.0,4.0,0.0,25.0"])
+        write_csv(plain, ["1.0,4.1,2.0,25.0", "0.0,4.2,2.5,25.0", "2.0,4.0,-0.0,25.0"])
+        inverted = prepare_cycle(flipped, DataSettings(invert_current=True))
+        expected = prepare_cycle(plain)
+        assert inverted.features.tobytes() == expected.features.tobytes()
+        assert inverted.targets.tobytes() == expected.targets.tobytes()
 
     def test_invert_current(self, tmp_path):
         f = tmp_path / "c.csv"
         write_csv(f, ["0.0,4.2,-2.0,25.0", "1.0,4.1,-2.0,25.0"])
-        cycle = ingest_csv(f, invert_current=True)
-        assert cycle.records.current_a[0] == 2.0
+        assert ingest_csv(f).records.current_a.tolist() == [-2.0, -2.0]
+        as_written = prepare_cycle(f, DataSettings(window=1))
+        flipped = prepare_cycle(f, DataSettings(window=1, invert_current=True))
+        assert as_written.features[:, 2].tolist() == [-2.0, -2.0]
+        assert flipped.features[:, 2].tolist() == [2.0, 2.0]
+
+    def test_capacity_column_overrides_the_setting(self, tmp_path):
+        f = tmp_path / "c.csv"
+        write_csv(
+            f,
+            ["0.0,4.2,1.0,25.0,1.45", "600.0,4.1,1.5,25.0,1.45",
+             "1200.0,4.0,2.0,25.0,1.45"],
+            header="time_s,voltage_v,current_a,temperature_c,capacity_ah",
+        )
+        dm = prepare_cycle(f, DataSettings(soc0_percent=90.0, capacity_ah=2.9))
+        records = ingest_csv(f).records
+        at_column = coulomb_count(records, 90.0, 1.45).soc_percent
+        at_setting = coulomb_count(records, 90.0, 2.9).soc_percent
+        assert dm.targets.tobytes() == at_column.tobytes()
+        assert dm.targets.tobytes() != at_setting.tobytes()
 
 
 class TestCoulombCount:

@@ -22,7 +22,6 @@ from socbench import (
     TrainingDivergedError,
     coulomb_count,
     build_design_matrix,
-    cross_validate,
     generate_cycle,
     make_folds,
     mlp_specs,
@@ -36,6 +35,7 @@ from socbench.harness import (
     _one_blas_thread,
     _openblas_thread_api,
     chronological_split,
+    cross_validate,
     format_results_table,
     write_results_csv,
     write_training_log_csv,
@@ -201,7 +201,7 @@ class TestTrain:
 
     def test_empty_training_set_rejected(self):
         dm = DesignMatrix(np.empty((0, 4)), np.empty(0))
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^training set is empty$"):
             train(mlp_specs(4, []), dm, Hyperparameters(eta=0.01), Algorithm.SGD)
 
 
@@ -373,9 +373,9 @@ class TestRunComparison:
         report = run_comparison([small_cycle_files[0]], [Algorithm.ADAMAX], h, k=2,
                                 learning_rates={Algorithm.ADAMAX: 0.05},
                                 layer_specs=specs)
-        name, raw_dm = harness.prepare_cycle(small_cycle_files[0])
+        raw_dm = harness.prepare_cycle(small_cycle_files[0])
         result, logs = harness.run_single_experiment(
-            name, raw_dm, specs, replace(h, eta=0.05), Algorithm.ADAMAX, k=2
+            "mix_a", raw_dm, specs, replace(h, eta=0.05), Algorithm.ADAMAX, k=2
         )
         (expected,) = report.results
         assert replace(result, seconds=0.0) == replace(expected, seconds=0.0)

@@ -173,6 +173,17 @@ class TestValidation:
             SyntheticCellParams(ocv_v_min=4.2, ocv_v_max=3.0)
         with pytest.raises(ConfigError):
             SyntheticCellParams(sample_period_s=0.0)
+        with pytest.raises(ConfigError, match="r_internal_ohm must be >= 0"):
+            SyntheticCellParams(r_internal_ohm=-0.01)
+        for thermal in ({"heating_k_per_w": -1.0}, {"cooling_rate_per_s": -1.0}):
+            with pytest.raises(ConfigError, match="thermal coefficients must be >= 0"):
+                SyntheticCellParams(**thermal)
+
+    @pytest.mark.parametrize("amplitude", [float("inf"), float("nan")])
+    def test_non_finite_current(self, amplitude):
+        with pytest.raises(ConfigError, match="current must be finite"):
+            generate_cycle(SyntheticCellParams(), Profile.CONSTANT_DISCHARGE,
+                           duration_s=10.0, seed=1, amplitude_a=amplitude)
 
     def test_bad_soc0(self):
         with pytest.raises(ConfigError):
