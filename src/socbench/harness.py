@@ -14,7 +14,6 @@ import ctypes
 import threading
 import time
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -293,8 +292,8 @@ def _run_pairs(
     fold_mode: FoldMode,
     jobs: int,
 ) -> tuple[list[ExperimentResult], dict[tuple[str, str, str], TrainingLog]]:
-    """Every training run of every (cycle, optimizer) pair on ``jobs``
-    threads: per pair, runs ``fold0`` ... ``fold{k-1}``, then ``final``.
+    """Every training run of every (cycle, optimizer) pair in ``jobs``
+    processes: per pair, runs ``fold0`` ... ``fold{k-1}``, then ``final``.
     Returns each pair's result in task order (the final fit's test scores,
     seconds summed over its runs) and each run's log by (cycle, optimizer,
     run). No run changes the split; a fold builds its subsets as it starts.
@@ -420,7 +419,7 @@ def _one_blas_thread():
 
 def _timed(name: str, run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
     """``run``'s outcome and wall time; an error it raises is prefixed with
-    the run's ``name`` (``cycle/optimizer/run``) on the thread that ran it."""
+    the run's ``name`` (``cycle/optimizer/run``) in the process that ran it."""
     started = time.perf_counter()
     try:
         outcome = run()
@@ -430,21 +429,67 @@ def _timed(name: str, run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]
     return outcome, time.perf_counter() - started
 
 
-def _run_all(
-    runs: list[tuple[str, Callable[[], RunOutcome]]], jobs: int
-) -> list[tuple[RunOutcome, float]]:
-    """Every named run with its wall time, in task order, on ``jobs`` threads.
+NamedRuns = list[tuple[str, Callable[[], RunOutcome]]]
+
+_worker_runs: NamedRuns = []  # in a pool worker: the runs it inherited
+
+
+def _adopt_runs(runs: NamedRuns) -> None:
+    """Pool worker initializer: keep the runs handed over by the fork."""
+    global _worker_runs
+    _worker_runs = runs
+
+
+def _run_adopted(index: int) -> tuple[RunOutcome, float]:
+    """In a pool worker: ``_timed`` on the inherited run at ``index``."""
+    return _timed(*_worker_runs[index])
+
+
+def _run_all(runs: NamedRuns, jobs: int) -> list[tuple[RunOutcome, float]]:
+    """Every named run with its wall time, in task order, in ``jobs``
+    worker processes (in this one when ``jobs`` is 1).
+
+    The workers are forked, so each inherits the runs, their data and the
+    one-thread pin: only a task index goes to a worker, and only the
+    outcome, the wall time or the error comes back. ``forkserver`` would
+    instead re-import socbench and numpy in every worker, pickle every run
+    with its data, and miss what this process patched (as tests do). All
+    workers are forked before the pool starts its own thread, and
+    OpenBLAS's at-fork handler stops its threads; a library caller that
+    runs other threads takes the usual ``fork`` risk for them.
 
     Results are read in task order, so the error raised is that of the
     earliest failing run, as in a serial loop; runs still queued then are
-    cancelled. OpenBLAS is pinned to one thread throughout, so every run
-    computes the same bits whatever ``jobs`` is.
+    cancelled. A worker that dies (killed, out of memory) is a
+    SocBenchError naming the run being awaited. The pool is joined before
+    this returns, so no worker outlives it. OpenBLAS is pinned to one
+    thread throughout, so every run computes the same bits whatever
+    ``jobs`` is.
     """
     with _one_blas_thread():
         if jobs == 1:
             return [_timed(name, run) for name, run in runs]
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_timed, *zip(*runs)))
+        # imported here: a serial run does not pay for the process pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(runs)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_runs,
+            initargs=(runs,),
+        ) as pool:
+            results = []
+            try:
+                for result in pool.map(_run_adopted, range(len(runs))):
+                    results.append(result)
+            except BrokenProcessPool as exc:
+                awaited, _ = runs[len(results)]
+                raise SocBenchError(
+                    f"{awaited}: worker process ended unexpectedly"
+                ) from exc
+            return results
 
 
 def run_comparison(
@@ -465,10 +510,11 @@ def run_comparison(
     skipped and recorded in the report; when every cycle fails, that is an
     IngestionError naming each one and its reason. The unit of work is one
     named training run (a fold or a final fit); with ``jobs > 1`` the runs
-    go to a thread pool. OpenBLAS is pinned to one thread while the runs
-    go, whatever ``jobs`` is, and restored after. Results come back sorted
-    by (cycle, optimizer) regardless of scheduling, and are bit-identical
-    for a fixed seed and any ``jobs``.
+    go to a pool of forked worker processes, joined before this returns
+    (see ``_run_all``). OpenBLAS is pinned to one thread while the runs go,
+    whatever ``jobs`` is, and restored after; the workers inherit the pin.
+    Results come back sorted by (cycle, optimizer) regardless of
+    scheduling, and are bit-identical for a fixed seed and any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")

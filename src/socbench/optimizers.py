@@ -29,10 +29,8 @@ Two things set the block size:
 - Adam's six block arrays (parameters, gradient, two slots, two scratch
   arrays) take 768 KiB at 16384 elements, so a block stays in a 2 MiB L2
   cache across the rule's operations.
-- Each numpy call on a block releases and retakes the GIL. Under
-  ``compare --jobs 2`` the two workers hand it to each other at every
-  call, so smaller blocks cost more: at 8192 elements the benchmark's
-  two-worker compare ran slower than whole-vector steps.
+- Each numpy call on a block has a fixed cost, so a smaller block pays
+  it more often per step.
 
 Every operation is elementwise IEEE arithmetic, in the same order as in
 the whole-vector form, so the result is the same bit for bit whatever the

@@ -1,5 +1,7 @@
 """Fixtures shared by the whole suite."""
 
+import os
+
 import pytest
 
 from socbench.harness import _openblas_thread_api
@@ -36,3 +38,35 @@ def blas_threads():
         yield get_threads
     finally:
         set_threads(before)
+
+
+class CallRecord:
+    """Integers recorded by a patched function, in this process or in a
+    forked pool worker: each call appends its pid and value to a file,
+    which every process reaches, as one line."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def add(self, value: int) -> None:
+        with self.path.open("a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()} {value}\n")
+
+    def entries(self) -> list[tuple[int, int]]:
+        """(pid, value) of every call so far, in the order they were added."""
+        if not self.path.exists():
+            return []
+        lines = self.path.read_text(encoding="utf-8").splitlines()
+        return [tuple(int(word) for word in line.split()) for line in lines]
+
+    def values(self) -> list[int]:
+        return [value for _, value in self.entries()]
+
+    def clear(self) -> None:
+        self.path.unlink(missing_ok=True)
+
+
+@pytest.fixture()
+def calls(tmp_path):
+    """A CallRecord in a file of the test's own."""
+    return CallRecord(tmp_path / "calls.txt")

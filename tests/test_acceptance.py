@@ -2,9 +2,10 @@
 
 Criteria 7-9 share a desk-scale benchmark: a seeded 10,000-sample random-mix
 cycle (1 s sampling, ambient 25 C) compared across SGD, RMSProp and Adamax
-with per-optimizer learning rates, run twice through the real CLI so the
-second run doubles as the byte-determinism probe. Run with ``-s`` to see one
-PASS line per criterion.
+with per-optimizer learning rates, run twice through the real CLI: serially,
+then with ``--jobs 2`` in worker processes, so the second run doubles as the
+byte-determinism probe across both. Run with ``-s`` to see one PASS line per
+criterion.
 """
 
 import math
@@ -212,7 +213,8 @@ COMPARE_ARGS = [
 
 @pytest.fixture(scope="module")
 def benchmark_runs(tmp_path_factory):
-    """Generate the 10,000-sample cycle, then run compare twice via the CLI."""
+    """Generate the 10,000-sample cycle, then run compare via the CLI at
+    ``--jobs 1`` and at ``--jobs 2``."""
     root = tmp_path_factory.mktemp("acceptance")
     cycle_csv = root / "mix10k.csv"
     code = cli_main([
@@ -224,14 +226,14 @@ def benchmark_runs(tmp_path_factory):
     assert sum(1 for _ in open(cycle_csv)) == 10_001  # header + 10,000 samples
 
     runs = []
-    for tag in ("first", "second"):
+    for tag, jobs in (("first", "1"), ("second", "2")):
         out_csv = root / f"results_{tag}.csv"
         table_txt = root / f"table_{tag}.txt"
         logs_dir = root / f"logs_{tag}"
         code = cli_main([
             "compare", "--data", str(cycle_csv),
             "--out", str(out_csv), "--out-table", str(table_txt),
-            "--logs-dir", str(logs_dir), *COMPARE_ARGS,
+            "--logs-dir", str(logs_dir), *COMPARE_ARGS, "--jobs", jobs,
         ])
         assert code == 0
         runs.append({"csv": out_csv, "table": table_txt, "logs": logs_dir})
@@ -288,4 +290,4 @@ def test_criterion_9_byte_identical_repeat(benchmark_runs):
     for log in sorted(p.name for p in first["logs"].glob("*.csv")):
         assert (first["logs"] / log).read_bytes() == \
             (second["logs"] / log).read_bytes()
-    report(9, "byte-identical repeat of compare")
+    report(9, "byte-identical repeat of compare at --jobs 2")

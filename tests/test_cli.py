@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import multiprocessing
 import os
 import re
 import subprocess
@@ -748,6 +749,53 @@ class TestCompare:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][0] == 3
         assert "mix/sgd/fold0: training diverged" in outcomes[0][1]
+
+    def test_jobs_train_in_worker_processes_that_end_with_the_command(
+        self, cycle_file, tmp_path, capsys, monkeypatch, blas_threads, calls
+    ):
+        real_train = harness.train
+
+        def train_and_record(*args, **kwargs):
+            calls.add(blas_threads())  # in whichever process runs it
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", train_and_record)
+        base = ["compare", "--data", str(cycle_file), "--optimizers", "adamax,sgd",
+                "--epochs", "1", "--k", "2", "--hidden", "8", "--soc0", "90",
+                "--out", str(tmp_path / "r.csv"), "--jobs", "2"]
+        for lr, exit_code in (("adamax=0.05,sgd=0.001", 0), ("adamax=0.05,sgd=1e6", 3)):
+            calls.clear()
+            code, _, _ = run_cli(capsys, *base, "--lr", lr)
+            assert code == exit_code
+            pids = {pid for pid, _ in calls.entries()}
+            assert os.getpid() not in pids and 1 <= len(pids) <= 2
+            assert set(calls.values()) == {1}
+            assert multiprocessing.active_children() == []
+            assert blas_threads() == 2
+            if code == 0:  # 2 optimizers x (2 folds + final fit)
+                assert len(calls.values()) == 2 * 3
+
+    def test_dead_worker_is_one_error_line_naming_the_awaited_run(
+        self, cycle_file, tmp_path, capsys, monkeypatch
+    ):
+        caller = os.getpid()
+        real_train = harness.train
+
+        def die_in_worker(*args, **kwargs):
+            if os.getpid() != caller:
+                os._exit(1)  # as a worker killed by a signal or out of memory
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", die_in_worker)
+        code, out, err = run_cli(
+            capsys, "compare", "--data", str(cycle_file), "--optimizers", "sgd",
+            "--epochs", "1", "--k", "2", "--hidden", "8", "--soc0", "90",
+            "--out", str(tmp_path / "r.csv"), "--jobs", "2",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: mix/sgd/fold0: worker process ended unexpectedly\n"
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "r.csv").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("jobs", ["1", "2"])

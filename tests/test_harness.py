@@ -418,16 +418,16 @@ class TestRunComparison:
             assert values(run_comparison(small_cycle_files, jobs=jobs, **kwargs)) == serial
 
     def test_parallel_failure_is_earliest_in_task_order_and_cancels_the_rest(
-        self, small_cycle_files, monkeypatch
+        self, small_cycle_files, monkeypatch, calls
     ):
         # fold 1 (seed 1) of every pair fails at once while the runs before
         # it are still training, so the first failure in time is not the
-        # first in task order
-        started = []
+        # first in task order; every run that starts, in any worker,
+        # records its seed
         real_train = harness.train
 
         def train_or_fail(layer_specs, train_dm, h, algorithm, val_dm=None):
-            started.append(h.seed)
+            calls.add(h.seed)
             if h.seed == 1:
                 raise TrainingDivergedError("training diverged")
             time.sleep(0.2)
@@ -443,29 +443,28 @@ class TestRunComparison:
         )
         errors = []
         for jobs in (1, 2):
-            started.clear()
+            calls.clear()
             with pytest.raises(TrainingDivergedError) as caught:
                 run_comparison(small_cycle_files, jobs=jobs, **kwargs)
             errors.append(str(caught.value))
         assert errors[0] == errors[1]
         assert errors[0].startswith("mix_a/sgd/fold1: training diverged")
         # 2 cycles x 2 optimizers x (2 folds + final fit) runs were queued
-        assert len(started) < 12
+        assert len(calls.values()) < 12
 
     def test_openblas_thread_api_is_looked_up_once(self):
         assert _openblas_thread_api() is _openblas_thread_api()
         assert _openblas_thread_api.cache_info().hits >= 1
 
     def test_blas_pinned_to_one_thread_for_any_jobs_and_restored(
-        self, small_cycle_files, monkeypatch, blas_threads
+        self, small_cycle_files, monkeypatch, blas_threads, calls
     ):
         get_threads = blas_threads
         before = get_threads()
-        seen = []
         real_train = harness.train
 
         def train_and_record(*args, **kwargs):
-            seen.append(get_threads())
+            calls.add(get_threads())  # in whichever process runs it
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(harness, "train", train_and_record)
@@ -477,8 +476,9 @@ class TestRunComparison:
             layer_specs=mlp_specs(4, SMALL_NET),
         )
         for jobs in (1, 2):
-            seen.clear()
+            calls.clear()
             run_comparison(small_cycle_files, jobs=jobs, **kwargs)
+            seen = calls.values()
             assert len(seen) == 2 * 3 and set(seen) == {1}
             assert get_threads() == before
             with pytest.raises(TrainingDivergedError):
@@ -487,14 +487,13 @@ class TestRunComparison:
             assert get_threads() == before
 
     def test_every_scoring_pass_runs_on_one_blas_thread(
-        self, small_cycle_files, monkeypatch, blas_threads
+        self, small_cycle_files, monkeypatch, blas_threads, calls
     ):
         get_threads = blas_threads
-        seen = []
         real_predict = harness.predict
 
         def predict_and_record(*args, **kwargs):
-            seen.append(get_threads())
+            calls.add(get_threads())  # in whichever process runs it
             return real_predict(*args, **kwargs)
 
         monkeypatch.setattr(harness, "predict", predict_and_record)
@@ -506,8 +505,9 @@ class TestRunComparison:
             layer_specs=mlp_specs(4, SMALL_NET),
         )
         for jobs in (1, 2):
-            seen.clear()
+            calls.clear()
             run_comparison(small_cycle_files, jobs=jobs, **kwargs)
+            seen = calls.values()
             # per cycle: 2 folds x 3 epochs x (train + validation) passes,
             # then the final fit's 3 train passes and its test pass
             assert len(seen) == 2 * (2 * 3 * 2 + 3 + 1)
