@@ -24,7 +24,6 @@ from .errors import (
     DataError,
     IngestionError,
     InputError,
-    InternalError,
     ModelMismatchError,
     NumericError,
     SocBenchError,

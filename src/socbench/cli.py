@@ -100,13 +100,14 @@ def _parse_hidden(text: str) -> list[int]:
         raise ValueError("must be comma-separated integers") from None
 
 
-def _parse_lr_spec(text: str) -> float | dict[Algorithm, float]:
-    """Either one float for every optimizer or ``alg=lr`` pairs.
+def _parse_lr_spec(text: str) -> dict[Algorithm, float]:
+    """Each optimizer's rate, from one rate for every optimizer or from
+    ``alg=lr`` pairs.
 
     Examples: ``0.01`` or ``sgd=0.001,adamax=0.05``.
     """
     if "=" not in text:
-        return _float(text)
+        return dict.fromkeys(Algorithm, _float(text))
     pairs = (part.partition("=") for part in text.split(",") if part.strip())
     try:
         return {_parse_optimizer(name): _float(value) for name, _, value in pairs}
@@ -383,10 +384,6 @@ def cmd_evaluate(cfg: dict) -> int:
     data = _data_settings(cfg)
     _check_outputs(cfg, "predictions")
     params, stats, _seed = load_model(cfg["model"])
-    if params.specs[-1].output_dim != 1:
-        raise ModelMismatchError(
-            f"model has {params.specs[-1].output_dim} outputs, evaluate needs 1"
-        )
     raw_dm = battery_data.prepare_cycle(cfg["data"], data)
     if params.specs[0].input_dim != raw_dm.features.shape[1]:
         raise ModelMismatchError(
@@ -425,13 +422,11 @@ def cmd_compare(cfg: dict) -> int:
     if not paths:
         raise ConfigError("no datasets: pass --data and/or --data-dir")
 
-    lr = cfg["lr"]
-    eta = lr if isinstance(lr, float) else None
-    rates = lr if isinstance(lr, dict) else None
-    h = _hyperparameters(cfg, eta)
+    rates = cfg["lr"] or {}
+    h = _hyperparameters(cfg, None)
     data = _data_settings(cfg)
     for alg in cfg["optimizers"]:
-        _warn_zero_lr(rates[alg] if rates and alg in rates else h.resolve_eta(alg))
+        _warn_zero_lr(rates.get(alg, h.resolve_eta(alg)))
     _check_outputs(cfg, "out", "out_table", directory="logs_dir")
 
     report = run_comparison(

@@ -402,14 +402,21 @@ def fit_normalization(dm: DesignMatrix) -> NormalizationStats:
 
 
 def apply_normalization(dm: DesignMatrix, stats: NormalizationStats) -> DesignMatrix:
+    """``dm``'s rows z-scored with ``stats``. A feature that overflows
+    float64 on the way (a huge current against statistics fit on other
+    rows) is rejected by name, so every caller gets finite features."""
     if dm.features.shape[1] != stats.means.shape[0]:
         raise InputError(
             f"{dm.features.shape[1]} features but stats cover {stats.means.shape[0]}"
         )
-    return DesignMatrix(
-        features=(dm.features - stats.means) / stats.stds,
-        targets=dm.targets.copy(),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        features = (dm.features - stats.means) / stats.stds
+    finite = np.isfinite(features).all(axis=0)
+    overflowed = [name for name, ok in zip(FEATURE_NAMES, finite) if not ok]
+    if overflowed:
+        raise DataError(f"normalized feature(s) {overflowed} overflow float64 "
+                        "(currents too large?)")
+    return DesignMatrix(features=features, targets=dm.targets.copy())
 
 
 def write_design_matrix_csv(dm: DesignMatrix, path: str | Path) -> None:

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all socbench modules.
 
 Each class declares the CLI exit code it ends in, so raising the right
-class matters more than the message text.
+class matters more than the message text. A rule is checked once, by the
+code that makes the value (``apply_normalization``, ``load_model``), not
+again where the value is used; a broken precondition is an InputError.
 """
 
 
@@ -50,8 +52,3 @@ class ModelMismatchError(SocBenchError):
     """A stored model is incompatible with the data it was applied to."""
 
     exit_code = 4
-
-
-class InternalError(SocBenchError):
-    """Inconsistent internal state, e.g. a forward cache that does not
-    belong to the parameters handed to backward()."""

@@ -254,17 +254,17 @@ def score(
     The predictions come from ``predict``, blocked end to end unless
     ``like_forward`` (see there).
 
-    Finite rows can still overflow float64 on the way (huge currents), so a
-    non-finite normalized feature, prediction or score is a DataError.
+    Finite features can still overflow float64 on the way (huge currents):
+    ``apply_normalization`` rejects a non-finite normalized feature, and a
+    non-finite prediction or score is a DataError here.
     """
+    dm = raw_dm if stats is None else apply_normalization(raw_dm, stats)
     with np.errstate(over="ignore", invalid="ignore"):
-        dm = raw_dm if stats is None else apply_normalization(raw_dm, stats)
-        if np.isfinite(dm.features).all():
-            predictions = predict(params, dm.features, like_forward=like_forward)
-            mae = loss_mae(predictions, dm.targets)
-            mse = loss_mse(predictions, dm.targets)
-            if np.isfinite(predictions).all() and np.isfinite([mae, mse]).all():
-                return predictions, mae, mse
+        predictions = predict(params, dm.features, like_forward=like_forward)
+        mae = loss_mae(predictions, dm.targets)
+        mse = loss_mse(predictions, dm.targets)
+    if np.isfinite(predictions).all() and np.isfinite([mae, mse]).all():
+        return predictions, mae, mse
     raise DataError("non-finite predictions or scores (currents too large?)")
 
 

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import NormalizationStats
-from .errors import ConfigError, InputError, InternalError, ModelMismatchError
+from .errors import ConfigError, InputError, ModelMismatchError
 
 
 class Activation(Enum):
@@ -52,8 +52,8 @@ def validate_layer_chain(specs: list[LayerSpec]) -> None:
             )
 
 
-def mlp_specs(input_dim: int, hidden: list[int], output_dim: int = 1) -> list[LayerSpec]:
-    """ReLU hidden layers plus a linear output layer.
+def mlp_specs(input_dim: int, hidden: list[int]) -> list[LayerSpec]:
+    """ReLU hidden layers plus a linear single-unit output layer.
 
     ``hidden=[]`` yields a plain linear model.
     """
@@ -61,7 +61,7 @@ def mlp_specs(input_dim: int, hidden: list[int], output_dim: int = 1) -> list[La
     specs = [
         LayerSpec(dims[i], dims[i + 1], Activation.RELU) for i in range(len(hidden))
     ]
-    specs.append(LayerSpec(dims[-1], output_dim, Activation.IDENTITY))
+    specs.append(LayerSpec(dims[-1], 1, Activation.IDENTITY))
     return specs
 
 
@@ -115,9 +115,10 @@ class NetworkParameters:
 
 @dataclass
 class ForwardCache:
-    """Intermediates of one forward pass, consumed by backward(): the input
-    batch and each layer's output, one array per layer."""
+    """Intermediates of one forward pass, consumed by backward(): its
+    parameters, input batch and each layer's output (one array per layer)."""
 
+    params: NetworkParameters
     inputs: np.ndarray
     post_activations: list[np.ndarray] = field(default_factory=list)
 
@@ -167,14 +168,15 @@ def forward(
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a (n, input_dim) batch.
 
-    Returns predictions of shape (n,) and the cache backward() needs.
-    The output layer must have a single unit. Each layer is computed in
-    place in one fresh array, with the same values, element for element,
-    as ``np.maximum(a @ W.T + b, 0.0)`` (ReLU) or ``a @ W.T + b`` (linear).
-    Scoring, which needs no cache, goes through predict().
+    Returns predictions of shape (n,) and the cache backward() needs,
+    which holds ``params`` itself. The output layer must have a single
+    unit. Each layer is computed in place in one fresh array, with the same
+    values, element for element, as ``np.maximum(a @ W.T + b, 0.0)`` (ReLU)
+    or ``a @ W.T + b`` (linear). Scoring, which needs no cache, goes
+    through predict().
     """
     x = _checked_batch(params, batch)
-    cache = ForwardCache(inputs=x)
+    cache = ForwardCache(params, x)
     a = x
     for spec, w, b in zip(params.specs, params.weights, params.biases, strict=True):
         a = a @ w.T
@@ -194,8 +196,9 @@ def predict(
     Each block of SCORE_ROWS rows, the last block taking the remainder,
     runs through every layer into one (n, 1) result, so a pass holds that
     result plus about two blocks (1 MB each for the default network)
-    whatever n is. The bits do not depend on the OpenBLAS thread count,
-    and they equal ``forward(params, batch)[0]`` computed on one thread.
+    whatever n is. On one thread the bits equal ``forward(params,
+    batch)[0]``. At more threads they stay the same on OpenBLAS's SkylakeX
+    kernel, but not under ``OPENBLAS_CORETYPE=Haswell``.
     No block is shorter than SCORE_ROWS rows unless n is: a 1-4 row block
     takes a different GEMM path and rounds differently from the same rows
     inside a large product.
@@ -203,7 +206,7 @@ def predict(
     ``like_forward=True`` keeps the output layer as one product over all n
     rows, so the last hidden layer writes its blocks into one (n, width)
     array, and the result equals ``forward(params, batch)[0]`` at any
-    thread count. A (n, width) @ (width, 1) product runs through
+    thread count (on SkylakeX). A (n, width) @ (width, 1) product runs through
     OpenBLAS's threaded matrix-vector kernel, which splits the rows between
     its threads, and rows at the end of a thread's range round
     differently; so at more than one thread a few predictions differ from
@@ -265,18 +268,11 @@ def backward(
 
     The ReLU subgradient at exactly zero is taken as 0. For ReLU, z > 0
     exactly where max(z, 0) > 0, so the mask comes from the cached layer
-    output. The cache must come from a forward() call on these parameters
-    with the batch the targets belong to.
+    output. The cache must come from a forward() call on this very
+    ``params`` object (else InputError) with the targets' batch.
     """
-    n_layers = len(params.specs)
-    if (
-        len(cache.post_activations) != n_layers
-        or cache.inputs.shape[1] != params.specs[0].input_dim
-    ):
-        raise InternalError("forward cache does not match network parameters")
-    for a, w in zip(cache.post_activations, params.weights, strict=True):
-        if a.shape[1] != w.shape[0]:
-            raise InternalError("forward cache does not match network parameters")
+    if cache.params is not params:
+        raise InputError("forward cache does not come from these network parameters")
 
     t = np.asarray(targets, dtype=np.float64)
     n = cache.inputs.shape[0]
@@ -288,7 +284,7 @@ def backward(
     delta = ((2.0 / n) * (predictions - t))[:, None]
 
     grads = NetworkParameters(params.specs, np.empty_like(params.flat))
-    for layer in range(n_layers - 1, -1, -1):
+    for layer in range(len(params.specs) - 1, -1, -1):
         a_prev = cache.inputs if layer == 0 else cache.post_activations[layer - 1]
         np.matmul(delta.T, a_prev, out=grads.weights[layer])
         delta.sum(axis=0, out=grads.biases[layer])
@@ -352,8 +348,8 @@ def load_model(path: str | Path):
     """Returns (params, normalization_stats_or_None, seed).
 
     Any file that is not a model this module could have saved, from broken
-    JSON to arrays that do not fit ``layer_specs``, raises
-    ModelMismatchError.
+    JSON and an output layer of more than one unit to arrays that do not
+    fit ``layer_specs``, raises ModelMismatchError.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -364,6 +360,11 @@ def load_model(path: str | Path):
             for s in doc["layer_specs"]
         ]
         validate_layer_chain(specs)
+        if specs[-1].output_dim != 1:
+            raise ModelMismatchError(
+                f"model file {path}: output layer has {specs[-1].output_dim} "
+                "units, not 1"
+            )
         weights = [_json_numbers(w) for w in doc["weights"]]
         biases = [_json_numbers(b) for b in doc["biases"]]
         seed = _json_int(doc["seed"])

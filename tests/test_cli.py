@@ -24,6 +24,8 @@ from socbench.data import (
 )
 from socbench.network import (
     DEFAULT_HIDDEN,
+    Activation,
+    LayerSpec,
     forward,
     init_network,
     load_model,
@@ -480,13 +482,15 @@ class TestEvaluate:
 
     def test_model_with_two_outputs_exit_4(self, cycle_file, tmp_path, capsys):
         model = tmp_path / "m.json"
-        save_model(model, init_network(mlp_specs(4, [4], output_dim=2), seed=0))
-        code, _, err = run_cli(
+        specs = [LayerSpec(4, 4, Activation.RELU), LayerSpec(4, 2, Activation.IDENTITY)]
+        save_model(model, init_network(specs, seed=0))
+        code, out, err = run_cli(
             capsys, "evaluate", "--model", str(model), "--data", str(cycle_file),
             "--soc0", "90",
         )
         assert code == 4
-        assert "model has 2 outputs, evaluate needs 1" in err
+        assert err == f"error: model file {model}: output layer has 2 units, not 1\n"
+        assert out == ""
 
     def test_normalization_length_mismatch_exit_4(self, cycle_file, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -569,8 +573,11 @@ class TestConfigValues:
             ("adam=nan", "learning rate must be finite, got nan"),
             ("adam=-5", "learning rate must be >= 0, got -5.0"),
             ("rmsprop=nan", "learning rate must be finite, got nan"),
+            ("nan", "learning rate must be finite, got nan"),
+            ("-5", "learning rate must be >= 0, got -5.0"),
         ],
-        ids=["unlisted-nan", "unlisted-negative", "listed-nan"],
+        ids=["unlisted-nan", "unlisted-negative", "listed-nan", "one-nan",
+             "one-negative"],
     )
     @pytest.mark.parametrize("cycle_ok", [True, False], ids=["ingests", "fails"])
     def test_every_lr_rate_checked_before_ingestion(
@@ -700,6 +707,23 @@ class TestCompare:
                 capsys, "compare", "--data", str(cycle_file),
                 "--optimizers", "adamax", "--lr", "0.05", "--epochs", "2",
                 "--k", "2", "--hidden", "8", "--seed", "1", "--soc0", "90",
+                "--out", str(out), "--omit-timing",
+            )
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
+    def test_one_rate_is_every_optimizers_rate(self, cycle_file, tmp_path, capsys):
+        assert cli._parse_lr_spec("0.001") == {
+            algorithm: 0.001 for algorithm in cli.Algorithm
+        }
+        outs = []
+        for rate in ("0.001", "sgd=0.001,adamax=0.001"):
+            out = tmp_path / f"{len(outs)}.csv"
+            code, _, _ = run_cli(
+                capsys, "compare", "--data", str(cycle_file),
+                "--optimizers", "sgd,adamax", "--lr", rate, "--epochs", "1",
+                "--k", "2", "--hidden", "4", "--seed", "1", "--soc0", "90",
                 "--out", str(out), "--omit-timing",
             )
             assert code == 0
@@ -1044,6 +1068,30 @@ class TestHugeCurrents:
         assert proc.stdout == ""
         assert not (tmp_path / "comparison_results.csv").exists()
 
+    @pytest.mark.parametrize("seed", ["3", "5"])
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_compare_exits_1_when_fold_validation_rows_overflow(
+        self, tmp_path, jobs, seed
+    ):
+        # at these seeds row 100's huge current is a validation row of fold0:
+        # the fold's statistics, fit without it, are finite, and the row
+        # overflows only when it is normalized with them
+        cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                               Profile.PULSE_TRAIN, 599.0, seed=1, amplitude_a=1.0)
+        cycle.records.current_a[100] = 1e308
+        path = tmp_path / "p.csv"
+        write_cycle_csv(cycle.records, path)
+        proc = self.run(tmp_path, "compare", "--data", str(path), "--optimizers",
+                        "sgd", "--hidden", "2", "--epochs", "1", "--k", "2",
+                        "--window", "1", "--seed", seed, "--jobs", jobs)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "error: p/sgd/fold0: normalized feature(s) ['i_avg'] overflow "
+            "float64 (currents too large?)\n"
+        )
+        assert proc.stdout == ""
+        assert not (tmp_path / "comparison_results.csv").exists()
+
     def test_evaluate_exits_1_before_writing_predictions(
         self, tmp_path, huge_cycle, cycle_file, capsys
     ):
@@ -1091,7 +1139,8 @@ class TestHugeCurrents:
                         str(path), "--window", "1", "--predictions", str(preds))
         assert proc.returncode == 1
         assert proc.stderr == (
-            "error: non-finite predictions or scores (currents too large?)\n"
+            "error: normalized feature(s) ['i_avg'] overflow float64 "
+            "(currents too large?)\n"
         )
         assert proc.stdout == ""
         assert not preds.exists()

@@ -18,7 +18,12 @@ from socbench import (
     moving_average,
     prepare_cycle,
 )
-from socbench.data import DesignMatrix, _ingest_rows, write_design_matrix_csv
+from socbench.data import (
+    DesignMatrix,
+    NormalizationStats,
+    _ingest_rows,
+    write_design_matrix_csv,
+)
 
 
 def records_from(times, currents, voltage=3.7, temperature=25.0):
@@ -213,6 +218,14 @@ class TestCoulombCount:
         assert soc.soc_percent[-1] == pytest.approx(50.0, abs=1e-9)
         assert soc.soc_percent[0] == 100.0
 
+    def test_empty_cell_at_start_is_a_valid_soc0(self):
+        # a cycle may start at 0 % and charge; only SOC outside [0, 100] is
+        # rejected
+        assert DataSettings(soc0_percent=0.0).soc0_percent == 0.0
+        times = np.arange(0.0, 3.0)
+        soc = coulomb_count(records_from(times, np.zeros(3)), 0.0, 2.9)
+        np.testing.assert_array_equal(soc.soc_percent, 0.0)
+
     def test_zero_current_constant_soc(self):
         times = np.arange(0.0, 100.0, 1.0)
         soc = coulomb_count(records_from(times, np.zeros(times.size)), 80.0, 2.9)
@@ -375,6 +388,22 @@ class TestNormalization:
         with pytest.raises(DataError, match=r"\['i_avg'\] overflow float64"):
             fit_normalization(DesignMatrix(features, np.zeros(4)))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_normalized_features_overflowing_float64_rejected_by_name(self):
+        # finite rows and finite statistics; v_avg overflows in the
+        # subtraction and t_avg in the division
+        features = np.ones((3, 4))
+        features[1, 1] = 1e308
+        features[2, 3] = 1e300
+        stats = NormalizationStats(means=np.array([0.0, -1e308, 0.0, 0.0]),
+                                   stds=np.array([1.0, 1.0, 1.0, 1e-10]))
+        with pytest.raises(DataError) as info:
+            apply_normalization(DesignMatrix(features, np.zeros(3)), stats)
+        assert str(info.value) == (
+            "normalized feature(s) ['v_avg', 't_avg'] overflow float64 "
+            "(currents too large?)"
+        )
+
     def test_worked_example(self):
         dm = DesignMatrix(
             features=np.array([[2.0, 0.0, 1.0, 5.0],
@@ -429,6 +458,12 @@ class TestNormalization:
         dm = DesignMatrix(np.ones((1, 4)), np.ones(1))
         with pytest.raises(InputError):
             fit_normalization(dm)
+
+    def test_two_rows_are_enough(self):
+        stats = fit_normalization(DesignMatrix(np.array([[1.0] * 4, [3.0] * 4]),
+                                               np.zeros(2)))
+        np.testing.assert_array_equal(stats.means, 2.0)
+        np.testing.assert_array_equal(stats.stds, 1.0)
 
     def test_stats_of_another_width_rejected(self):
         rng = np.random.default_rng(13)

@@ -10,7 +10,6 @@ import pytest
 from socbench import (
     Activation,
     InputError,
-    InternalError,
     LayerSpec,
     NetworkParameters,
     backward,
@@ -133,9 +132,10 @@ class TestArchitecture:
         with pytest.raises(ConfigError):
             init_network(bad, seed=0)
 
-    def test_nonpositive_dims_rejected(self):
-        with pytest.raises(ConfigError):
-            LayerSpec(0, 1, Activation.RELU)
+    @pytest.mark.parametrize("dims", [(0, 1), (1, 0), (0, 0)])
+    def test_nonpositive_dims_rejected(self, dims):
+        with pytest.raises(ConfigError, match="^layer dims must be >= 1"):
+            LayerSpec(*dims, Activation.RELU)
 
 
 class TestInit:
@@ -231,7 +231,8 @@ class TestPredict:
             (mlp_specs(4, [8]), np.ones((5, 3))),  # wrong width
             (mlp_specs(2, [4]), np.array([[1.0, np.nan]])),
             (mlp_specs(2, [4]), np.array([[np.inf, 0.0]])),
-            (mlp_specs(2, [4], output_dim=2), np.ones((3, 2))),
+            ([LayerSpec(2, 4, Activation.RELU), LayerSpec(4, 2, Activation.IDENTITY)],
+             np.ones((3, 2))),
         ],
         ids=["1-d", "width", "nan", "inf", "two-unit-output"],
     )
@@ -339,14 +340,22 @@ class TestBackward:
             rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
             assert np.max(rel) < 1e-5
 
-    @pytest.mark.parametrize("inputs, hidden", [(4, [9]), (4, [8, 8]), (3, [8])],
-                             ids=["layer-width", "layer-count", "input-width"])
-    def test_mismatched_cache_rejected(self, inputs, hidden):
+    @pytest.mark.parametrize(
+        "inputs, hidden, seed",
+        [(4, [9], 0), (4, [8, 8], 0), (3, [8], 0), (4, [8], 1), (4, [8], 0)],
+        ids=["layer-width", "layer-count", "input-width", "same-shape",
+             "same-values"],
+    )
+    def test_mismatched_cache_rejected(self, inputs, hidden, seed):
+        # a cache belongs to the parameters object it was computed with:
+        # another network of the same shape, even with equal values, is not it
         params = init_network(mlp_specs(4, [8]), seed=0)
-        other = init_network(mlp_specs(inputs, hidden), seed=0)
+        other = init_network(mlp_specs(inputs, hidden), seed=seed)
         _, cache = forward(other, np.ones((3, inputs)))
-        with pytest.raises(InternalError,
-                           match="^forward cache does not match network parameters$"):
+        with pytest.raises(
+            InputError,
+            match="^forward cache does not come from these network parameters$",
+        ):
             backward(params, cache, np.zeros(3))
 
     def test_wrong_target_length_rejected(self):
@@ -379,6 +388,21 @@ class TestModelSerialization:
         del doc["weights"][-1], doc["biases"][-1]
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ModelMismatchError, match="3 layer_specs but 2 weights"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["weights", "biases"])
+    def test_arrays_of_another_shape_rejected(self, tmp_path, field):
+        # a transposed weight matrix holds as many values as the right one
+        path = tmp_path / "model.json"
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1))
+        doc = json.loads(path.read_text())
+        if field == "weights":
+            doc["weights"][0] = np.array(doc["weights"][0]).T.tolist()
+        else:
+            doc["biases"][0].append(0.0)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ModelMismatchError,
+                           match="stored arrays do not match layer_specs$"):
             load_model(path)
 
     def test_normalization_without_stds_rejected(self, tmp_path):
@@ -462,6 +486,31 @@ class TestModelSerialization:
         path.write_bytes(content)
         with pytest.raises(ModelMismatchError, match="malformed model file"):
             load_model(path)
+
+    @pytest.mark.parametrize("units", [2, 3])
+    def test_output_layer_of_more_than_one_unit_rejected(self, tmp_path, units):
+        path = tmp_path / "model.json"
+        specs = [LayerSpec(4, 8, Activation.RELU),
+                 LayerSpec(8, units, Activation.IDENTITY)]
+        save_model(path, init_network(specs, seed=1))
+        with pytest.raises(
+            ModelMismatchError,
+            match=f"^model file {re.escape(str(path))}: output layer has {units} "
+                  "units, not 1$",
+        ):
+            load_model(path)
+
+    def test_integer_and_float_entries_in_one_array_load(self, tmp_path):
+        # JSON writes 0.0 as 0.0, but a hand-edited file may hold 0: ints
+        # and floats mix within one array
+        path = tmp_path / "model.json"
+        params = init_network(mlp_specs(4, [8]), seed=1)
+        save_model(path, params)
+        doc = json.loads(path.read_text())
+        doc["biases"][0][0] = 0
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded, _, _ = load_model(path)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
 
     def test_empty_layer_specs_rejected(self, tmp_path):
         path = tmp_path / "model.json"

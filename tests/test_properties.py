@@ -1062,3 +1062,66 @@ def test_rejected_value_is_one_check_from_any_source(
     assert err == f"error: {where}: bad value {raw!r} ({flag} {why})\n"
     written = [path.name for path in out_dir.iterdir()]
     assert written == (["run.cfg"] if source == "config" else [])
+
+
+# --- metamorphic: one cycle's outputs do not depend on the rest of the run ----
+
+# tiny compare runs: 200-row cycles, 2 hidden units, 1 epoch, 2 folds
+METAMORPHIC_ARGS = ["--optimizers", "sgd,adamax", "--hidden", "2", "--epochs", "1",
+                    "--k", "2", "--soc0", "90", "--omit-timing"]
+
+
+@pytest.fixture(scope="module")
+def two_cycles(tmp_path_factory):
+    """Cycles a.csv and b.csv, and cycle a's outputs from a compare of it
+    alone: its results rows and its log files by name."""
+    root = tmp_path_factory.mktemp("metamorphic")
+    for seed, name in ((11, "a"), (12, "b")):
+        cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                               Profile.RANDOM_MIX, 199.0, seed=seed, soc0_percent=90.0)
+        write_cycle_csv(cycle.records, root / f"{name}.csv")
+    alone = cycle_a_outputs(root, tmp_path_factory.mktemp("alone"), root / "a.csv")
+    assert len(alone[0]) == 2 and len(alone[1]) == 2 * 3
+    return root, alone
+
+
+def cycle_a_outputs(root, out_dir, *data):
+    """Cycle a's rows of results.csv and its --logs-dir files (name to
+    bytes) from one compare over ``data``."""
+    argv = ["compare", *(arg for path in data for arg in ("--data", str(path))),
+            "--out", "results.csv", "--logs-dir", "logs", *METAMORPHIC_ARGS]
+    code, err = run_main(argv, None, out_dir)
+    assert (code, err) == (0, "")
+    rows = [line for line in (out_dir / "results.csv").read_text().splitlines()
+            if line.startswith("a,")]
+    logs = {path.name: path.read_bytes()
+            for path in sorted((out_dir / "logs").glob("a_*.csv"))}
+    return rows, logs
+
+
+@pytest.mark.parametrize("order", [("a", "b"), ("b", "a")],
+                         ids=["second-cycle", "reversed-data"])
+def test_other_cycles_leave_a_cycles_outputs_alone(
+    tmp_path_factory, two_cycles, order
+):
+    root, alone = two_cycles
+    paths = [root / f"{name}.csv" for name in order]
+    assert cycle_a_outputs(root, tmp_path_factory.mktemp("out"), *paths) == alone
+
+
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_duplicated_shuffled_rows_leave_a_cycles_outputs_alone(
+    tmp_path_factory, two_cycles, seed
+):
+    # repeated timestamps send the file through the row-by-row parse,
+    # which sorts the rows and drops the exact duplicates
+    root, alone = two_cycles
+    header, *rows = (root / "a.csv").read_text(encoding="utf-8").splitlines(True)
+    rng = random.Random(seed)
+    rows += rng.sample(rows, rng.randint(1, len(rows)))
+    rng.shuffle(rows)
+    folder = tmp_path_factory.mktemp("shuffled")
+    (folder / "a.csv").write_text(header + "".join(rows), encoding="utf-8")
+    out_dir = tmp_path_factory.mktemp("out")
+    assert cycle_a_outputs(root, out_dir, folder / "a.csv", root / "b.csv") == alone

@@ -31,7 +31,6 @@ EXIT_CODES = {
     errors.SocBenchError: 1,
     errors.IngestionError: 1,
     errors.DataError: 1,
-    errors.InternalError: 1,
     errors.ConfigError: 2,
     errors.InputError: 2,
     errors.NumericError: 3,
