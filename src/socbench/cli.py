@@ -29,7 +29,6 @@ from .data import FEATURE_NAMES, DataSettings
 from .errors import ConfigError, ModelMismatchError, SocBenchError
 from .harness import (
     FoldMode,
-    _one_blas_thread,
     format_results_table,
     run_comparison,
     score,
@@ -37,7 +36,13 @@ from .harness import (
     write_results_csv,
     write_training_log_csv,
 )
-from .network import DEFAULT_HIDDEN, load_model, mlp_specs, save_model
+from .network import (
+    DEFAULT_HIDDEN,
+    _one_blas_thread,
+    load_model,
+    mlp_specs,
+    save_model,
+)
 from .optimizers import Algorithm, Hyperparameters
 from .synthetic import Profile, SyntheticCellParams, generate_cycle, write_cycle_csv
 
@@ -363,7 +368,7 @@ def cmd_train(cfg: dict) -> int:
     if cfg["export_features"]:
         battery_data.write_design_matrix_csv(raw_dm, cfg["export_features"])
 
-    # one BLAS thread, as in every compare run (see harness._one_blas_thread)
+    # one BLAS thread, as in every compare run (see network._one_blas_thread)
     with _one_blas_thread():
         params, log = train(specs, normalized, h, algorithm)
         _, mae, mse = score(params, None, normalized)

@@ -108,10 +108,16 @@ class DataSettings:
 
 @dataclass(frozen=True)
 class NormalizationStats:
-    """Per-feature population mean and standard deviation."""
+    """Per-feature population mean and standard deviation. Every std is
+    finite and > 0 (else InputError), so z-scoring never divides by zero."""
 
     means: np.ndarray
     stds: np.ndarray
+
+    def __post_init__(self):
+        stds = np.asarray(self.stds, dtype=np.float64)
+        if not np.all(np.isfinite(stds) & (stds > 0.0)):
+            raise InputError("normalization stds must be finite and > 0")
 
 
 def ingest_csv(path: str | Path) -> DriveCycle:

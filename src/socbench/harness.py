@@ -10,14 +10,11 @@ test rows.
 from __future__ import annotations
 
 import csv
-import ctypes
-import threading
 import time
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cache, partial
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +40,8 @@ from .network import (
     DEFAULT_HIDDEN,
     LayerSpec,
     NetworkParameters,
+    _one_blas_thread,
+    _share_cpus,
     backward,
     forward,
     init_network,
@@ -345,78 +344,6 @@ def run_single_experiment(
     return result, {run: log for (_, _, run), log in logs.items()}
 
 
-# OpenBLAS thread-count entry points, tried in order: numpy's bundled
-# scipy-openblas, an ILP64 OpenBLAS, a plain OpenBLAS
-_OPENBLAS_THREAD_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
-
-
-@cache
-def _openblas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
-    """(get, set) of the thread count of the OpenBLAS loaded in this process,
-    found through the symbols it exports; None when there is none. Looked
-    up once per process."""
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            libs = {line.split()[-1] for line in fh if "blas" in line.lower()}
-    except OSError:
-        return None
-    for lib in sorted(libs):
-        try:
-            handle = ctypes.CDLL(lib)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get = getattr(handle, get_name, None)
-            set_ = getattr(handle, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                return get, set_
-    return None
-
-
-# holders of the one-thread pin and the count to restore when the last leaves
-_pin_lock = threading.Lock()
-_pin_holders = 0
-_pin_restore = 0
-
-
-@contextmanager
-def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block; does nothing when no
-    OpenBLAS is found.
-
-    Every training run goes through this pin, serial or pooled: a step's
-    small GEMMs run at one-thread speed anyway, and a second BLAS thread
-    would only spin (serial) or contend with the other workers for the
-    same cores (pooled). The thread count is process-wide, so the pin is
-    shared: holders on any thread, nested or overlapping, are counted
-    under a lock; the first saves the count, the last to leave restores it.
-    """
-    global _pin_holders, _pin_restore
-    api = _openblas_thread_api()
-    if api is None:
-        yield
-        return
-    get, set_ = api
-    with _pin_lock:
-        if _pin_holders == 0:
-            _pin_restore = get()
-            set_(1)
-        _pin_holders += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_holders -= 1
-            if _pin_holders == 0:
-                set_(_pin_restore)
-
-
 def _timed(name: str, run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
     """``run``'s outcome and wall time; an error it raises is prefixed with
     the run's ``name`` (``cycle/optimizer/run``) in the process that ran it."""
@@ -434,10 +361,12 @@ NamedRuns = list[tuple[str, Callable[[], RunOutcome]]]
 _worker_runs: NamedRuns = []  # in a pool worker: the runs it inherited
 
 
-def _adopt_runs(runs: NamedRuns) -> None:
-    """Pool worker initializer: keep the runs handed over by the fork."""
+def _adopt_runs(runs: NamedRuns, workers: int) -> None:
+    """Pool worker initializer: keep the runs handed over by the fork, and
+    score on this worker's share of the CPUs, one in ``workers``."""
     global _worker_runs
     _worker_runs = runs
+    _share_cpus(workers)
 
 
 def _run_adopted(index: int) -> tuple[RunOutcome, float]:
@@ -455,8 +384,11 @@ def _run_all(runs: NamedRuns, jobs: int) -> list[tuple[RunOutcome, float]]:
     instead re-import socbench and numpy in every worker, pickle every run
     with its data, and miss what this process patched (as tests do). All
     workers are forked before the pool starts its own thread, and
-    OpenBLAS's at-fork handler stops its threads; a library caller that
-    runs other threads takes the usual ``fork`` risk for them.
+    OpenBLAS's at-fork handler stops its threads; ``predict``'s scoring
+    threads live only within one call. A library caller that runs other
+    threads takes the usual ``fork`` risk for them. Each worker scores on
+    its share of the CPUs (``_adopt_runs``), so the workers' scoring
+    threads do not outnumber the CPUs.
 
     Results are read in task order, so the error raised is that of the
     earliest failing run, as in a serial loop; runs still queued then are
@@ -474,11 +406,12 @@ def _run_all(runs: NamedRuns, jobs: int) -> list[tuple[RunOutcome, float]]:
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool
 
+        workers = min(jobs, len(runs))
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(runs)),
+            max_workers=workers,
             mp_context=multiprocessing.get_context("fork"),
             initializer=_adopt_runs,
-            initargs=(runs,),
+            initargs=(runs, workers),
         ) as pool:
             results = []
             try:

@@ -9,9 +9,16 @@ mean-squared-error loss.
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
 import json
+import os
+import threading
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 
@@ -185,7 +192,152 @@ def forward(
     return a[:, 0], cache
 
 
+# OpenBLAS thread-count entry points, tried in order: numpy's bundled
+# scipy-openblas, an ILP64 OpenBLAS, a plain OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@cache
+def _openblas_thread_api() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """(get, set) of the thread count of the OpenBLAS loaded in this process,
+    found through the symbols it exports; None when there is none. Looked
+    up once per process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = {line.split()[-1] for line in fh if "blas" in line.lower()}
+    except OSError:
+        return None
+    for lib in sorted(libs):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(handle, get_name, None)
+            set_ = getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# holders of the one-thread pin and the count to restore when the last leaves
+_pin_lock = threading.Lock()
+_pin_holders = 0
+_pin_restore = 0
+
+
+@contextmanager
+def _one_blas_thread():
+    """Pin OpenBLAS to one thread for the block; does nothing when no
+    OpenBLAS is found.
+
+    predict() scores under this pin, and every training run goes through
+    it, serial or pooled: a step's small GEMMs run at one-thread speed
+    anyway, and a second BLAS thread would only spin (serial) or contend
+    with the other workers for the same cores (pooled). The thread count is
+    process-wide, so the pin is shared: holders on any thread, nested or
+    overlapping, are counted under a lock; the first saves the count, the
+    last to leave restores it.
+    """
+    global _pin_holders, _pin_restore
+    api = _openblas_thread_api()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    with _pin_lock:
+        if _pin_holders == 0:
+            _pin_restore = get()
+            set_(1)
+        _pin_holders += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_holders -= 1
+            if _pin_holders == 0:
+                set_(_pin_restore)
+
+
 SCORE_ROWS = 512  # rows per block of predict()
+
+# the CPUs one predict() call may score on; None: every CPU of the process
+_score_cpus: int | None = None
+
+
+def _process_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _share_cpus(processes: int) -> None:
+    """In one of ``processes`` processes that score at once (the workers of
+    ``compare --jobs N``): score on this process's share of its CPUs."""
+    global _score_cpus
+    _score_cpus = max(1, _process_cpus() // processes)
+
+
+def _score_blocks(
+    layers: list, x: np.ndarray, out: np.ndarray, n_blocks: int, first: int, stop: int
+) -> None:
+    """Blocks ``first`` to ``stop - 1`` of the ``n_blocks`` blocks of ``x``
+    through ``layers``; the last layer writes each block's rows of ``out``."""
+    *inner, (top_spec, top_w, top_b) = layers
+    n = x.shape[0]
+    for block in range(first, stop):
+        start = block * SCORE_ROWS
+        end = n if block == n_blocks - 1 else start + SCORE_ROWS
+        rows = x[start:end]
+        for spec, w, b in inner:
+            rows = rows @ w.T
+            _finish_layer(rows, spec, b)
+        rows = np.matmul(rows, top_w.T, out=out[start:end])
+        _finish_layer(rows, top_spec, top_b)
+
+
+def _run_shares(run_share: Callable[[int, int], None], n_blocks: int) -> None:
+    """``run_share(first, stop)`` over blocks 0 to ``n_blocks - 1``, split
+    into one contiguous, near-equal share per scoring thread: the caller's
+    thread takes the first share, helper threads the others.
+
+    The helpers are started and joined here, so none outlives the call,
+    and each runs in a copy of the caller's context, which holds numpy's
+    error state (``np.errstate``). An error raised in a share is raised
+    here once every thread is joined; the first share's error wins.
+    """
+    threads = min(n_blocks, _score_cpus or _process_cpus())
+    bounds = [n_blocks * i // threads for i in range(threads + 1)]
+    errors: list[BaseException | None] = [None] * threads
+
+    def share(i: int) -> None:
+        try:
+            run_share(bounds[i], bounds[i + 1])
+        except BaseException as exc:  # raised in the caller below
+            errors[i] = exc
+
+    helpers = []
+    try:
+        for i in range(1, threads):
+            helper = threading.Thread(
+                target=contextvars.copy_context().run, args=(share, i)
+            )
+            helper.start()
+            helpers.append(helper)
+        share(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def predict(
@@ -195,42 +347,44 @@ def predict(
 
     Each block of SCORE_ROWS rows, the last block taking the remainder,
     runs through every layer into one (n, 1) result, so a pass holds that
-    result plus about two blocks (1 MB each for the default network)
-    whatever n is. On one thread the bits equal ``forward(params,
-    batch)[0]``. At more threads they stay the same on OpenBLAS's SkylakeX
-    kernel, but not under ``OPENBLAS_CORETYPE=Haswell``.
-    No block is shorter than SCORE_ROWS rows unless n is: a 1-4 row block
-    takes a different GEMM path and rounds differently from the same rows
-    inside a large product.
+    result plus about two blocks per scoring thread (1 MB each for the
+    default network; the last block, up to 2 * SCORE_ROWS - 1 rows, counts
+    up to double) whatever n is. No block is shorter than SCORE_ROWS
+    rows unless n is: a 1-4 row block takes a different GEMM path and
+    rounds differently from the same rows inside a large product.
+
+    The blocks are split into one contiguous, near-equal share per scoring
+    thread: the caller's thread plus helper threads, one thread per CPU
+    this process may run on (``os.sched_getaffinity``) and at most one per
+    block; a ``compare --jobs N`` worker uses its share, the CPUs over N.
+    OpenBLAS is pinned to one thread meanwhile (``_one_blas_thread``), so
+    each block's products run on one thread in a fixed order: the bits are
+    the same at any thread or CPU count on every OpenBLAS kernel, and equal
+    ``forward(params, batch)[0]`` computed on one BLAS thread. The helpers
+    run under the caller's numpy error state, and an error raised in any
+    share is raised here.
 
     ``like_forward=True`` keeps the output layer as one product over all n
     rows, so the last hidden layer writes its blocks into one (n, width)
-    array, and the result equals ``forward(params, batch)[0]`` at any
-    thread count (on SkylakeX). A (n, width) @ (width, 1) product runs through
-    OpenBLAS's threaded matrix-vector kernel, which splits the rows between
-    its threads, and rows at the end of a thread's range round
+    array. The pin is released before that product, which runs at the
+    process's BLAS thread count: it is the only product of a scoring pass
+    whose bits depend on that count. A (n, width) @ (width, 1) product runs
+    through OpenBLAS's threaded matrix-vector kernel, which splits the rows
+    between its threads, and rows at the end of a thread's range round
     differently; so at more than one thread a few predictions differ from
-    the blocked ones. ``evaluate`` passes it to keep the predictions it has
-    always written.
+    the blocked ones. On SkylakeX the result equals ``forward(params,
+    batch)[0]`` at any thread count. ``evaluate`` passes it to keep the
+    predictions it has always written.
     """
     x = _checked_batch(params, batch)
     layers = list(zip(params.specs, params.weights, params.biases, strict=True))
     blocked = layers[:-1] if like_forward else layers
     a = x
     if blocked:
-        *inner, (top_spec, top_w, top_b) = blocked
-        n = x.shape[0]
-        a = np.empty((n, top_spec.output_dim))
-        n_blocks = max(n // SCORE_ROWS, 1)
-        for block in range(n_blocks):
-            start = block * SCORE_ROWS
-            stop = n if block == n_blocks - 1 else start + SCORE_ROWS
-            rows = x[start:stop]
-            for spec, w, b in inner:
-                rows = rows @ w.T
-                _finish_layer(rows, spec, b)
-            rows = np.matmul(rows, top_w.T, out=a[start:stop])
-            _finish_layer(rows, top_spec, top_b)
+        a = np.empty((x.shape[0], blocked[-1][0].output_dim))
+        n_blocks = max(x.shape[0] // SCORE_ROWS, 1)
+        with _one_blas_thread():
+            _run_shares(partial(_score_blocks, blocked, x, a, n_blocks), n_blocks)
     if like_forward:
         out_spec, out_w, out_b = layers[-1]
         a = a @ out_w.T
@@ -369,12 +523,9 @@ def load_model(path: str | Path):
         biases = [_json_numbers(b) for b in doc["biases"]]
         seed = _json_int(doc["seed"])
         norm_doc = doc["normalization"]
-        norm = None
         if norm_doc is not None:
-            norm = NormalizationStats(
-                means=_json_numbers(norm_doc["means"]),
-                stds=_json_numbers(norm_doc["stds"]),
-            )
+            means = _json_numbers(norm_doc["means"])
+            stds = _json_numbers(norm_doc["stds"])
     except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ModelMismatchError(f"malformed model file {path}: {exc}") from exc
 
@@ -392,20 +543,21 @@ def load_model(path: str | Path):
             raise ModelMismatchError(
                 f"model file {path}: non-finite weights or biases"
             )
-    if norm is not None:
+    norm = None
+    if norm_doc is not None:
         input_dim = specs[0].input_dim
-        if norm.means.shape != (input_dim,) or norm.stds.shape != (input_dim,):
+        if means.shape != (input_dim,) or stds.shape != (input_dim,):
             raise ModelMismatchError(
-                f"model file {path}: normalization has {norm.means.size} means and "
-                f"{norm.stds.size} stds for {input_dim} inputs"
+                f"model file {path}: normalization has {means.size} means and "
+                f"{stds.size} stds for {input_dim} inputs"
             )
-        if not np.all(np.isfinite(norm.means)):
+        if not np.all(np.isfinite(means)):
             raise ModelMismatchError(
                 f"model file {path}: non-finite normalization means"
             )
-        if not np.all(np.isfinite(norm.stds) & (norm.stds > 0.0)):
-            raise ModelMismatchError(
-                f"model file {path}: normalization stds must be finite and > 0"
-            )
+        try:
+            norm = NormalizationStats(means, stds)
+        except InputError as exc:
+            raise ModelMismatchError(f"model file {path}: {exc}") from exc
     flat = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
     return NetworkParameters(specs, flat), norm, seed

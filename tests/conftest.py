@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from socbench.harness import _openblas_thread_api
+from socbench.network import _openblas_thread_api
 
 
 @pytest.fixture(autouse=True)

@@ -404,6 +404,12 @@ class TestNormalization:
             "(currents too large?)"
         )
 
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.inf, np.nan])
+    def test_stats_with_a_zero_negative_or_non_finite_std_rejected(self, bad):
+        with pytest.raises(InputError,
+                           match=r"^normalization stds must be finite and > 0$"):
+            NormalizationStats(np.zeros(4), np.array([1.0, bad, 1.0, 1.0]))
+
     def test_worked_example(self):
         dm = DesignMatrix(
             features=np.array([[2.0, 0.0, 1.0, 5.0],

@@ -1,6 +1,7 @@
 """Folds, training loop, cross-validation, and the comparison experiment."""
 
 import inspect
+import os
 import pickle
 import re
 import threading
@@ -29,18 +30,23 @@ from socbench import (
     train,
     write_cycle_csv,
 )
-from socbench import errors as error_module, harness
+from socbench import errors as error_module, harness, network
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import (
-    _one_blas_thread,
-    _openblas_thread_api,
     chronological_split,
     cross_validate,
     format_results_table,
     write_results_csv,
     write_training_log_csv,
 )
-from socbench.network import DEFAULT_HIDDEN, forward, loss_mae, loss_mse
+from socbench.network import (
+    DEFAULT_HIDDEN,
+    _one_blas_thread,
+    _openblas_thread_api,
+    forward,
+    loss_mae,
+    loss_mse,
+)
 
 
 def linear_design(n=400, seed=0, noise=0.0):
@@ -512,6 +518,36 @@ class TestRunComparison:
             # then the final fit's 3 train passes and its test pass
             assert len(seen) == 2 * (2 * 3 * 2 + 3 + 1)
             assert set(seen) == {1}
+
+    def test_pool_workers_score_without_threads(self, tmp_path, monkeypatch, calls):
+        """A --jobs 2 worker on a 2-CPU process scores on its share, one
+        CPU, so predict starts no thread there; --jobs 1 scores on both."""
+        cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                               Profile.RANDOM_MIX, duration_s=2999.0, seed=7,
+                               soc0_percent=90.0)
+        path = tmp_path / "long.csv"
+        write_cycle_csv(cycle.records, path)
+        monkeypatch.setattr(network, "_process_cpus", lambda: 2)
+        real_start = threading.Thread.start
+
+        def start_and_record(thread):
+            calls.add(0)  # in whichever process starts it
+            real_start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_and_record)
+        kwargs = dict(
+            optimizers=[Algorithm.ADAMAX],
+            h=replace(small_h(), epochs=1),
+            k=2,
+            learning_rates={Algorithm.ADAMAX: 0.05},
+            layer_specs=mlp_specs(4, SMALL_NET),
+        )
+        run_comparison([path], jobs=1, **kwargs)
+        # fold passes of 1,200 rows and final-fit passes of 2,400 rows
+        assert {pid for pid, _ in calls.entries()} == {os.getpid()}
+        calls.clear()
+        run_comparison([path], jobs=2, **kwargs)
+        assert [pid for pid, _ in calls.entries() if pid != os.getpid()] == []
 
     def test_requires_inputs(self):
         with pytest.raises(InputError):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +25,7 @@ from socbench import (
 )
 from socbench.data import NormalizationStats
 from socbench.errors import ConfigError, ModelMismatchError
+from socbench import network
 from socbench.network import DEFAULT_HIDDEN, SCORE_ROWS
 
 
@@ -256,25 +258,96 @@ class TestPredict:
         finally:
             tracemalloc.stop()
 
-    def test_blocked_path_holds_no_n_by_width_array(self):
-        """The (n, 1) result plus a fixed number of SCORE_ROWS-row blocks at
-        any n: the bound does not grow with n x width."""
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_blocked_path_holds_no_n_by_width_array(self, monkeypatch, threads):
+        """The (n, 1) result plus about two SCORE_ROWS-row blocks per scoring
+        thread at any n: the bound does not grow with n x width."""
+        monkeypatch.setattr(network, "_score_cpus", threads)
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
         block_bytes = SCORE_ROWS * 256 * 8
-        # measured: 2.1 blocks above the result at 20k rows, 2.4 at 60k
+        # measured above the result, at 20k and 60k rows: 2.1 and 2.4
+        # blocks with one thread, 4.0 and 4.4 with two
         for n in (20_000, 60_000):
-            assert self.peak(predict, params, n) < n * 8 + 4 * block_bytes
+            bound = n * 8 + (2 * threads + 1) * block_bytes
+            assert self.peak(predict, params, n) < bound
 
-    def test_keeps_one_hidden_layer_output(self):
-        """like_forward: one n x 256 float64 array plus a fixed number of
-        SCORE_ROWS-row blocks at any n, where forward keeps all three hidden
-        layers' outputs."""
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("n", [1, 511, 1023, 1600, 6000, 8194, 100_001])
+    def test_threads_give_the_serial_bits(self, monkeypatch, n, threads):
+        params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=n)
+        batch = np.random.default_rng(n).normal(size=(n, 4))
+        monkeypatch.setattr(network, "_score_cpus", 1)
+        serial = predict(params, batch)
+        monkeypatch.setattr(network, "_score_cpus", threads)
+        pooled = predict(params, batch)
+        assert pooled.tobytes() == serial.tobytes()
+
+    def test_starts_no_lasting_thread(self, monkeypatch):
+        monkeypatch.setattr(network, "_score_cpus", 2)
+        params = init_network(mlp_specs(4, [8]), seed=0)
+        before = threading.active_count()
+        predict(params, np.ones((4 * SCORE_ROWS, 4)))
+        assert threading.active_count() == before
+
+    def test_helpers_keep_the_callers_error_state(self, monkeypatch):
+        """Overflow in a helper's share is silent under the caller's
+        ``np.errstate``; the suite turns a RuntimeWarning into an error."""
+        monkeypatch.setattr(network, "_score_cpus", 2)
+        params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
+        params.flat[:] = 1.0
+        with np.errstate(over="ignore"):
+            got = predict(params, np.full((8 * SCORE_ROWS, 4), 1e306))
+        assert np.isposinf(got).all()
+
+    def test_an_error_in_a_helper_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(network, "_score_cpus", 2)
+        real_finish = network._finish_layer
+
+        def finish_or_fail(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError("helper failed")
+            real_finish(*args)
+
+        monkeypatch.setattr(network, "_finish_layer", finish_or_fail)
+        params = init_network(mlp_specs(4, [8]), seed=0)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^helper failed$"):
+            predict(params, np.ones((4 * SCORE_ROWS, 4)))
+        assert threading.active_count() == before
+
+    def test_scores_on_one_blas_thread_and_restores_the_count(
+        self, monkeypatch, blas_threads
+    ):
+        seen = []
+        real_finish = network._finish_layer
+
+        def finish_and_record(*args):
+            seen.append(blas_threads())
+            real_finish(*args)
+
+        monkeypatch.setattr(network, "_finish_layer", finish_and_record)
+        params = init_network(mlp_specs(4, [8]), seed=0)
+        predict(params, np.ones((3 * SCORE_ROWS, 4)))
+        assert seen and set(seen) == {1}
+        seen.clear()
+        predict(params, np.ones((3 * SCORE_ROWS, 4)), like_forward=True)
+        # the hidden layer's blocks, then the output product at two threads
+        assert seen == [1, 1, 1, 2]
+        assert blas_threads() == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_keeps_one_hidden_layer_output(self, monkeypatch, threads):
+        """like_forward: one n x 256 float64 array plus about two
+        SCORE_ROWS-row blocks per scoring thread at any n, where forward
+        keeps all three hidden layers' outputs."""
+        monkeypatch.setattr(network, "_score_cpus", threads)
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
         block_bytes = SCORE_ROWS * 256 * 8
-        # the bound: 1.10 x the layer at 20k rows, 1.03 x at 60k
+        # measured above the layer, at 20k and 60k rows: 2.1 and 2.4 blocks
+        # with one thread, 4.1 and 4.0 with two
         for n in (20_000, 60_000):
             peak = self.peak(predict, params, n, like_forward=True)
-            assert peak < n * 256 * 8 + 4 * block_bytes
+            assert peak < n * 256 * 8 + (2 * threads + 1) * block_bytes
         assert self.peak(forward, params, 20_000) > 2.5 * 20_000 * 256 * 8
 
 

@@ -6,13 +6,17 @@ features and the command line's exit-code contract."""
 
 import copy
 import csv
+import ctypes
 import io
 import json
 import math
 import os
 import random
-from contextlib import nullcontext, redirect_stderr, redirect_stdout
+import subprocess
+import sys
+from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import socbench
 from socbench import (
     Algorithm,
     Hyperparameters,
@@ -36,11 +41,11 @@ from socbench import (
     optimizers,
     write_cycle_csv,
 )
-from socbench import cli
+from socbench import cli, network
 from socbench.cli import main
 from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
 from socbench.errors import ConfigError, ModelMismatchError
-from socbench.harness import _one_blas_thread
+from socbench.network import _one_blas_thread
 from socbench.network import (
     DEFAULT_HIDDEN,
     SCORE_ROWS,
@@ -441,25 +446,87 @@ def test_predict_matches_forward_bit_for_bit(
     assert same_bits(got, want)
 
 
+# n, hidden, hidden_activation, output_activation, seed: cases where an
+# OpenBLAS GEMM split between threads rounds some rows differently
+BLOCKED_EXAMPLES = [
+    (8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 0),
+    (8500, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 1),
+    (12290, [256, 256, 256], Activation.RELU, Activation.RELU, 2),
+    (100_001, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 3),
+]
+
+
+@contextmanager
+def scoring_cpus(cpus):
+    """predict() scores on ``cpus`` threads inside the block."""
+    saved = network._score_cpus
+    network._score_cpus = cpus
+    try:
+        yield
+    finally:
+        network._score_cpus = saved
+
+
+def check_blocked_predict(n, hidden, hidden_activation, output_activation, seed):
+    """The blocked path, on every thread the process may use, gives the
+    bits of a serial pass on one BLAS thread, which equal forward's there."""
+    params, rng = scoring_network(hidden, hidden_activation, output_activation, seed)
+    batch = rng.normal(size=(n, 4))
+    got = predict(params, batch)
+    with _one_blas_thread(), scoring_cpus(1):
+        serial = predict(params, batch)
+        want, _ = forward(params, batch)
+    assert same_bits(got, serial)
+    assert same_bits(serial, want)
+
+
 @settings(max_examples=60, deadline=None)
-@example(8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 0)
-@example(8500, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 1)
-@example(12290, [256, 256, 256], Activation.RELU, Activation.RELU, 2)
-@example(100_001, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 3)
 @given(n=PREDICT_ROWS, **SCORING_NETWORKS)
 def test_blocked_predict_is_thread_invariant_and_forward_on_one_thread(
     n, hidden, hidden_activation, output_activation, seed
 ):
-    """The blocked path gives the same bits at the default thread count as
-    on one thread, where they equal forward's."""
-    params, rng = scoring_network(hidden, hidden_activation, output_activation, seed)
-    batch = rng.normal(size=(n, 4))
-    got = predict(params, batch)
-    with _one_blas_thread():
-        pinned = predict(params, batch)
-        want, _ = forward(params, batch)
-    assert same_bits(got, pinned)
-    assert same_bits(pinned, want)
+    check_blocked_predict(n, hidden, hidden_activation, output_activation, seed)
+
+
+for _case in BLOCKED_EXAMPLES:
+    test_blocked_predict_is_thread_invariant_and_forward_on_one_thread = example(
+        *_case
+    )(test_blocked_predict_is_thread_invariant_and_forward_on_one_thread)
+
+
+def openblas_corename():
+    """The name of the kernel the loaded OpenBLAS picked, or None."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(ctypes.CDLL(lib), symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def test_blocked_predict_examples_on_the_haswell_kernel():
+    """The explicit examples above under ``OPENBLAS_CORETYPE=Haswell``,
+    where a GEMM split between OpenBLAS threads rounds differently from the
+    same GEMM on one thread, in a fresh process (the kernel is picked when
+    OpenBLAS loads)."""
+    script = (
+        "import test_properties as t\n"
+        "print(t.openblas_corename(), flush=True)\n"
+        "if t.openblas_corename() == 'Haswell':\n"
+        "    for case in t.BLOCKED_EXAMPLES:\n"
+        "        t.check_blocked_predict(*case)\n"
+    )
+    paths = [str(Path(__file__).parent), str(Path(socbench.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() != "Haswell":
+        pytest.skip(f"OpenBLAS kernel is {done.stdout.strip()}, not Haswell")
 
 
 # --- ingestion --------------------------------------------------------------
