@@ -36,13 +36,7 @@ from .harness import (
     write_results_csv,
     write_training_log_csv,
 )
-from .network import (
-    DEFAULT_HIDDEN,
-    _one_blas_thread,
-    load_model,
-    mlp_specs,
-    save_model,
-)
+from .network import DEFAULT_HIDDEN, load_model, mlp_specs, save_model
 from .optimizers import Algorithm, Hyperparameters
 from .synthetic import Profile, SyntheticCellParams, generate_cycle, write_cycle_csv
 
@@ -368,10 +362,8 @@ def cmd_train(cfg: dict) -> int:
     if cfg["export_features"]:
         battery_data.write_design_matrix_csv(raw_dm, cfg["export_features"])
 
-    # one BLAS thread, as in every compare run (see network._one_blas_thread)
-    with _one_blas_thread():
-        params, log = train(specs, normalized, h, algorithm)
-        _, mae, mse = score(params, None, normalized)
+    params, log = train(specs, normalized, h, algorithm)
+    _, mae, mse = score(params, None, normalized)
 
     save_model(cfg["out_model"], params, normalization=stats, seed=h.seed)
     write_training_log_csv(log, cfg["out_log"])

@@ -428,10 +428,8 @@ def apply_normalization(dm: DesignMatrix, stats: NormalizationStats) -> DesignMa
 def write_design_matrix_csv(dm: DesignMatrix, path: str | Path) -> None:
     """Export as ``x1,x2,x3,x4,soc`` with full float precision."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["x1", "x2", "x3", "x4", "soc"])
-        for i in range(len(dm)):
-            writer.writerow(
-                [repr(float(x)) for x in dm.features[i]]
-                + [repr(float(dm.targets[i]))]
-            )
+        fh.write("x1,x2,x3,x4,soc\n")
+        fh.writelines(
+            f"{x1!r},{x2!r},{x3!r},{x4!r},{soc!r}\n"
+            for (x1, x2, x3, x4), soc in zip(dm.features.tolist(), dm.targets.tolist())
+        )

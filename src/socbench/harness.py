@@ -131,7 +131,9 @@ def train(
     training set, MAE/MSE over the validation set when one is given. A
     non-finite batch loss or gradient is a TrainingDivergedError naming
     its epoch and batch; a non-finite training loss after an epoch is one
-    naming the epoch.
+    naming the epoch. OpenBLAS is pinned to one thread while it trains
+    (``_one_blas_thread``), so the bits do not depend on the caller's
+    thread count or BLAS kernel.
     """
     if len(train_dm) == 0:
         raise InputError("training set is empty")
@@ -144,7 +146,7 @@ def train(
     log: TrainingLog = []
     # overflow, and the NaN it leads to, IS the divergence signal: the loss
     # and gradient checks raise on it, so numpy is not asked to warn
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, h.epochs + 1):
             order = shuffle_rng.permutation(n)
             for start in range(0, n, h.batch_size):
@@ -378,51 +380,49 @@ def _run_all(runs: NamedRuns, jobs: int) -> list[tuple[RunOutcome, float]]:
     """Every named run with its wall time, in task order, in ``jobs``
     worker processes (in this one when ``jobs`` is 1).
 
-    The workers are forked, so each inherits the runs, their data and the
-    one-thread pin: only a task index goes to a worker, and only the
-    outcome, the wall time or the error comes back. ``forkserver`` would
-    instead re-import socbench and numpy in every worker, pickle every run
-    with its data, and miss what this process patched (as tests do). All
-    workers are forked before the pool starts its own thread, and
-    OpenBLAS's at-fork handler stops its threads; ``predict``'s scoring
-    threads live only within one call. A library caller that runs other
-    threads takes the usual ``fork`` risk for them. Each worker scores on
-    its share of the CPUs (``_adopt_runs``), so the workers' scoring
-    threads do not outnumber the CPUs.
+    The workers are forked, so each inherits the runs and their data: only
+    a task index goes to a worker, and only the outcome, the wall time or
+    the error comes back. ``forkserver`` would instead re-import socbench
+    and numpy in every worker, pickle every run with its data, and miss
+    what this process patched (as tests do). All workers are forked before
+    the pool starts its own thread, and OpenBLAS's at-fork handler stops
+    its threads; ``predict``'s scoring threads live only within one call.
+    A library caller that runs other threads takes the usual ``fork`` risk
+    for them. Each worker scores on its share of the CPUs (``_adopt_runs``),
+    so the workers' scoring threads do not outnumber the CPUs. ``train``
+    pins OpenBLAS to one thread in the process that runs it, so every run
+    computes the same bits whatever ``jobs`` is.
 
     Results are read in task order, so the error raised is that of the
     earliest failing run, as in a serial loop; runs still queued then are
     cancelled. A worker that dies (killed, out of memory) is a
     SocBenchError naming the run being awaited. The pool is joined before
-    this returns, so no worker outlives it. OpenBLAS is pinned to one
-    thread throughout, so every run computes the same bits whatever
-    ``jobs`` is.
+    this returns, so no worker outlives it.
     """
-    with _one_blas_thread():
-        if jobs == 1:
-            return [_timed(name, run) for name, run in runs]
-        # imported here: a serial run does not pay for the process pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+    if jobs == 1:
+        return [_timed(name, run) for name, run in runs]
+    # imported here: a serial run does not pay for the process pool
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
-        workers = min(jobs, len(runs))
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_adopt_runs,
-            initargs=(runs, workers),
-        ) as pool:
-            results = []
-            try:
-                for result in pool.map(_run_adopted, range(len(runs))):
-                    results.append(result)
-            except BrokenProcessPool as exc:
-                awaited, _ = runs[len(results)]
-                raise SocBenchError(
-                    f"{awaited}: worker process ended unexpectedly"
-                ) from exc
-            return results
+    workers = min(jobs, len(runs))
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_runs,
+        initargs=(runs, workers),
+    ) as pool:
+        results = []
+        try:
+            for result in pool.map(_run_adopted, range(len(runs))):
+                results.append(result)
+        except BrokenProcessPool as exc:
+            awaited, _ = runs[len(results)]
+            raise SocBenchError(
+                f"{awaited}: worker process ended unexpectedly"
+            ) from exc
+        return results
 
 
 def run_comparison(
@@ -444,9 +444,9 @@ def run_comparison(
     IngestionError naming each one and its reason. The unit of work is one
     named training run (a fold or a final fit); with ``jobs > 1`` the runs
     go to a pool of forked worker processes, joined before this returns
-    (see ``_run_all``). OpenBLAS is pinned to one thread while the runs go,
-    whatever ``jobs`` is, and restored after; the workers inherit the pin.
-    Results come back sorted by (cycle, optimizer) regardless of
+    (see ``_run_all``). Each run trains and scores on one OpenBLAS thread
+    in the process that runs it (``train`` and ``predict`` pin it), so
+    results come back sorted by (cycle, optimizer) regardless of
     scheduling, and are bit-identical for a fixed seed and any ``jobs``.
     """
     if not cycle_paths:

@@ -237,13 +237,13 @@ def _one_blas_thread():
     """Pin OpenBLAS to one thread for the block; does nothing when no
     OpenBLAS is found.
 
-    predict() scores under this pin, and every training run goes through
-    it, serial or pooled: a step's small GEMMs run at one-thread speed
-    anyway, and a second BLAS thread would only spin (serial) or contend
-    with the other workers for the same cores (pooled). The thread count is
-    process-wide, so the pin is shared: holders on any thread, nested or
-    overlapping, are counted under a lock; the first saves the count, the
-    last to leave restores it.
+    ``predict`` takes it while it scores and ``harness.train`` while its
+    epochs run, in whichever process calls them, so their bits do not
+    depend on the thread count or kernel; a step's small GEMMs run at
+    one-thread speed anyway. The thread count is process-wide, so the pin
+    is shared: holders on any thread, nested (``train`` calls ``predict``)
+    or overlapping, are counted under a lock; the first saves the count,
+    the last to leave restores it.
     """
     global _pin_holders, _pin_restore
     api = _openblas_thread_api()

@@ -1,9 +1,15 @@
-"""Fixtures shared by the whole suite."""
+"""Fixtures and helpers shared by the whole suite."""
 
+import ctypes
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import socbench
+from socbench import harness, network
 from socbench.network import _openblas_thread_api
 
 
@@ -70,3 +76,58 @@ class CallRecord:
 def calls(tmp_path):
     """A CallRecord in a file of the test's own."""
     return CallRecord(tmp_path / "calls.txt")
+
+
+@pytest.fixture()
+def product_threads(tmp_path, monkeypatch, blas_threads):
+    """A CallRecord of the OpenBLAS thread count that each BLAS product of
+    ``train`` and ``predict`` sees, in whichever process runs it: every
+    ``harness.forward``, ``harness.backward`` and ``harness.optimizer_step``
+    call and every share of ``predict``'s blocks. The count is two outside
+    a pin (``blas_threads``)."""
+    record = CallRecord(tmp_path / "product_threads.txt")
+
+    def recording(real):
+        def wrapper(*args, **kwargs):
+            record.add(blas_threads())
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward", "backward", "optimizer_step"):
+        monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
+    monkeypatch.setattr(network, "_score_blocks", recording(network._score_blocks))
+    return record
+
+
+def openblas_corename():
+    """The name of the kernel the loaded OpenBLAS picked, or None."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    for lib in sorted(libs):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(ctypes.CDLL(lib), symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                return get().decode()
+    return None
+
+
+def run_on_haswell(body: str) -> None:
+    """Run the Python source ``body`` in a fresh process under
+    ``OPENBLAS_CORETYPE=Haswell`` (the kernel is picked when OpenBLAS
+    loads), with the test modules and socbench importable; fail the test
+    when ``body`` fails, and skip it when OpenBLAS does not pick Haswell."""
+    script = (
+        "import conftest\n"
+        "print(conftest.openblas_corename(), flush=True)\n"
+        "if conftest.openblas_corename() == 'Haswell':\n"
+        + "".join(f"    {line}\n" for line in body.splitlines())
+    )
+    paths = [str(Path(__file__).parent), str(Path(socbench.__file__).parents[1])]
+    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+               PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    if done.stdout.strip() != "Haswell":
+        pytest.skip(f"OpenBLAS kernel is {done.stdout.strip()}, not Haswell")

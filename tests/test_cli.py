@@ -233,13 +233,14 @@ class TestTrain:
         assert log.read_text().splitlines()[0] == "epoch,train_loss,val_mae,val_mse"
 
     def test_trains_and_scores_on_one_blas_thread(
-        self, cycle_file, tmp_path, capsys, monkeypatch, blas_threads
+        self, cycle_file, tmp_path, capsys, monkeypatch, blas_threads,
+        product_threads
     ):
         seen = []
 
         def recording(fn):
             def wrapper(*args, **kwargs):
-                seen.append((fn.__name__, blas_threads()))
+                seen.append(fn.__name__)
                 return fn(*args, **kwargs)
             return wrapper
 
@@ -253,7 +254,8 @@ class TestTrain:
         )
         assert code == 0
         # train's own end-of-epoch pass, then the final score
-        assert seen == [("train", 1), ("predict", 1), ("predict", 1)]
+        assert seen == ["train", "predict", "predict"]
+        assert set(product_threads.values()) == {1}
         assert blas_threads() == 2
 
     def test_invalid_optimizer_lists_choices(self, cycle_file, tmp_path, capsys):
@@ -775,12 +777,13 @@ class TestCompare:
         assert "mix/sgd/fold0: training diverged" in outcomes[0][1]
 
     def test_jobs_train_in_worker_processes_that_end_with_the_command(
-        self, cycle_file, tmp_path, capsys, monkeypatch, blas_threads, calls
+        self, cycle_file, tmp_path, capsys, monkeypatch, blas_threads, calls,
+        product_threads
     ):
         real_train = harness.train
 
         def train_and_record(*args, **kwargs):
-            calls.add(blas_threads())  # in whichever process runs it
+            calls.add(0)  # in whichever process runs it
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(harness, "train", train_and_record)
@@ -789,11 +792,13 @@ class TestCompare:
                 "--out", str(tmp_path / "r.csv"), "--jobs", "2"]
         for lr, exit_code in (("adamax=0.05,sgd=0.001", 0), ("adamax=0.05,sgd=1e6", 3)):
             calls.clear()
+            product_threads.clear()
             code, _, _ = run_cli(capsys, *base, "--lr", lr)
             assert code == exit_code
             pids = {pid for pid, _ in calls.entries()}
             assert os.getpid() not in pids and 1 <= len(pids) <= 2
-            assert set(calls.values()) == {1}
+            assert {pid for pid, _ in product_threads.entries()} == pids
+            assert set(product_threads.values()) == {1}
             assert multiprocessing.active_children() == []
             assert blas_threads() == 2
             if code == 0:  # 2 optimizers x (2 folds + final fit)

@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import run_on_haswell
 from socbench import (
     Algorithm,
     DataError,
@@ -262,11 +263,12 @@ class TestCrossValidate:
 
     def test_fold_beyond_the_rows_rejected_by_name(self):
         dm = linear_design(n=64)
-        folds = make_folds(len(dm) + 5, k=2, seed=0)
-        with pytest.raises(InputError, match=r"^fold 0 indexes beyond the 64 rows$"):
-            cross_validate(
-                mlp_specs(4, []), dm, Hyperparameters(eta=0.01), Algorithm.SGD, folds
-            )
+        for extra in (5, 1):  # at 1, the largest index equals the row count
+            folds = make_folds(len(dm) + extra, k=2, seed=0)
+            with pytest.raises(InputError,
+                               match=r"^fold 0 indexes beyond the 64 rows$"):
+                cross_validate(mlp_specs(4, []), dm, Hyperparameters(eta=0.01),
+                               Algorithm.SGD, folds)
 
 
 class TestChronologicalSplit:
@@ -463,14 +465,14 @@ class TestRunComparison:
         assert _openblas_thread_api.cache_info().hits >= 1
 
     def test_blas_pinned_to_one_thread_for_any_jobs_and_restored(
-        self, small_cycle_files, monkeypatch, blas_threads, calls
+        self, small_cycle_files, monkeypatch, blas_threads, calls, product_threads
     ):
         get_threads = blas_threads
         before = get_threads()
         real_train = harness.train
 
         def train_and_record(*args, **kwargs):
-            calls.add(get_threads())  # in whichever process runs it
+            calls.add(0)  # in whichever process runs it
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(harness, "train", train_and_record)
@@ -483,9 +485,10 @@ class TestRunComparison:
         )
         for jobs in (1, 2):
             calls.clear()
+            product_threads.clear()
             run_comparison(small_cycle_files, jobs=jobs, **kwargs)
-            seen = calls.values()
-            assert len(seen) == 2 * 3 and set(seen) == {1}
+            assert len(calls.values()) == 2 * 3
+            assert set(product_threads.values()) == {1}
             assert get_threads() == before
             with pytest.raises(TrainingDivergedError):
                 run_comparison(small_cycle_files, jobs=jobs,
@@ -493,13 +496,12 @@ class TestRunComparison:
             assert get_threads() == before
 
     def test_every_scoring_pass_runs_on_one_blas_thread(
-        self, small_cycle_files, monkeypatch, blas_threads, calls
+        self, small_cycle_files, monkeypatch, calls, product_threads
     ):
-        get_threads = blas_threads
         real_predict = harness.predict
 
         def predict_and_record(*args, **kwargs):
-            calls.add(get_threads())  # in whichever process runs it
+            calls.add(0)  # in whichever process runs it
             return real_predict(*args, **kwargs)
 
         monkeypatch.setattr(harness, "predict", predict_and_record)
@@ -512,12 +514,12 @@ class TestRunComparison:
         )
         for jobs in (1, 2):
             calls.clear()
+            product_threads.clear()
             run_comparison(small_cycle_files, jobs=jobs, **kwargs)
-            seen = calls.values()
             # per cycle: 2 folds x 3 epochs x (train + validation) passes,
             # then the final fit's 3 train passes and its test pass
-            assert len(seen) == 2 * (2 * 3 * 2 + 3 + 1)
-            assert set(seen) == {1}
+            assert len(calls.values()) == 2 * (2 * 3 * 2 + 3 + 1)
+            assert set(product_threads.values()) == {1}
 
     def test_pool_workers_score_without_threads(self, tmp_path, monkeypatch, calls):
         """A --jobs 2 worker on a 2-CPU process scores on its share, one
@@ -559,6 +561,22 @@ class TestRunComparison:
                 run_comparison(["x.csv"], [Algorithm.SGD], small_h(), jobs=jobs)
 
 
+PIN_BATCH_SIZES = [1, 37, 64, 100]
+
+
+def check_training_under_the_pin(batch_size):
+    """``train`` at the process's BLAS thread count gives the parameters
+    it gives inside an outer one-thread pin."""
+    dm = linear_design(n=300, noise=0.1)
+    normalized = apply_normalization(dm, fit_normalization(dm))
+    h = Hyperparameters(eta=0.01, batch_size=batch_size, epochs=1, seed=4)
+    specs = mlp_specs(4, DEFAULT_HIDDEN)
+    default, _ = train(specs, normalized, h, Algorithm.ADAMAX)
+    with _one_blas_thread():
+        pinned, _ = train(specs, normalized, h, Algorithm.ADAMAX)
+    assert default.flat.tobytes() == pinned.flat.tobytes()
+
+
 class TestOneBlasThread:
     def test_nested_pins_restore_once_outermost_leaves(self, blas_threads):
         with _one_blas_thread():
@@ -595,16 +613,48 @@ class TestOneBlasThread:
         assert seen == {"a": 1, "b after a left": 1}
         assert blas_threads() == 2
 
-    @pytest.mark.parametrize("batch_size", [1, 37, 64, 100])
+    @pytest.mark.parametrize("batch_size", PIN_BATCH_SIZES)
     def test_training_is_bit_identical_under_the_pin(self, blas_threads, batch_size):
-        dm = linear_design(n=300, noise=0.1)
+        check_training_under_the_pin(batch_size)
+
+    def test_training_under_the_pin_on_the_haswell_kernel(self):
+        """The batch sizes above under ``OPENBLAS_CORETYPE=Haswell``, where
+        a GEMM split between OpenBLAS threads rounds differently from the
+        same GEMM on one thread, at two threads outside the pin."""
+        run_on_haswell(
+            "import test_harness as t\n"
+            "from socbench.network import _openblas_thread_api\n"
+            "_, set_threads = _openblas_thread_api()\n"
+            "set_threads(2)\n"
+            "for batch_size in t.PIN_BATCH_SIZES:\n"
+            "    t.check_training_under_the_pin(batch_size)\n"
+        )
+
+    def test_library_train_pins_itself_and_restores_the_count(
+        self, monkeypatch, blas_threads, calls, product_threads
+    ):
+        real_predict = harness.predict
+
+        def predict_and_record(*args, **kwargs):
+            calls.add(blas_threads())
+            return real_predict(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "predict", predict_and_record)
+        dm = linear_design(n=64, noise=0.1)
         normalized = apply_normalization(dm, fit_normalization(dm))
-        h = Hyperparameters(eta=0.01, batch_size=batch_size, epochs=1, seed=4)
-        specs = mlp_specs(4, DEFAULT_HIDDEN)
-        default, _ = train(specs, normalized, h, Algorithm.ADAMAX)
-        with _one_blas_thread():
-            pinned, _ = train(specs, normalized, h, Algorithm.ADAMAX)
-        assert default.flat.tobytes() == pinned.flat.tobytes()
+        h = Hyperparameters(eta=0.01, batch_size=16, epochs=2, seed=1)
+        specs = mlp_specs(4, [8])
+        train(specs, normalized, h, Algorithm.SGD, val_dm=normalized)
+        # 2 epochs x (4 batches x forward, backward and step, then a train
+        # and a validation pass of one block each)
+        assert product_threads.values() == [1] * (2 * (4 * 3 + 2))
+        assert calls.values() == [1] * (2 * 2)
+        assert blas_threads() == 2
+        product_threads.clear()
+        with pytest.raises(TrainingDivergedError):
+            train(specs, normalized, replace(h, eta=1e6), Algorithm.SGD)
+        assert set(product_threads.values()) == {1}
+        assert blas_threads() == 2
 
 
 class TestOutputs:

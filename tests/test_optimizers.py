@@ -307,6 +307,16 @@ class TestValidation:
         assert state.step_count == 0
 
     @pytest.mark.parametrize(
+        "algorithm", [Algorithm.RMSPROP, Algorithm.ADAM, Algorithm.ADAMAX]
+    )
+    def test_state_without_its_slots_rejected(self, algorithm):
+        params = scalar_param(1.0)
+        state = OptimizerState(algorithm)  # not from initial(): no slots
+        with pytest.raises(InputError, match="optimizer state shapes"):
+            optimizer_step(params, scalar_grad(1.0), Hyperparameters(eta=0.01), state)
+        assert theta(params) == 1.0 and state.step_count == 0
+
+    @pytest.mark.parametrize(
         "algorithm, stale",
         [(a, "gradient") for a in Algorithm]
         + [(a, "state") for a in Algorithm if a is not Algorithm.SGD],
@@ -372,6 +382,12 @@ class TestValidation:
         # a per-optimizer learning rate goes in through replace
         with pytest.raises(ConfigError, match=message):
             replace(Hyperparameters(eta=0.01), **{field: value})
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "rho"])
+    def test_decay_rates_span_zero_up_to_one(self, name):
+        assert getattr(Hyperparameters(**{name: 0.0}), name) == 0.0
+        with pytest.raises(ConfigError, match=rf"^{name} must be in \[0, 1\)"):
+            Hyperparameters(**{name: 1.0})
 
     def test_zero_learning_rate_allowed(self):
         h = Hyperparameters(eta=0.0)

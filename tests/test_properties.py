@@ -6,17 +6,13 @@ features and the command line's exit-code contract."""
 
 import copy
 import csv
-import ctypes
 import io
 import json
 import math
 import os
 import random
-import subprocess
-import sys
 from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import socbench
+from conftest import run_on_haswell
 from socbench import (
     Algorithm,
     Hyperparameters,
@@ -43,7 +39,13 @@ from socbench import (
 )
 from socbench import cli, network
 from socbench.cli import main
-from socbench.data import CSV_HEADER, _ingest_rows, _read_columns
+from socbench.data import (
+    CSV_HEADER,
+    DesignMatrix,
+    _ingest_rows,
+    _read_columns,
+    write_design_matrix_csv,
+)
 from socbench.errors import ConfigError, ModelMismatchError
 from socbench.network import _one_blas_thread
 from socbench.network import (
@@ -494,39 +496,15 @@ for _case in BLOCKED_EXAMPLES:
     )(test_blocked_predict_is_thread_invariant_and_forward_on_one_thread)
 
 
-def openblas_corename():
-    """The name of the kernel the loaded OpenBLAS picked, or None."""
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        libs = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    for lib in sorted(libs):
-        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
-            get = getattr(ctypes.CDLL(lib), symbol, None)
-            if get is not None:
-                get.argtypes, get.restype = [], ctypes.c_char_p
-                return get().decode()
-    return None
-
-
 def test_blocked_predict_examples_on_the_haswell_kernel():
     """The explicit examples above under ``OPENBLAS_CORETYPE=Haswell``,
     where a GEMM split between OpenBLAS threads rounds differently from the
-    same GEMM on one thread, in a fresh process (the kernel is picked when
-    OpenBLAS loads)."""
-    script = (
+    same GEMM on one thread."""
+    run_on_haswell(
         "import test_properties as t\n"
-        "print(t.openblas_corename(), flush=True)\n"
-        "if t.openblas_corename() == 'Haswell':\n"
-        "    for case in t.BLOCKED_EXAMPLES:\n"
-        "        t.check_blocked_predict(*case)\n"
+        "for case in t.BLOCKED_EXAMPLES:\n"
+        "    t.check_blocked_predict(*case)\n"
     )
-    paths = [str(Path(__file__).parent), str(Path(socbench.__file__).parents[1])]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
-               PYTHONPATH=os.pathsep.join(paths))
-    done = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr
-    if done.stdout.strip() != "Haswell":
-        pytest.skip(f"OpenBLAS kernel is {done.stdout.strip()}, not Haswell")
 
 
 # --- ingestion --------------------------------------------------------------
@@ -822,6 +800,33 @@ def test_write_cycle_csv_matches_csv_writer(tmp_path_factory, data):
     telemetry = Telemetry(*data)
     write_cycle_csv(telemetry, folder / "got.csv")
     reference_write(telemetry, folder / "want.csv")
+    assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+
+def reference_write_design_matrix(dm, path):
+    """The csv.writer loop write_design_matrix_csv replaces."""
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["x1", "x2", "x3", "x4", "soc"])
+        for i in range(len(dm)):
+            writer.writerow(
+                [repr(float(x)) for x in dm.features[i]]
+                + [repr(float(dm.targets[i]))]
+            )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    data=st.integers(0, 20).flatmap(
+        lambda n: st.tuples(arrays(np.float64, (n, 4), elements=FLOATS),
+                            arrays(np.float64, (n,), elements=FLOATS))
+    )
+)
+def test_write_design_matrix_csv_matches_csv_writer(tmp_path_factory, data):
+    folder = tmp_path_factory.mktemp("export")
+    dm = DesignMatrix(*data)
+    write_design_matrix_csv(dm, folder / "got.csv")
+    reference_write_design_matrix(dm, folder / "want.csv")
     assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
 
 

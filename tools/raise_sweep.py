@@ -49,8 +49,9 @@ FLIPPED = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
            ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
 
 # Guard mutants that no input can tell from the original, by (module file,
-# mutated test as ast.unparse writes it), with the reason. The sweep of
-# network.py and data.py found none: a test kills each of its survivors.
+# mutated test as ast.unparse writes it), with the reason. The sweeps of
+# network.py, data.py, harness.py and optimizers.py found none: a test
+# kills each of their survivors.
 EQUIVALENT: dict[tuple[str, str], str] = {}
 
 
