@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -298,12 +299,15 @@ def _run_pairs(
     Returns each pair's result in task order (the final fit's test scores,
     seconds summed over its runs) and each run's log by (cycle, optimizer,
     run). No run changes the split; a fold builds its subsets as it starts.
+    A pair whose rows cannot be split into ``k`` folds is an InputError
+    named ``cycle/optimizer``, raised before any run starts.
     """
     tasks = []
     for name, raw_dm in cycles:
         train_raw, test_raw = chronological_split(raw_dm)
         for algorithm, h in pairs:
-            folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
+            with _named(f"{name}/{algorithm.value}"):
+                folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
             for fold in range(k):
                 thunk = partial(
                     run_fold, layer_specs, train_raw, h, algorithm, folds, fold
@@ -346,15 +350,23 @@ def run_single_experiment(
     return result, {run: log for (_, _, run), log in logs.items()}
 
 
+@contextmanager
+def _named(name: str):
+    """Prefix a SocBenchError raised in the block with ``name``: a run's
+    ``cycle/optimizer/run``, or a pair's ``cycle/optimizer``."""
+    try:
+        yield
+    except SocBenchError as exc:
+        exc.args = (f"{name}: {exc}",)
+        raise
+
+
 def _timed(name: str, run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
     """``run``'s outcome and wall time; an error it raises is prefixed with
     the run's ``name`` (``cycle/optimizer/run``) in the process that ran it."""
     started = time.perf_counter()
-    try:
+    with _named(name):
         outcome = run()
-    except SocBenchError as exc:
-        exc.args = (f"{name}: {exc}",)
-        raise
     return outcome, time.perf_counter() - started
 
 
@@ -386,7 +398,9 @@ def _run_all(runs: NamedRuns, jobs: int) -> list[tuple[RunOutcome, float]]:
     and numpy in every worker, pickle every run with its data, and miss
     what this process patched (as tests do). All workers are forked before
     the pool starts its own thread, and OpenBLAS's at-fork handler stops
-    its threads; ``predict``'s scoring threads live only within one call.
+    its threads; ``predict`` scores its first share on the calling thread
+    and the others on a ``ThreadPoolExecutor`` that it joins before it
+    releases its pin, so no scoring thread outlives a call.
     A library caller that runs other threads takes the usual ``fork`` risk
     for them. Each worker scores on its share of the CPUs (``_adopt_runs``),
     so the workers' scoring threads do not outnumber the CPUs. ``train``

@@ -15,11 +15,12 @@ import json
 import os
 import threading
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, pairwise
 from pathlib import Path
 
 import numpy as np
@@ -285,59 +286,19 @@ def _share_cpus(processes: int) -> None:
     _score_cpus = max(1, _process_cpus() // processes)
 
 
-def _score_blocks(
-    layers: list, x: np.ndarray, out: np.ndarray, n_blocks: int, first: int, stop: int
+def _score_share(
+    layers: list, x: np.ndarray, out: np.ndarray, blocks: list[tuple[int, int]]
 ) -> None:
-    """Blocks ``first`` to ``stop - 1`` of the ``n_blocks`` blocks of ``x``
-    through ``layers``; the last layer writes each block's rows of ``out``."""
+    """Each ``(start, end)`` row block of ``x`` through ``layers``; the last
+    layer writes the block's rows of ``out``."""
     *inner, (top_spec, top_w, top_b) = layers
-    n = x.shape[0]
-    for block in range(first, stop):
-        start = block * SCORE_ROWS
-        end = n if block == n_blocks - 1 else start + SCORE_ROWS
+    for start, end in blocks:
         rows = x[start:end]
         for spec, w, b in inner:
             rows = rows @ w.T
             _finish_layer(rows, spec, b)
         rows = np.matmul(rows, top_w.T, out=out[start:end])
         _finish_layer(rows, top_spec, top_b)
-
-
-def _run_shares(run_share: Callable[[int, int], None], n_blocks: int) -> None:
-    """``run_share(first, stop)`` over blocks 0 to ``n_blocks - 1``, split
-    into one contiguous, near-equal share per scoring thread: the caller's
-    thread takes the first share, helper threads the others.
-
-    The helpers are started and joined here, so none outlives the call,
-    and each runs in a copy of the caller's context, which holds numpy's
-    error state (``np.errstate``). An error raised in a share is raised
-    here once every thread is joined; the first share's error wins.
-    """
-    threads = min(n_blocks, _score_cpus or _process_cpus())
-    bounds = [n_blocks * i // threads for i in range(threads + 1)]
-    errors: list[BaseException | None] = [None] * threads
-
-    def share(i: int) -> None:
-        try:
-            run_share(bounds[i], bounds[i + 1])
-        except BaseException as exc:  # raised in the caller below
-            errors[i] = exc
-
-    helpers = []
-    try:
-        for i in range(1, threads):
-            helper = threading.Thread(
-                target=contextvars.copy_context().run, args=(share, i)
-            )
-            helper.start()
-            helpers.append(helper)
-        share(0)
-    finally:
-        for helper in helpers:
-            helper.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
 
 
 def predict(
@@ -354,15 +315,17 @@ def predict(
     rounds differently from the same rows inside a large product.
 
     The blocks are split into one contiguous, near-equal share per scoring
-    thread: the caller's thread plus helper threads, one thread per CPU
-    this process may run on (``os.sched_getaffinity``) and at most one per
-    block; a ``compare --jobs N`` worker uses its share, the CPUs over N.
+    thread, one per CPU this process may run on (``os.sched_getaffinity``)
+    and at most one per block; a ``compare --jobs N`` worker uses its
+    share, the CPUs over N. The caller's thread scores the first share and
+    a ``ThreadPoolExecutor`` the others, each helper in a copy of the
+    caller's context, which holds numpy's error state (``np.errstate``).
     OpenBLAS is pinned to one thread meanwhile (``_one_blas_thread``), so
     each block's products run on one thread in a fixed order: the bits are
     the same at any thread or CPU count on every OpenBLAS kernel, and equal
     ``forward(params, batch)[0]`` computed on one BLAS thread. The helpers
-    run under the caller's numpy error state, and an error raised in any
-    share is raised here.
+    are joined before the pin is released; an error raised in a share is
+    raised here, the first share's error first.
 
     ``like_forward=True`` keeps the output layer as one product over all n
     rows, so the last hidden layer writes its blocks into one (n, width)
@@ -381,10 +344,25 @@ def predict(
     blocked = layers[:-1] if like_forward else layers
     a = x
     if blocked:
-        a = np.empty((x.shape[0], blocked[-1][0].output_dim))
-        n_blocks = max(x.shape[0] // SCORE_ROWS, 1)
-        with _one_blas_thread():
-            _run_shares(partial(_score_blocks, blocked, x, a, n_blocks), n_blocks)
+        n = x.shape[0]
+        a = np.empty((n, blocked[-1][0].output_dim))
+        cuts = range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS)
+        blocks = list(pairwise([0, *cuts, n]))
+        count = min(len(blocks), _score_cpus or _process_cpus())
+        shares = [
+            blocks[len(blocks) * i // count : len(blocks) * (i + 1) // count]
+            for i in range(count)
+        ]
+        score = partial(_score_share, blocked, x, a)
+        # the executor starts a thread per submitted share, none for one share
+        with _one_blas_thread(), ThreadPoolExecutor(count) as helpers:
+            futures = [
+                helpers.submit(contextvars.copy_context().run, score, share)
+                for share in shares[1:]
+            ]
+            score(shares[0])
+            for future in futures:
+                future.result()
     if like_forward:
         out_spec, out_w, out_b = layers[-1]
         a = a @ out_w.T

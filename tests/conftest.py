@@ -95,7 +95,7 @@ def product_threads(tmp_path, monkeypatch, blas_threads):
 
     for name in ("forward", "backward", "optimizer_step"):
         monkeypatch.setattr(harness, name, recording(getattr(harness, name)))
-    monkeypatch.setattr(network, "_score_blocks", recording(network._score_blocks))
+    monkeypatch.setattr(network, "_score_share", recording(network._score_share))
     return record
 
 
@@ -112,22 +112,26 @@ def openblas_corename():
     return None
 
 
-def run_on_haswell(body: str) -> None:
+# the OpenBLAS kernels, besides the one picked for the CPU, that tests select
+OTHER_KERNELS = ["Haswell", "Sandybridge"]
+
+
+def run_on_kernel(kernel: str, body: str) -> None:
     """Run the Python source ``body`` in a fresh process under
-    ``OPENBLAS_CORETYPE=Haswell`` (the kernel is picked when OpenBLAS
+    ``OPENBLAS_CORETYPE=kernel`` (the kernel is picked when OpenBLAS
     loads), with the test modules and socbench importable; fail the test
-    when ``body`` fails, and skip it when OpenBLAS does not pick Haswell."""
+    when ``body`` fails, and skip it when OpenBLAS does not pick ``kernel``."""
     script = (
         "import conftest\n"
         "print(conftest.openblas_corename(), flush=True)\n"
-        "if conftest.openblas_corename() == 'Haswell':\n"
+        f"if conftest.openblas_corename() == {kernel!r}:\n"
         + "".join(f"    {line}\n" for line in body.splitlines())
     )
     paths = [str(Path(__file__).parent), str(Path(socbench.__file__).parents[1])]
-    env = dict(os.environ, OPENBLAS_CORETYPE="Haswell",
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
                PYTHONPATH=os.pathsep.join(paths))
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=600)
     assert done.returncode == 0, done.stderr
-    if done.stdout.strip() != "Haswell":
-        pytest.skip(f"OpenBLAS kernel is {done.stdout.strip()}, not Haswell")
+    if done.stdout.strip() != kernel:
+        pytest.skip(f"OpenBLAS kernel is {done.stdout.strip()}, not {kernel}")

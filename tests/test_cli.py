@@ -887,6 +887,25 @@ class TestCompare:
             "after epoch 3\n"
         )
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_fold_split_error_names_its_pair(self, tmp_path, capsys, jobs):
+        for name, duration in (("tiny", "5"), ("good", "599")):
+            run_cli(
+                capsys, "generate", "--profile", "random", "--duration", duration,
+                "--sample-period-s", "1.0", "--seed", "1",
+                "--out", str(tmp_path / f"{name}.csv"),
+            )
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(
+            capsys, "compare", "--data", str(tmp_path / "good.csv"),
+            str(tmp_path / "tiny.csv"), "--optimizers", "sgd", "--hidden", "2",
+            "--epochs", "1", "--k", "6", "--window", "1", "--out", str(out),
+            "--jobs", jobs,
+        )
+        assert (code, stdout) == (2, "")
+        assert err == "error: tiny/sgd: cannot split 5 rows into 6 folds\n"
+        assert not out.exists()
+
     def test_repeated_data_flags_add_up(self):
         args = cli.build_parser().parse_args(
             ["compare", "--data", "a.csv", "b.csv", "--data", "c.csv"]
@@ -945,10 +964,13 @@ class TestCompare:
         assert (code, out) == (2, "")
         assert err == "error: no datasets: pass --data and/or --data-dir\n"
 
-    def test_logs_and_table_written(self, cycle_file, tmp_path, capsys):
+    @pytest.mark.parametrize("logs_exist", [False, True])
+    def test_logs_and_table_written(self, cycle_file, tmp_path, capsys, logs_exist):
         out = tmp_path / "results.csv"
         table = tmp_path / "table.txt"
         logs = tmp_path / "logs"
+        if logs_exist:
+            logs.mkdir()
         code, _, _ = run_cli(
             capsys, "compare", "--data", str(cycle_file),
             "--optimizers", "adamax", "--lr", "0.05", "--epochs", "2",

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import run_on_haswell
+from conftest import OTHER_KERNELS, run_on_kernel
 from socbench import (
     Algorithm,
     DataError,
@@ -617,17 +617,19 @@ class TestOneBlasThread:
     def test_training_is_bit_identical_under_the_pin(self, blas_threads, batch_size):
         check_training_under_the_pin(batch_size)
 
-    def test_training_under_the_pin_on_the_haswell_kernel(self):
-        """The batch sizes above under ``OPENBLAS_CORETYPE=Haswell``, where
-        a GEMM split between OpenBLAS threads rounds differently from the
-        same GEMM on one thread, at two threads outside the pin."""
-        run_on_haswell(
+    @pytest.mark.parametrize("kernel", OTHER_KERNELS)
+    def test_training_under_the_pin_on_kernel(self, kernel):
+        """The batch sizes above under ``OPENBLAS_CORETYPE=kernel``, at two
+        threads outside the pin; on Haswell a GEMM split between OpenBLAS
+        threads rounds differently from the same GEMM on one thread."""
+        run_on_kernel(
+            kernel,
             "import test_harness as t\n"
             "from socbench.network import _openblas_thread_api\n"
             "_, set_threads = _openblas_thread_api()\n"
             "set_threads(2)\n"
             "for batch_size in t.PIN_BATCH_SIZES:\n"
-            "    t.check_training_under_the_pin(batch_size)\n"
+            "    t.check_training_under_the_pin(batch_size)\n",
         )
 
     def test_library_train_pins_itself_and_restores_the_count(

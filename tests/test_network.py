@@ -315,6 +315,27 @@ class TestPredict:
             predict(params, np.ones((4 * SCORE_ROWS, 4)))
         assert threading.active_count() == before
 
+    def test_the_callers_error_wins_when_a_helper_fails_too(
+        self, monkeypatch, blas_threads
+    ):
+        monkeypatch.setattr(network, "_score_cpus", 2)
+        helper_failed = threading.Event()
+
+        def fail(*args):
+            if threading.current_thread() is threading.main_thread():
+                assert helper_failed.wait(10)
+                raise ValueError("caller failed")
+            helper_failed.set()
+            raise ValueError("helper failed")
+
+        monkeypatch.setattr(network, "_finish_layer", fail)
+        params = init_network(mlp_specs(4, [8]), seed=0)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="^caller failed$"):
+            predict(params, np.ones((4 * SCORE_ROWS, 4)))
+        assert threading.active_count() == before
+        assert blas_threads() == 2
+
     def test_scores_on_one_blas_thread_and_restores_the_count(
         self, monkeypatch, blas_threads
     ):

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import run_on_haswell
+from conftest import OTHER_KERNELS, run_on_kernel
 from socbench import (
     Algorithm,
     Hyperparameters,
@@ -496,14 +496,16 @@ for _case in BLOCKED_EXAMPLES:
     )(test_blocked_predict_is_thread_invariant_and_forward_on_one_thread)
 
 
-def test_blocked_predict_examples_on_the_haswell_kernel():
-    """The explicit examples above under ``OPENBLAS_CORETYPE=Haswell``,
-    where a GEMM split between OpenBLAS threads rounds differently from the
-    same GEMM on one thread."""
-    run_on_haswell(
+@pytest.mark.parametrize("kernel", OTHER_KERNELS)
+def test_blocked_predict_examples_on_kernel(kernel):
+    """The explicit examples above under ``OPENBLAS_CORETYPE=kernel``; on
+    Haswell a GEMM split between OpenBLAS threads rounds differently from
+    the same GEMM on one thread."""
+    run_on_kernel(
+        kernel,
         "import test_properties as t\n"
         "for case in t.BLOCKED_EXAMPLES:\n"
-        "    t.check_blocked_predict(*case)\n"
+        "    t.check_blocked_predict(*case)\n",
     )
 
 

@@ -161,10 +161,11 @@ class TestDeterministicOutput:
 
 
 class TestValidation:
-    def test_bad_duration(self):
-        with pytest.raises(ConfigError):
+    @pytest.mark.parametrize("duration", [0.0, float("inf"), float("nan")])
+    def test_bad_duration(self, duration):
+        with pytest.raises(ConfigError, match="^duration must be finite and > 0 s"):
             generate_cycle(SyntheticCellParams(), Profile.RANDOM_MIX,
-                           duration_s=0.0, seed=1)
+                           duration_s=duration, seed=1)
 
     def test_bad_cell_params(self):
         with pytest.raises(ConfigError):
@@ -178,6 +179,14 @@ class TestValidation:
         for thermal in ({"heating_k_per_w": -1.0}, {"cooling_rate_per_s": -1.0}):
             with pytest.raises(ConfigError, match="thermal coefficients must be >= 0"):
                 SyntheticCellParams(**thermal)
+        # the bounds: a zero capacity and an empty OCV span are rejected, zero
+        # resistance and zero thermal coefficients are not
+        with pytest.raises(ConfigError, match="capacity_ah must be > 0, got 0.0"):
+            SyntheticCellParams(capacity_ah=0.0)
+        with pytest.raises(ConfigError, match=r"ocv_v_max \(3.5\) must exceed"):
+            SyntheticCellParams(ocv_v_min=3.5, ocv_v_max=3.5)
+        SyntheticCellParams(r_internal_ohm=0.0, heating_k_per_w=0.0,
+                            cooling_rate_per_s=0.0)
 
     @pytest.mark.parametrize("amplitude", [float("inf"), float("nan")])
     def test_non_finite_current(self, amplitude):
@@ -189,4 +198,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             generate_cycle(SyntheticCellParams(), Profile.RANDOM_MIX,
                            duration_s=10.0, seed=1, soc0_percent=105.0)
+
+    def test_voltage_overflow_alone_rejected(self):
+        """A subnormal capacity sends the SOC, and so the voltage, to -inf;
+        with no resistance the temperature stays at ambient."""
+        params = SyntheticCellParams(capacity_ah=1e-310, r_internal_ohm=0.0)
+        with pytest.raises(ConfigError, match="^cell settings overflow"):
+            generate_cycle(params, Profile.CONSTANT_DISCHARGE, duration_s=60.0, seed=1)
+
+    @pytest.mark.parametrize("soc0", [0.0, 100.0])
+    def test_soc0_bounds_are_allowed(self, soc0):
+        cycle = generate_cycle(SyntheticCellParams(), Profile.RANDOM_MIX,
+                               duration_s=10.0, seed=1, soc0_percent=soc0)
+        assert cycle.soc_percent[0] == soc0
 
