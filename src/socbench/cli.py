@@ -9,7 +9,8 @@ the seed) the SOC_BENCH_SEED environment variable, then the default. The
 raw text from any of these goes through the entry's converter, so a bad
 value meets the same check whatever its source. A failure prints one
 line starting ``error:`` on stderr and exits with the ``exit_code`` its
-error class declares (see errors.py), or 1 for an OSError.
+error class declares (see errors.py), or 1 for an OSError or a
+MemoryError.
 """
 
 from __future__ import annotations
@@ -500,16 +501,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    command = parser.prog
     try:
         try:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help printed its text
             return exc.code
+        command = args.command
         return args.func(_resolve(args, args.schema))
     except (SocBenchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         # an OSError ends as any error without a code of its own does
         return getattr(exc, "exit_code", SocBenchError.exit_code)
+    except MemoryError:  # raised in this process or in a compare worker
+        print(f"error: out of memory in {command}", file=sys.stderr)
+        return SocBenchError.exit_code
 
 
 if __name__ == "__main__":

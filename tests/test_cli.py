@@ -1029,6 +1029,73 @@ class TestOutputPaths:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.csv"]
 
 
+class TestOutOfMemory:
+    """A MemoryError, raised in the command's process or in a compare
+    worker, is one error line naming the command and exit 1; nothing is
+    written and no worker is left."""
+
+    @staticmethod
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 205. MiB for an array")
+
+    @pytest.fixture()
+    def model(self, cycle_file, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "train", "--data", str(cycle_file), "--optimizer", "sgd",
+            "--epochs", "1", "--hidden", "4", "--soc0", "90", "--out-model",
+            str(path), "--out-log", str(tmp_path / "l.csv"),
+        )
+        assert code == 0
+        return path
+
+    def argv(self, command, cycle_file, tmp_path, jobs="1"):
+        return {
+            "train": ["--data", str(cycle_file), "--optimizer", "sgd",
+                      "--epochs", "1", "--hidden", "4", "--soc0", "90",
+                      "--out-model", str(tmp_path / "out.json"),
+                      "--out-log", str(tmp_path / "out.csv")],
+            "evaluate": ["--model", str(tmp_path / "m.json"),
+                         "--data", str(cycle_file), "--soc0", "90",
+                         "--predictions", str(tmp_path / "out.csv")],
+            "compare": ["--data", str(cycle_file), "--optimizers", "sgd",
+                        "--epochs", "1", "--k", "2", "--hidden", "4",
+                        "--soc0", "90", "--out", str(tmp_path / "out.csv"),
+                        "--jobs", jobs],
+        }[command]
+
+    def check(self, capsys, command, argv, tmp_path):
+        code, out, err = run_cli(capsys, command, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: out of memory in {command}\n"
+        assert multiprocessing.active_children() == []
+        assert not any(p.name.startswith("out.") for p in tmp_path.iterdir())
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "compare"])
+    def test_in_ingest(self, cycle_file, model, tmp_path, capsys, monkeypatch,
+                       command):
+        for owner in (data_module, harness):
+            monkeypatch.setattr(owner, "prepare_cycle", self.out_of_memory)
+        self.check(capsys, command, self.argv(command, cycle_file, tmp_path),
+                   tmp_path)
+
+    def test_in_evaluates_predict(self, cycle_file, model, tmp_path, capsys,
+                                  monkeypatch):
+        monkeypatch.setattr(harness, "predict", self.out_of_memory)
+        self.check(capsys, "evaluate", self.argv("evaluate", cycle_file, tmp_path),
+                   tmp_path)
+
+    @pytest.mark.parametrize("command, jobs", [
+        ("train", "1"), ("compare", "1"), ("compare", "2"),
+    ])
+    def test_in_train(self, cycle_file, tmp_path, capsys, monkeypatch, command,
+                      jobs):
+        monkeypatch.setattr(cli, "train", self.out_of_memory)
+        monkeypatch.setattr(harness, "train", self.out_of_memory)
+        self.check(capsys, command, self.argv(command, cycle_file, tmp_path, jobs),
+                   tmp_path)
+
+
 class TestHugeCurrents:
     """Finite currents too large to integrate or average in float64."""
 
