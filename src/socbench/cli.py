@@ -10,7 +10,7 @@ raw text from any of these goes through the entry's converter, so a bad
 value meets the same check whatever its source. A failure prints one
 line starting ``error:`` on stderr and exits with the ``exit_code`` its
 error class declares (see errors.py), or 1 for an OSError or a
-MemoryError.
+MemoryError; Ctrl-C ends a command as ``error: interrupted``, exit 130.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .optimizers import Algorithm, Hyperparameters
 from .synthetic import Profile, SyntheticCellParams, generate_cycle, write_cycle_csv
 
 EXIT_OK = 0
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a Ctrl-C
 
 
 # --- converters: raw text to value; a ValueError says what the value must be
@@ -516,6 +517,9 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:  # raised in this process or in a compare worker
         print(f"error: out of memory in {command}", file=sys.stderr)
         return SocBenchError.exit_code
+    except KeyboardInterrupt:  # compare's workers were ended before it got here
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ test rows.
 from __future__ import annotations
 
 import csv
+import signal
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -75,6 +76,7 @@ class EpochStats:
 
 
 TrainingLog = list[EpochStats]  # one entry per completed epoch
+RunOutcome = tuple[float, float, TrainingLog]  # (mae, mse, log) of one run
 
 
 @dataclass
@@ -86,6 +88,20 @@ class ExperimentResult:
     rmse: float
     seconds: float
     seed: int
+
+
+@dataclass(frozen=True)
+class RunRecord:
+    """One training run as the process that ran it reports it: its pair and
+    run, its scores and log (``RunOutcome``) and wall time; no training data."""
+
+    cycle: str
+    optimizer: Algorithm
+    run: str  # fold{i} or final
+    mae: float
+    mse: float
+    log: TrainingLog
+    seconds: float
 
 
 @dataclass
@@ -187,9 +203,6 @@ def _diverged(what: str, epoch: int, batch: int | None = None) -> TrainingDiverg
     return TrainingDivergedError(f"training diverged: non-finite {what} {where}")
 
 
-RunOutcome = tuple[float, float, TrainingLog]  # (mae, mse, log) of one run
-
-
 def run_fold(
     layer_specs: list[LayerSpec],
     raw_dm: DesignMatrix,
@@ -289,49 +302,37 @@ def _final_fit(
 def _run_pairs(
     cycles: list[tuple[str, DesignMatrix]],
     pairs: list[tuple[Algorithm, Hyperparameters]],
-    layer_specs: list[LayerSpec],
-    k: int,
-    fold_mode: FoldMode,
-    jobs: int,
+    layer_specs: list[LayerSpec], k: int, fold_mode: FoldMode, jobs: int,
 ) -> tuple[list[ExperimentResult], dict[tuple[str, str, str], TrainingLog]]:
     """Every training run of every (cycle, optimizer) pair in ``jobs``
     processes: per pair, runs ``fold0`` ... ``fold{k-1}``, then ``final``.
-    Returns each pair's result in task order (the final fit's test scores,
-    seconds summed over its runs) and each run's log by (cycle, optimizer,
-    run). No run changes the split; a fold builds its subsets as it starts.
-    A pair whose rows cannot be split into ``k`` folds is an InputError
-    named ``cycle/optimizer``, raised before any run starts.
+    From the runs' records alone, returns each pair's result in task order
+    (the final fit's test scores, seconds summed over its runs) and each
+    run's log by (cycle, optimizer, run). A fold builds its subsets as it
+    starts. A pair whose rows cannot be split into ``k`` folds is an
+    InputError named ``cycle/optimizer``, raised before any run starts.
     """
-    tasks = []
+    runs = []
     for name, raw_dm in cycles:
         train_raw, test_raw = chronological_split(raw_dm)
         for algorithm, h in pairs:
-            with _named(f"{name}/{algorithm.value}"):
+            with _named(name, algorithm.value):
                 folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
             for fold in range(k):
-                thunk = partial(
-                    run_fold, layer_specs, train_raw, h, algorithm, folds, fold
-                )
-                tasks.append((name, algorithm, h, f"fold{fold}", thunk))
-            thunk = partial(_final_fit, layer_specs, train_raw, test_raw, h, algorithm)
-            tasks.append((name, algorithm, h, "final", thunk))
-    timed = _run_all(
-        [(f"{name}/{alg.value}/{run}", thunk) for name, alg, _, run, thunk in tasks],
-        jobs,
-    )
+                runs.append(partial(_timed, name, algorithm, f"fold{fold}", run_fold,
+                                    layer_specs, train_raw, h, algorithm, folds, fold))
+            runs.append(partial(_timed, name, algorithm, "final", _final_fit,
+                                layer_specs, train_raw, test_raw, h, algorithm))
+    records = _run_all(runs, jobs)
 
     results = []
-    logs: dict[tuple[str, str, str], TrainingLog] = {}
-    seconds = 0.0
-    for (name, algorithm, h, run, _), ((mae, mse, log), elapsed) in zip(tasks, timed):
-        logs[(name, algorithm.value, run)] = log
-        seconds += elapsed
-        if run == "final":
-            results.append(ExperimentResult(
-                name, algorithm, mae, mse, float(np.sqrt(mse)), seconds, h.seed
-            ))
-            seconds = 0.0
-    return results, logs
+    for i, (_, h) in enumerate(pairs * len(cycles)):
+        *_, final = pair = records[i * (k + 1) : (i + 1) * (k + 1)]
+        results.append(ExperimentResult(
+            final.cycle, final.optimizer, final.mae, final.mse,
+            float(np.sqrt(final.mse)), sum(r.seconds for r in pair), h.seed,
+        ))
+    return results, {(r.cycle, r.optimizer.value, r.run): r.log for r in records}
 
 
 def run_single_experiment(
@@ -351,92 +352,91 @@ def run_single_experiment(
 
 
 @contextmanager
-def _named(name: str):
-    """Prefix a SocBenchError raised in the block with ``name``: a run's
-    ``cycle/optimizer/run``, or a pair's ``cycle/optimizer``."""
+def _named(*parts: str):
+    """Prefix a SocBenchError raised in the block with a run's
+    ``cycle/optimizer/run`` or a pair's ``cycle/optimizer``."""
     try:
         yield
     except SocBenchError as exc:
-        exc.args = (f"{name}: {exc}",)
+        exc.args = (f"{'/'.join(parts)}: {exc}",)
         raise
 
 
-def _timed(name: str, run: Callable[[], RunOutcome]) -> tuple[RunOutcome, float]:
-    """``run``'s outcome and wall time; an error it raises is prefixed with
-    the run's ``name`` (``cycle/optimizer/run``) in the process that ran it."""
+def _timed(cycle: str, optimizer: Algorithm, run: str,
+           work: Callable[..., RunOutcome], *args) -> RunRecord:
+    """The record of ``work(*args)``; an error it raises is named after the
+    run in the process that ran it."""
     started = time.perf_counter()
-    with _named(name):
-        outcome = run()
-    return outcome, time.perf_counter() - started
+    with _named(cycle, optimizer.value, run):
+        mae, mse, log = work(*args)
+    seconds = time.perf_counter() - started
+    return RunRecord(cycle, optimizer, run, mae, mse, log, seconds)
 
 
-NamedRuns = list[tuple[str, Callable[[], RunOutcome]]]
-
-_worker_runs: NamedRuns = []  # in a pool worker: the runs it inherited
+_worker_runs: list[partial] = []  # in a pool worker: the runs it inherited
 
 
-def _adopt_runs(runs: NamedRuns, workers: int) -> None:
-    """Pool worker initializer: keep the runs handed over by the fork, and
-    score on this worker's share of the CPUs, one in ``workers``."""
-    global _worker_runs
-    _worker_runs = runs
+def _adopt_runs(runs: list[partial], workers: int) -> None:
+    """Pool worker initializer: keep the runs the fork handed over, and score
+    on one in ``workers`` of the CPUs, so scoring threads do not outnumber them."""
+    _worker_runs[:] = runs
     _share_cpus(workers)
 
 
-def _run_adopted(index: int) -> tuple[RunOutcome, float]:
-    """In a pool worker: ``_timed`` on the inherited run at ``index``."""
-    return _timed(*_worker_runs[index])
+def _run_adopted(index: int) -> RunRecord:
+    return _worker_runs[index]()
 
 
-def _run_all(runs: NamedRuns, jobs: int) -> list[tuple[RunOutcome, float]]:
-    """Every named run with its wall time, in task order, in ``jobs``
-    worker processes (in this one when ``jobs`` is 1).
+def _run_all(runs: list[partial], jobs: int) -> list[RunRecord]:
+    """The record of every run, a ``partial(_timed, cycle, optimizer, run,
+    work, ...)``, in task order, from ``jobs`` forked worker processes or,
+    when ``jobs`` is 1, from this one.
 
-    The workers are forked, so each inherits the runs and their data: only
-    a task index goes to a worker, and only the outcome, the wall time or
-    the error comes back. ``forkserver`` would instead re-import socbench
-    and numpy in every worker, pickle every run with its data, and miss
-    what this process patched (as tests do). All workers are forked before
-    the pool starts its own thread, and OpenBLAS's at-fork handler stops
-    its threads; ``predict`` scores its first share on the calling thread
-    and the others on a ``ThreadPoolExecutor`` that it joins before it
-    releases its pin, so no scoring thread outlives a call.
-    A library caller that runs other threads takes the usual ``fork`` risk
-    for them. Each worker scores on its share of the CPUs (``_adopt_runs``),
-    so the workers' scoring threads do not outnumber the CPUs. ``train``
-    pins OpenBLAS to one thread in the process that runs it, so every run
-    computes the same bits whatever ``jobs`` is.
+    Each worker inherits the runs and their data from the fork: only a task
+    index goes to it, and only a ``RunRecord`` or an error comes back.
+    ``forkserver`` would instead re-import socbench and numpy in every
+    worker, pickle every run with its data, and miss what this process
+    patched (as tests do). The workers fork before the pool starts its
+    thread, OpenBLAS's at-fork handler stops its threads, and ``predict``
+    joins its own before it returns; a library caller's other threads take
+    the usual ``fork`` risk.
 
-    Results are read in task order, so the error raised is that of the
-    earliest failing run, as in a serial loop; runs still queued then are
-    cancelled. A worker that dies (killed, out of memory) is a
-    SocBenchError naming the run being awaited. The pool is joined before
-    this returns, so no worker outlives it.
+    Records are read in task order, so the error raised is the earliest
+    failing run's, as in a serial loop, and the queued runs are cancelled.
+    A worker that dies (killed, out of memory) is a SocBenchError naming
+    the awaited run. Workers fork with SIGINT blocked and keep it so: a
+    Ctrl-C is this process's KeyboardInterrupt, which cancels the queued
+    runs and terminates the workers. No worker outlives this call.
     """
     if jobs == 1:
-        return [_timed(name, run) for name, run in runs]
+        return [run() for run in runs]
     # imported here: a serial run does not pay for the process pool
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 
     workers = min(jobs, len(runs))
-    with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_runs,
-        initargs=(runs, workers),
-    ) as pool:
-        results = []
-        try:
-            for result in pool.map(_run_adopted, range(len(runs))):
-                results.append(result)
-        except BrokenProcessPool as exc:
-            awaited, _ = runs[len(results)]
-            raise SocBenchError(
-                f"{awaited}: worker process ended unexpectedly"
-            ) from exc
-        return results
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_adopt_runs, initargs=(runs, workers))
+    records = []
+    try:
+        unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
+        try:  # the first submit forks every worker
+            in_order = pool.map(_run_adopted, range(len(runs)))
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
+        for record in in_order:
+            records.append(record)
+    except BrokenProcessPool as exc:
+        cycle, optimizer, run = runs[len(records)].args[:3]
+        with _named(cycle, optimizer.value, run):
+            raise SocBenchError("worker process ended unexpectedly") from exc
+    except KeyboardInterrupt:  # the workers block SIGINT: end them here
+        for worker in list(pool._processes.values()):
+            worker.terminate()
+        raise
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return records
 
 
 def run_comparison(
@@ -455,13 +455,13 @@ def run_comparison(
     A cycle is named by its file's stem; two paths with one stem are an
     InputError before any ingestion. A cycle that fails ingestion is
     skipped and recorded in the report; when every cycle fails, that is an
-    IngestionError naming each one and its reason. The unit of work is one
-    named training run (a fold or a final fit); with ``jobs > 1`` the runs
-    go to a pool of forked worker processes, joined before this returns
-    (see ``_run_all``). Each run trains and scores on one OpenBLAS thread
-    in the process that runs it (``train`` and ``predict`` pin it), so
-    results come back sorted by (cycle, optimizer) regardless of
-    scheduling, and are bit-identical for a fixed seed and any ``jobs``.
+    IngestionError naming each one and its reason. Each training run (a
+    fold or a final fit) reports a ``RunRecord``; with ``jobs > 1`` the runs
+    go to forked worker processes, which a Ctrl-C ends before its
+    KeyboardInterrupt leaves this call (see ``_run_all``). A run trains and
+    scores on one OpenBLAS thread in the process that runs it, so results
+    come back sorted by (cycle, optimizer) regardless of scheduling, and
+    are bit-identical for a fixed seed and any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")

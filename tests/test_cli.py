@@ -6,8 +6,10 @@ import json
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -1094,6 +1096,50 @@ class TestOutOfMemory:
         monkeypatch.setattr(harness, "train", self.out_of_memory)
         self.check(capsys, command, self.argv(command, cycle_file, tmp_path, jobs),
                    tmp_path)
+
+
+class TestInterrupt:
+    """Ctrl-C during compare, sent to the whole process group as a terminal
+    does or to the compare process alone: one error line and exit 130
+    within 5 s, nothing written, and no process of the command left."""
+
+    @pytest.mark.parametrize("jobs, target", [
+        ("1", "group"), ("2", "group"), ("2", "compare process"),
+    ])
+    def test_is_one_line_and_exit_130(self, cycle_file, tmp_path, jobs, target):
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        # each run trains for minutes, so every run is training or queued
+        # when the signal comes
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "socbench.cli", "compare", "--data",
+             str(cycle_file), "--optimizers", "sgd,adamax", "--epochs", "100000",
+             "--k", "2", "--hidden", "8", "--soc0", "90", "--jobs", jobs,
+             "--out", str(out_dir / "r.csv"), "--out-table", str(out_dir / "t.txt"),
+             "--logs-dir", str(out_dir / "logs")],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            start_new_session=True,
+        )
+        try:
+            time.sleep(1.0)
+            assert proc.poll() is None
+            send = os.killpg if target == "group" else os.kill
+            send(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=5)
+            with pytest.raises(ProcessLookupError):  # the group is empty
+                os.killpg(proc.pid, 0)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # only when a check failed
+                proc.wait()
+            except ProcessLookupError:
+                pass
+        assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
+        assert list(out_dir.iterdir()) == []
 
 
 class TestHugeCurrents:

@@ -1,9 +1,11 @@
 """Folds, training loop, cross-validation, and the comparison experiment."""
 
 import inspect
+import io
 import os
 import pickle
 import re
+import signal
 import threading
 import time
 from dataclasses import replace
@@ -371,9 +373,44 @@ class TestRunComparison:
             raise cls("failed")
 
         with pytest.raises(cls) as info:
-            harness._timed("mix/sgd/fold1", fail)
+            harness._timed("mix", Algorithm.SGD, "fold1", fail)
         assert str(info.value) == "mix/sgd/fold1: failed"
         assert_survives_pickling(info.value)
+
+    def test_worker_records_carry_no_training_data(self, small_cycle_files,
+                                                   monkeypatch):
+        """A --jobs 2 worker sends back one RunRecord per run: its names,
+        scores, log and seconds. Pickling a record meets no array, design
+        matrix or function (a class is pickled by its name)."""
+        real_run_all = harness._run_all
+        returned = []
+
+        def run_all_and_keep(runs, jobs):
+            records = real_run_all(runs, jobs)
+            returned.extend(records)
+            return records
+
+        class TrainingDataFinder(pickle.Pickler):
+            def persistent_id(self, obj):
+                assert not isinstance(obj, (np.ndarray, DesignMatrix)), obj
+                assert isinstance(obj, type) or not callable(obj), obj
+                return None  # pickle it as usual
+
+        monkeypatch.setattr(harness, "_run_all", run_all_and_keep)
+        run_comparison(small_cycle_files, [Algorithm.SGD], small_h(), k=2,
+                       learning_rates={Algorithm.SGD: 0.001},
+                       layer_specs=mlp_specs(4, SMALL_NET), jobs=2)
+        assert [(r.cycle, r.optimizer, r.run) for r in returned] == [
+            (cycle, Algorithm.SGD, run)
+            for cycle in ("mix_a", "mix_b") for run in ("fold0", "fold1", "final")
+        ]
+        for record in returned:
+            assert type(record) is harness.RunRecord
+            assert len(record.log) == small_h().epochs
+            TrainingDataFinder(io.BytesIO()).dump(record)
+        for data in (np.zeros(1), linear_design(n=4), len):
+            with pytest.raises(AssertionError):
+                TrainingDataFinder(io.BytesIO()).dump(replace(record, log=[data]))
 
     def test_single_experiment_is_a_pair_of_the_comparison(self, small_cycle_files):
         h = small_h(2)
@@ -550,6 +587,30 @@ class TestRunComparison:
         calls.clear()
         run_comparison([path], jobs=2, **kwargs)
         assert [pid for pid, _ in calls.entries() if pid != os.getpid()] == []
+
+    def test_pool_workers_hold_back_sigint(self, small_cycle_files, monkeypatch,
+                                           calls):
+        """A Ctrl-C is the caller's alone: a SIGINT that reaches a --jobs 2
+        worker stays pending there, and the comparison ends as usual; the
+        caller's signal mask is left as it was."""
+        real_train = harness.train
+
+        def interrupted_train(*args, **kwargs):
+            calls.add(0)
+            os.kill(os.getpid(), signal.SIGINT)  # to this worker alone
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train", interrupted_train)
+        try:
+            report = run_comparison(small_cycle_files, [Algorithm.SGD], small_h(),
+                                    k=2, learning_rates={Algorithm.SGD: 0.001},
+                                    layer_specs=mlp_specs(4, SMALL_NET), jobs=2)
+        except KeyboardInterrupt:
+            pytest.fail("a worker's SIGINT reached the caller")
+        assert len(report.results) == 2
+        assert os.getpid() not in {pid for pid, _ in calls.entries()}
+        assert len(calls.values()) == 2 * 3
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     def test_requires_inputs(self):
         with pytest.raises(InputError):

@@ -46,7 +46,7 @@ def test_exit_codes_of_the_error_classes_and_the_readme_table():
     section = README.read_text(encoding="utf-8").split("\n## Exit codes\n")[1]
     table = section.split("\n## ")[0]
     codes = {int(code) for code in re.findall(r"^\| (\d+) \|", table, re.M)}
-    assert codes == {0, *EXIT_CODES.values()}
+    assert codes == {0, *EXIT_CODES.values(), cli.EXIT_INTERRUPTED}
 
 
 @pytest.mark.parametrize("cls", [*EXIT_CODES, OSError], ids=lambda cls: cls.__name__)
