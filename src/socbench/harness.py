@@ -10,6 +10,8 @@ test rows.
 from __future__ import annotations
 
 import csv
+import ctypes
+import os
 import signal
 import time
 from collections.abc import Callable
@@ -377,8 +379,24 @@ _worker_runs: list[partial] = []  # in a pool worker: the runs it inherited
 
 
 def _adopt_runs(runs: list[partial], workers: int) -> None:
-    """Pool worker initializer: keep the runs the fork handed over, and score
-    on one in ``workers`` of the CPUs, so scoring threads do not outnumber them."""
+    """Pool worker initializer: die with the thread that forked this worker,
+    keep the runs the fork handed over, and score on one in ``workers`` of
+    the CPUs, so scoring threads do not outnumber them.
+
+    The forking thread is ``_run_all``'s, which outlives the pool unless its
+    process is killed; then the kernel sends this worker SIGKILL
+    (``prctl(PR_SET_PDEATHSIG)``, skipped where libc has no ``prctl``). A
+    parent killed before the call has already left this worker to another
+    process, and the worker exits at once.
+    """
+    from multiprocessing import parent_process  # loaded: this is a pool worker
+
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG in <linux/prctl.h>
+    if os.getppid() != parent_process().pid:
+        os._exit(1)
     _worker_runs[:] = runs
     _share_cpus(workers)
 
@@ -402,11 +420,11 @@ def _run_all(runs: list[partial], jobs: int) -> list[RunRecord]:
     the usual ``fork`` risk.
 
     Records are read in task order, so the error raised is the earliest
-    failing run's, as in a serial loop, and the queued runs are cancelled.
-    A worker that dies (killed, out of memory) is a SocBenchError naming
-    the awaited run. Workers fork with SIGINT blocked and keep it so: a
-    Ctrl-C is this process's KeyboardInterrupt, which cancels the queued
-    runs and terminates the workers. No worker outlives this call.
+    failing run's, as in a serial loop. Whatever leaves the loop (a run's
+    error, a MemoryError, a bug, Ctrl-C) ends every worker at once and
+    cancels the queued runs; a worker that dies is a SocBenchError naming
+    the awaited run. Workers fork with SIGINT blocked, so a Ctrl-C is this
+    process's alone, and die with it (``_adopt_runs``): none outlives the call.
     """
     if jobs == 1:
         return [run() for run in runs]
@@ -430,7 +448,7 @@ def _run_all(runs: list[partial], jobs: int) -> list[RunRecord]:
         cycle, optimizer, run = runs[len(records)].args[:3]
         with _named(cycle, optimizer.value, run):
             raise SocBenchError("worker process ended unexpectedly") from exc
-    except KeyboardInterrupt:  # the workers block SIGINT: end them here
+    except BaseException:  # the one rule: whatever ends the loop ends every worker
         for worker in list(pool._processes.values()):
             worker.terminate()
         raise
@@ -457,11 +475,12 @@ def run_comparison(
     skipped and recorded in the report; when every cycle fails, that is an
     IngestionError naming each one and its reason. Each training run (a
     fold or a final fit) reports a ``RunRecord``; with ``jobs > 1`` the runs
-    go to forked worker processes, which a Ctrl-C ends before its
-    KeyboardInterrupt leaves this call (see ``_run_all``). A run trains and
-    scores on one OpenBLAS thread in the process that runs it, so results
-    come back sorted by (cycle, optimizer) regardless of scheduling, and
-    are bit-identical for a fixed seed and any ``jobs``.
+    go to forked worker processes, which any exception, Ctrl-C's
+    KeyboardInterrupt included, ends before it leaves this call (see
+    ``_run_all``). A run trains and scores on one OpenBLAS thread in the
+    process that runs it, so results come back sorted by (cycle, optimizer)
+    regardless of scheduling, and are bit-identical for a fixed seed and
+    any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")

@@ -314,9 +314,11 @@ def predict(
     rows unless n is: a 1-4 row block takes a different GEMM path and
     rounds differently from the same rows inside a large product.
 
-    The blocks are split into one contiguous, near-equal share per scoring
-    thread, one per CPU this process may run on (``os.sched_getaffinity``)
-    and at most one per block; a ``compare --jobs N`` worker uses its
+    The blocks are split into one contiguous share per scoring thread, one
+    per CPU this process may run on (``os.sched_getaffinity``) and at most
+    one per block. Shares differ by at most one block, and the last share,
+    which holds the long last block, has the fewest, so rows per share
+    differ by at most SCORE_ROWS. A ``compare --jobs N`` worker uses its
     share, the CPUs over N. The caller's thread scores the first share and
     a ``ThreadPoolExecutor`` the others, each helper in a copy of the
     caller's context, which holds numpy's error state (``np.errstate``).
@@ -349,10 +351,10 @@ def predict(
         cuts = range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS)
         blocks = list(pairwise([0, *cuts, n]))
         count = min(len(blocks), _score_cpus or _process_cpus())
-        shares = [
-            blocks[len(blocks) * i // count : len(blocks) * (i + 1) // count]
-            for i in range(count)
-        ]
+        # ceiling cuts: shares before the last take the spare blocks, so the
+        # last share, which holds the longest block, has the fewest blocks
+        edges = [-(-len(blocks) * i // count) for i in range(count + 1)]
+        shares = [blocks[start:end] for start, end in pairwise(edges)]
         score = partial(_score_share, blocked, x, a)
         # the executor starts a thread per submitted share, none for one share
         with _one_blas_thread(), ThreadPoolExecutor(count) as helpers:

@@ -1,6 +1,7 @@
 """Fixtures and helpers shared by the whole suite."""
 
 import ctypes
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -26,6 +27,19 @@ def blas_thread_count_unchanged():
     yield
     after = get_threads()
     assert after == before, f"OpenBLAS thread count left at {after}, found {before}"
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a ``multiprocessing`` child alive, such as a
+    pool worker that was never ended; the child is killed first, so the
+    next test starts without it."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.kill()
+        child.join(10)
+    assert left == [], f"child processes left alive: {left}"
 
 
 @pytest.fixture()

@@ -1098,6 +1098,41 @@ class TestOutOfMemory:
                    tmp_path)
 
 
+def start_compare(cycle_file, out_dir, jobs):
+    """A subprocess ``compare`` in a session of its own, writing into
+    ``out_dir``. Each run trains for minutes, so every run is training or
+    queued when a test signals it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return subprocess.Popen(
+        [sys.executable, "-m", "socbench.cli", "compare", "--data",
+         str(cycle_file), "--optimizers", "sgd,adamax", "--epochs", "100000",
+         "--k", "2", "--hidden", "8", "--soc0", "90", "--jobs", jobs,
+         "--out", str(out_dir / "r.csv"), "--out-table", str(out_dir / "t.txt"),
+         "--logs-dir", str(out_dir / "logs")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+
+
+def running_in_group(pids, pgid):
+    """Those of ``pids`` that are in process group ``pgid`` and are no
+    zombie, read from ``/proc/<pid>/stat``: a zombie's state is ``Z``, and a
+    reaped process has no file."""
+    found = []
+    for pid in pids:
+        try:
+            stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+        except OSError:
+            continue
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if state != "Z" and int(pgrp) == pgid:
+            found.append(int(pid))
+    return found
+
+
 class TestInterrupt:
     """Ctrl-C during compare, sent to the whole process group as a terminal
     does or to the compare process alone: one error line and exit 130
@@ -1109,21 +1144,7 @@ class TestInterrupt:
     def test_is_one_line_and_exit_130(self, cycle_file, tmp_path, jobs, target):
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
-        # each run trains for minutes, so every run is training or queued
-        # when the signal comes
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "socbench.cli", "compare", "--data",
-             str(cycle_file), "--optimizers", "sgd,adamax", "--epochs", "100000",
-             "--k", "2", "--hidden", "8", "--soc0", "90", "--jobs", jobs,
-             "--out", str(out_dir / "r.csv"), "--out-table", str(out_dir / "t.txt"),
-             "--logs-dir", str(out_dir / "logs")],
-            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-            start_new_session=True,
-        )
+        proc = start_compare(cycle_file, out_dir, jobs)
         try:
             time.sleep(1.0)
             assert proc.poll() is None
@@ -1140,6 +1161,40 @@ class TestInterrupt:
                 pass
         assert (proc.returncode, out, err) == (130, "", "error: interrupted\n")
         assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestKilled:
+    """SIGTERM or SIGKILL to the compare process alone, as a supervisor or
+    the kernel's out-of-memory killer sends it: its --jobs 2 workers die
+    with it within 5 s. An orphan is reaped by whatever adopts it, maybe
+    late, so a zombie counts as gone, as ``killpg(pgid, 0)`` would not."""
+
+    @pytest.mark.parametrize("sig", [signal.SIGTERM, signal.SIGKILL],
+                             ids=["SIGTERM", "SIGKILL"])
+    def test_workers_die_with_compare(self, cycle_file, tmp_path, sig):
+        proc = start_compare(cycle_file, tmp_path, "2")
+        try:
+            time.sleep(1.0)
+            deadline = time.monotonic() + 30
+            workers = []
+            while len(workers) < 2 and time.monotonic() < deadline:
+                pids = [e.name for e in Path("/proc").iterdir() if e.name.isdigit()]
+                workers = [p for p in running_in_group(pids, proc.pid) if p != proc.pid]
+                time.sleep(0.1)
+            assert len(workers) == 2, "compare forked no two workers"
+            os.kill(proc.pid, sig)
+            proc.wait(timeout=5)
+            deadline = time.monotonic() + 5
+            while running_in_group(workers, proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert running_in_group(workers, proc.pid) == []
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # only when a check failed
+            except ProcessLookupError:
+                pass
+            proc.communicate()
 
 
 class TestHugeCurrents:

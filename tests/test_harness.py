@@ -2,6 +2,7 @@
 
 import inspect
 import io
+import multiprocessing
 import os
 import pickle
 import re
@@ -496,6 +497,32 @@ class TestRunComparison:
         assert errors[0].startswith("mix_a/sgd/fold1: training diverged")
         # 2 cycles x 2 optimizers x (2 folds + final fit) runs were queued
         assert len(calls.values()) < 12
+
+    def test_parallel_failure_ends_every_worker_at_once(self, small_cycle_files,
+                                                         monkeypatch):
+        """A run's error at jobs=2 leaves at once, as at jobs=1, though the
+        other worker's run and the next queued one take 3 s each: whatever
+        ends the comparison terminates every worker."""
+        real_train = harness.train
+
+        def fail_first_or_sleep(layer_specs, train_dm, h, algorithm, val_dm=None):
+            if algorithm is Algorithm.SGD and h.seed == 0 and val_dm is not None:
+                raise TrainingDivergedError("training diverged")  # sgd/fold0
+            time.sleep(3)
+            return real_train(layer_specs, train_dm, h, algorithm, val_dm=val_dm)
+
+        monkeypatch.setattr(harness, "train", fail_first_or_sleep)
+        errors = []
+        for jobs in (1, 2):
+            started = time.perf_counter()
+            with pytest.raises(TrainingDivergedError) as caught:
+                run_comparison([small_cycle_files[0]], [Algorithm.SGD, Algorithm.ADAMAX],
+                               replace(small_h(), epochs=1), k=2,
+                               layer_specs=mlp_specs(4, [8]), jobs=jobs)
+            assert time.perf_counter() - started < 1.0
+            assert multiprocessing.active_children() == []
+            errors.append((str(caught.value), caught.value.exit_code))
+        assert errors[0] == errors[1] == ("mix_a/sgd/fold0: training diverged", 3)
 
     def test_openblas_thread_api_is_looked_up_once(self):
         assert _openblas_thread_api() is _openblas_thread_api()

@@ -282,6 +282,25 @@ class TestPredict:
         pooled = predict(params, batch)
         assert pooled.tobytes() == serial.tobytes()
 
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("n", [1535, 2000, 6000, 8000, 100_001])
+    def test_shares_are_balanced(self, monkeypatch, n, threads):
+        """One share per scoring thread and at most one per block, none
+        empty, whose rows differ by at most SCORE_ROWS: the share that holds
+        the long last block takes no spare block."""
+        monkeypatch.setattr(network, "_score_cpus", threads)
+        rows = []  # per share, in whichever order the threads score them
+        real_share = network._score_share
+
+        def record_share(layers, x, out, blocks):
+            rows.append(sum(end - start for start, end in blocks))
+            real_share(layers, x, out, blocks)
+
+        monkeypatch.setattr(network, "_score_share", record_share)
+        predict(init_network(mlp_specs(4, [8]), seed=0), np.ones((n, 4)))
+        assert len(rows) == min(threads, n // SCORE_ROWS) and sum(rows) == n
+        assert min(rows) > 0 and max(rows) - min(rows) <= SCORE_ROWS
+
     def test_starts_no_lasting_thread(self, monkeypatch):
         monkeypatch.setattr(network, "_score_cpus", 2)
         params = init_network(mlp_specs(4, [8]), seed=0)
