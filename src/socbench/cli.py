@@ -301,14 +301,17 @@ def _data_settings(cfg: dict) -> DataSettings:
 
 
 def _check_outputs(cfg: dict, *keys: str, directory: str | None = None) -> None:
-    """Fail before any work on an output path that cannot take a file (a
-    directory), on a ``directory`` output that exists but is not one, and
-    on any output whose parent is not a directory. Unset optional outputs
-    are skipped."""
+    """Fail before any work on two outputs that name one path (a
+    ConfigError), on an output path that cannot take a file (a directory),
+    on a ``directory`` output that exists but is not one, and on any output
+    whose parent is not a directory. Unset optional outputs are skipped."""
+    first_key: dict[str, str] = {}  # resolved output path -> its first key
     for key in [*keys, directory]:
         if key is None or cfg[key] is None:
             continue
         path = Path(cfg[key])
+        if (first := first_key.setdefault(os.path.realpath(path), key)) != key:
+            raise ConfigError(f"{_flag(first)} and {_flag(key)} name one path")
         if key == directory:
             if path.exists() and not path.is_dir():
                 raise OSError(f"{_flag(key)} {cfg[key]!r}: is not a directory")
@@ -365,7 +368,7 @@ def cmd_train(cfg: dict) -> int:
         battery_data.write_design_matrix_csv(raw_dm, cfg["export_features"])
 
     params, log = train(specs, normalized, h, algorithm)
-    _, mae, mse = score(params, None, normalized)
+    _, mae, mse = score(params, stats, raw_dm)
 
     save_model(cfg["out_model"], params, normalization=stats, seed=h.seed)
     write_training_log_csv(log, cfg["out_log"])

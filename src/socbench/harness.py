@@ -45,7 +45,7 @@ from .network import (
     LayerSpec,
     NetworkParameters,
     _one_blas_thread,
-    _share_cpus,
+    _share_blas_threads,
     backward,
     forward,
     init_network,
@@ -260,22 +260,22 @@ def chronological_split(dm: DesignMatrix):
 
 def score(
     params: NetworkParameters,
-    stats: NormalizationStats | None,
+    stats: NormalizationStats,
     raw_dm: DesignMatrix,
     *,
     like_forward: bool = False,
 ) -> tuple[np.ndarray, float, float]:
-    """Predictions for ``raw_dm``'s rows, normalized with ``stats`` (used as
-    they are when ``stats`` is None), and their MAE and MSE.
+    """Predictions for ``raw_dm``'s rows, normalized with ``stats``, and
+    their MAE and MSE.
 
-    The predictions come from ``predict``, blocked end to end unless
-    ``like_forward`` (see there).
+    The predictions come from ``predict``, one scoring thread per OpenBLAS
+    thread, blocked end to end unless ``like_forward`` (see there).
 
     Finite features can still overflow float64 on the way (huge currents):
     ``apply_normalization`` rejects a non-finite normalized feature, and a
     non-finite prediction or score is a DataError here.
     """
-    dm = raw_dm if stats is None else apply_normalization(raw_dm, stats)
+    dm = apply_normalization(raw_dm, stats)
     with np.errstate(over="ignore", invalid="ignore"):
         predictions = predict(params, dm.features, like_forward=like_forward)
         mae = loss_mae(predictions, dm.targets)
@@ -381,7 +381,7 @@ _worker_runs: list[partial] = []  # in a pool worker: the runs it inherited
 def _adopt_runs(runs: list[partial], workers: int) -> None:
     """Pool worker initializer: die with the thread that forked this worker,
     keep the runs the fork handed over, and score on one in ``workers`` of
-    the CPUs, so scoring threads do not outnumber them.
+    the parent's OpenBLAS threads, so scoring threads do not outnumber them.
 
     The forking thread is ``_run_all``'s, which outlives the pool unless its
     process is killed; then the kernel sends this worker SIGKILL
@@ -398,7 +398,7 @@ def _adopt_runs(runs: list[partial], workers: int) -> None:
     if os.getppid() != parent_process().pid:
         os._exit(1)
     _worker_runs[:] = runs
-    _share_cpus(workers)
+    _share_blas_threads(workers)
 
 
 def _run_adopted(index: int) -> RunRecord:
@@ -421,10 +421,13 @@ def _run_all(runs: list[partial], jobs: int) -> list[RunRecord]:
 
     Records are read in task order, so the error raised is the earliest
     failing run's, as in a serial loop. Whatever leaves the loop (a run's
-    error, a MemoryError, a bug, Ctrl-C) ends every worker at once and
-    cancels the queued runs; a worker that dies is a SocBenchError naming
-    the awaited run. Workers fork with SIGINT blocked, so a Ctrl-C is this
-    process's alone, and die with it (``_adopt_runs``): none outlives the call.
+    error, a MemoryError, a bug, Ctrl-C) ends every worker at once, and only
+    the pool's own thread cancels the queued runs, in ``shutdown``: it would
+    fail a run cancelled from this thread as it finds the workers ended, and
+    print an InvalidStateError traceback. A worker that dies is a
+    SocBenchError naming the awaited run. Workers fork with SIGINT blocked,
+    so a Ctrl-C is this process's alone, and die with it (``_adopt_runs``):
+    none outlives the call.
     """
     if jobs == 1:
         return [run() for run in runs]
@@ -439,11 +442,11 @@ def _run_all(runs: list[partial], jobs: int) -> list[RunRecord]:
     try:
         unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
         try:  # the first submit forks every worker
-            in_order = pool.map(_run_adopted, range(len(runs)))
+            futures = [pool.submit(_run_adopted, i) for i in range(len(runs))]
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
-        for record in in_order:
-            records.append(record)
+        for future in futures:
+            records.append(future.result())
     except BrokenProcessPool as exc:
         cycle, optimizer, run = runs[len(records)].args[:3]
         with _named(cycle, optimizer.value, run):
@@ -477,10 +480,10 @@ def run_comparison(
     fold or a final fit) reports a ``RunRecord``; with ``jobs > 1`` the runs
     go to forked worker processes, which any exception, Ctrl-C's
     KeyboardInterrupt included, ends before it leaves this call (see
-    ``_run_all``). A run trains and scores on one OpenBLAS thread in the
-    process that runs it, so results come back sorted by (cycle, optimizer)
-    regardless of scheduling, and are bit-identical for a fixed seed and
-    any ``jobs``.
+    ``_run_all``), each scoring on its share of this process's OpenBLAS
+    threads. A run's products run on one OpenBLAS thread in the process that
+    runs it, so results come back sorted by (cycle, optimizer) regardless of
+    scheduling, and are bit-identical for a fixed seed and any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")

@@ -12,7 +12,6 @@ from __future__ import annotations
 import contextvars
 import ctypes
 import json
-import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -235,8 +234,8 @@ _pin_restore = 0
 
 @contextmanager
 def _one_blas_thread():
-    """Pin OpenBLAS to one thread for the block; does nothing when no
-    OpenBLAS is found.
+    """Pin OpenBLAS to one thread for the block and yield the count it
+    replaced: the process's thread budget, which ``predict`` scores on.
 
     ``predict`` takes it while it scores and ``harness.train`` while its
     epochs run, in whichever process calls them, so their bits do not
@@ -244,12 +243,13 @@ def _one_blas_thread():
     one-thread speed anyway. The thread count is process-wide, so the pin
     is shared: holders on any thread, nested (``train`` calls ``predict``)
     or overlapping, are counted under a lock; the first saves the count,
-    the last to leave restores it.
+    each yields it, and the last to leave restores it. Without OpenBLAS
+    the pin does nothing and yields 1.
     """
     global _pin_holders, _pin_restore
     api = _openblas_thread_api()
     if api is None:
-        yield
+        yield 1
         return
     get, set_ = api
     with _pin_lock:
@@ -258,7 +258,7 @@ def _one_blas_thread():
             set_(1)
         _pin_holders += 1
     try:
-        yield
+        yield _pin_restore  # fixed while any holder is in
     finally:
         with _pin_lock:
             _pin_holders -= 1
@@ -266,24 +266,17 @@ def _one_blas_thread():
                 set_(_pin_restore)
 
 
-SCORE_ROWS = 512  # rows per block of predict()
-
-# the CPUs one predict() call may score on; None: every CPU of the process
-_score_cpus: int | None = None
-
-
-def _process_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _share_cpus(processes: int) -> None:
+def _share_blas_threads(processes: int) -> None:
     """In one of ``processes`` processes that score at once (the workers of
-    ``compare --jobs N``): score on this process's share of its CPUs."""
-    global _score_cpus
-    _score_cpus = max(1, _process_cpus() // processes)
+    ``compare --jobs N``): cut OpenBLAS's thread count, the scoring budget,
+    to this process's share; does nothing without OpenBLAS."""
+    api = _openblas_thread_api()
+    if api is not None:
+        get, set_ = api
+        set_(max(1, get() // processes))
+
+
+SCORE_ROWS = 512  # rows per block of predict()
 
 
 def _score_share(
@@ -315,19 +308,19 @@ def predict(
     rounds differently from the same rows inside a large product.
 
     The blocks are split into one contiguous share per scoring thread, one
-    per CPU this process may run on (``os.sched_getaffinity``) and at most
-    one per block. Shares differ by at most one block, and the last share,
-    which holds the long last block, has the fewest, so rows per share
-    differ by at most SCORE_ROWS. A ``compare --jobs N`` worker uses its
-    share, the CPUs over N. The caller's thread scores the first share and
-    a ``ThreadPoolExecutor`` the others, each helper in a copy of the
-    caller's context, which holds numpy's error state (``np.errstate``).
-    OpenBLAS is pinned to one thread meanwhile (``_one_blas_thread``), so
-    each block's products run on one thread in a fixed order: the bits are
-    the same at any thread or CPU count on every OpenBLAS kernel, and equal
-    ``forward(params, batch)[0]`` computed on one BLAS thread. The helpers
-    are joined before the pin is released; an error raised in a share is
-    raised here, the first share's error first.
+    per OpenBLAS thread (the count ``_one_blas_thread`` replaced, 1
+    without OpenBLAS) and at most one per block. Shares differ by at most
+    one block, and the last share, which holds the long last block, has the
+    fewest, so rows per share differ by at most SCORE_ROWS. A ``compare
+    --jobs N`` worker's count is its share, the parent's count over N. The
+    caller's thread scores the first share and a ``ThreadPoolExecutor`` the
+    others, each helper in a copy of the caller's context, which holds
+    numpy's error state (``np.errstate``). OpenBLAS is pinned to one thread
+    meanwhile, so each block's products run on one thread in a fixed
+    order: the bits are the same at any thread count on every OpenBLAS
+    kernel, and equal ``forward(params, batch)[0]`` computed on one BLAS
+    thread. The helpers are joined before the pin is released; an error
+    raised in a share is raised here, the first share's error first.
 
     ``like_forward=True`` keeps the output layer as one product over all n
     rows, so the last hidden layer writes its blocks into one (n, width)
@@ -350,14 +343,14 @@ def predict(
         a = np.empty((n, blocked[-1][0].output_dim))
         cuts = range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS)
         blocks = list(pairwise([0, *cuts, n]))
-        count = min(len(blocks), _score_cpus or _process_cpus())
-        # ceiling cuts: shares before the last take the spare blocks, so the
-        # last share, which holds the longest block, has the fewest blocks
-        edges = [-(-len(blocks) * i // count) for i in range(count + 1)]
-        shares = [blocks[start:end] for start, end in pairwise(edges)]
         score = partial(_score_share, blocked, x, a)
         # the executor starts a thread per submitted share, none for one share
-        with _one_blas_thread(), ThreadPoolExecutor(count) as helpers:
+        with _one_blas_thread() as threads, ThreadPoolExecutor(threads) as helpers:
+            count = min(len(blocks), threads)
+            # ceiling cuts: shares before the last take the spare blocks, so
+            # the last share, which holds the longest block, has the fewest
+            edges = [-(-len(blocks) * i // count) for i in range(count + 1)]
+            shares = [blocks[start:end] for start, end in pairwise(edges)]
             futures = [
                 helpers.submit(contextvars.copy_context().run, score, share)
                 for share in shares[1:]

@@ -43,21 +43,33 @@ def no_child_process_left():
 
 
 @pytest.fixture()
-def blas_threads():
-    """The OpenBLAS thread-count getter, with the count at two for the
-    test so that a pin to one thread shows; skips without OpenBLAS."""
+def set_blas_threads():
+    """A setter of the process's OpenBLAS thread count, the number of
+    threads ``predict`` scores on, for the test; the count is restored
+    after it. Skips without OpenBLAS, or when the count cannot be set."""
     api = _openblas_thread_api()
     if api is None:
         pytest.skip("no OpenBLAS thread-count symbols in this process")
     get_threads, set_threads = api
     before = get_threads()
-    set_threads(2)
+
+    def set_count(count: int) -> None:
+        set_threads(count)
+        if get_threads() != count:
+            pytest.skip(f"OpenBLAS cannot run {count} threads here")
+
     try:
-        if get_threads() != 2:
-            pytest.skip("OpenBLAS cannot run two threads here")
-        yield get_threads
+        yield set_count
     finally:
         set_threads(before)
+
+
+@pytest.fixture()
+def blas_threads(set_blas_threads):
+    """The OpenBLAS thread-count getter, with the count at two for the
+    test so that a pin to one thread shows; skips without OpenBLAS."""
+    set_blas_threads(2)
+    return _openblas_thread_api()[0]
 
 
 class CallRecord:

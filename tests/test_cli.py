@@ -1030,6 +1030,40 @@ class TestOutputPaths:
         assert started == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.csv"]
 
+    @pytest.mark.parametrize("command, first, second", [
+        ("train", "--out-model", "--out-log"),
+        ("train", "--out-log", "--export-features"),
+        ("compare", "--out", "--out-table"),
+        ("compare", "--out-table", "--logs-dir"),
+    ])
+    @pytest.mark.parametrize("spelling", ["same", "through-a-link"])
+    def test_two_outputs_naming_one_path_exit_2_before_any_work(
+        self, cycle_file, tmp_path, capsys, monkeypatch, command, first, second,
+        spelling,
+    ):
+        """Else the later output replaces the earlier (train's model file
+        holds its log), or compare fails after its work."""
+        started = []
+
+        def refuse(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("work started before the output check")
+
+        for owner, name in [(data_module, "ingest_csv"), (harness, "train")]:
+            monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path)
+        target = tmp_path / "out.csv"
+        other = target if spelling == "same" else tmp_path / "link" / "out.csv"
+        argv = {"train": ["--data", str(cycle_file), "--optimizer", "sgd"],
+                "compare": ["--data", str(cycle_file)]}[command]
+        code, out, err = run_cli(capsys, command, *argv, first, str(target),
+                                 second, str(other))
+        assert code == 2
+        assert err == f"error: {first} and {second} name one path\n"
+        assert out == "" and started == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "mix.csv"]
+
 
 class TestOutOfMemory:
     """A MemoryError, raised in the command's process or in a compare

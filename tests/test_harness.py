@@ -9,6 +9,7 @@ import re
 import signal
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -34,7 +35,7 @@ from socbench import (
     train,
     write_cycle_csv,
 )
-from socbench import errors as error_module, harness, network
+from socbench import errors as error_module, harness
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import (
     chronological_split,
@@ -585,15 +586,17 @@ class TestRunComparison:
             assert len(calls.values()) == 2 * (2 * 3 * 2 + 3 + 1)
             assert set(product_threads.values()) == {1}
 
-    def test_pool_workers_score_without_threads(self, tmp_path, monkeypatch, calls):
-        """A --jobs 2 worker on a 2-CPU process scores on its share, one
-        CPU, so predict starts no thread there; --jobs 1 scores on both."""
+    def test_pool_workers_score_without_threads(self, tmp_path, monkeypatch,
+                                                set_blas_threads, calls):
+        """A --jobs 2 worker of a process at two OpenBLAS threads scores on
+        its share, one thread, so predict starts no thread there; --jobs 1
+        scores on both."""
         cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
                                Profile.RANDOM_MIX, duration_s=2999.0, seed=7,
                                soc0_percent=90.0)
         path = tmp_path / "long.csv"
         write_cycle_csv(cycle.records, path)
-        monkeypatch.setattr(network, "_process_cpus", lambda: 2)
+        set_blas_threads(2)
         real_start = threading.Thread.start
 
         def start_and_record(thread):
@@ -614,6 +617,54 @@ class TestRunComparison:
         calls.clear()
         run_comparison([path], jobs=2, **kwargs)
         assert [pid for pid, _ in calls.entries() if pid != os.getpid()] == []
+
+    def test_pool_workers_train_on_their_share_of_blas_threads(
+        self, small_cycle_files, monkeypatch, blas_threads, calls
+    ):
+        """The count train's pin replaces, on which its scoring runs: the
+        process's two OpenBLAS threads at --jobs 1, one in each --jobs 2
+        worker; the caller's count is left at two."""
+        real_pin = harness._one_blas_thread
+
+        @contextmanager
+        def pin_and_record():
+            with real_pin() as threads:
+                calls.add(threads)  # in whichever process trains
+                yield threads
+
+        monkeypatch.setattr(harness, "_one_blas_thread", pin_and_record)
+        for jobs, threads in ((1, 2), (2, 1)):
+            calls.clear()
+            run_comparison(small_cycle_files, [Algorithm.SGD], small_h(), k=2,
+                           learning_rates={Algorithm.SGD: 0.001},
+                           layer_specs=mlp_specs(4, SMALL_NET), jobs=jobs)
+            entries = calls.entries()
+            assert len(entries) == 2 * 3 and {v for _, v in entries} == {threads}
+            in_caller = {pid == os.getpid() for pid, _ in entries}
+            assert in_caller == {jobs == 1}
+        assert blas_threads() == 2
+
+    def test_failing_pool_ends_without_a_thread_traceback(
+        self, small_cycle_files, monkeypatch
+    ):
+        """Only the pool's own thread cancels queued runs: a future cancelled
+        from the caller's thread, which the pool's thread then fails as it
+        finds the workers ended, raised InvalidStateError there, printed as
+        a traceback, in about 2 of 100 failing --jobs 2 comparisons; 150
+        take about 3 s."""
+        def diverge(*args, **kwargs):
+            raise TrainingDivergedError("training diverged")
+
+        monkeypatch.setattr(harness, "train", diverge)
+        raised = []
+        monkeypatch.setattr(threading, "excepthook", raised.append)
+        for _ in range(150):
+            with pytest.raises(TrainingDivergedError):
+                run_comparison(small_cycle_files,
+                               [Algorithm.SGD, Algorithm.ADAMAX, Algorithm.RMSPROP],
+                               small_h(), k=4, layer_specs=mlp_specs(4, [8]),
+                               jobs=2)
+        assert [hook.exc_value for hook in raised] == []
 
     def test_pool_workers_hold_back_sigint(self, small_cycle_files, monkeypatch,
                                            calls):

@@ -1,9 +1,13 @@
 """Network forward/backward tests, anchored by a finite-difference oracle."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +229,29 @@ class TestForward:
             forward(params, bad)
 
 
+# predict on four blocks in a fresh process, with its OpenBLAS thread count
+# and the shares it submits to helper threads, as JSON; under ONE_CPU the
+# process is bound to one CPU before numpy loads
+ONE_THREAD_PREDICT = """
+import json, os
+if os.environ.get("ONE_CPU"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from socbench import network
+import numpy as np
+submitted = []
+real_submit = network.ThreadPoolExecutor.submit
+def submit(executor, *args):
+    submitted.append(args)
+    return real_submit(executor, *args)
+network.ThreadPoolExecutor.submit = submit
+params = network.init_network(network.mlp_specs(4, [8]), seed=0)
+network.predict(params, np.ones((4 * network.SCORE_ROWS, 4)))
+api = network._openblas_thread_api()
+print(json.dumps({"blas_threads": api[0]() if api else 1,
+                  "helper_shares": len(submitted)}))
+"""
+
+
 class TestPredict:
     @pytest.mark.parametrize(
         "specs, batch",
@@ -259,10 +286,10 @@ class TestPredict:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_blocked_path_holds_no_n_by_width_array(self, monkeypatch, threads):
+    def test_blocked_path_holds_no_n_by_width_array(self, set_blas_threads, threads):
         """The (n, 1) result plus about two SCORE_ROWS-row blocks per scoring
         thread at any n: the bound does not grow with n x width."""
-        monkeypatch.setattr(network, "_score_cpus", threads)
+        set_blas_threads(threads)
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
         block_bytes = SCORE_ROWS * 256 * 8
         # measured above the result, at 20k and 60k rows: 2.1 and 2.4
@@ -273,22 +300,22 @@ class TestPredict:
 
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("n", [1, 511, 1023, 1600, 6000, 8194, 100_001])
-    def test_threads_give_the_serial_bits(self, monkeypatch, n, threads):
+    def test_threads_give_the_serial_bits(self, set_blas_threads, n, threads):
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=n)
         batch = np.random.default_rng(n).normal(size=(n, 4))
-        monkeypatch.setattr(network, "_score_cpus", 1)
+        set_blas_threads(1)
         serial = predict(params, batch)
-        monkeypatch.setattr(network, "_score_cpus", threads)
+        set_blas_threads(threads)
         pooled = predict(params, batch)
         assert pooled.tobytes() == serial.tobytes()
 
     @pytest.mark.parametrize("threads", [2, 3])
     @pytest.mark.parametrize("n", [1535, 2000, 6000, 8000, 100_001])
-    def test_shares_are_balanced(self, monkeypatch, n, threads):
-        """One share per scoring thread and at most one per block, none
+    def test_shares_are_balanced(self, monkeypatch, set_blas_threads, n, threads):
+        """One share per OpenBLAS thread and at most one per block, none
         empty, whose rows differ by at most SCORE_ROWS: the share that holds
         the long last block takes no spare block."""
-        monkeypatch.setattr(network, "_score_cpus", threads)
+        set_blas_threads(threads)
         rows = []  # per share, in whichever order the threads score them
         real_share = network._score_share
 
@@ -301,25 +328,27 @@ class TestPredict:
         assert len(rows) == min(threads, n // SCORE_ROWS) and sum(rows) == n
         assert min(rows) > 0 and max(rows) - min(rows) <= SCORE_ROWS
 
-    def test_starts_no_lasting_thread(self, monkeypatch):
-        monkeypatch.setattr(network, "_score_cpus", 2)
+    def test_starts_no_lasting_thread(self, set_blas_threads):
+        set_blas_threads(2)
         params = init_network(mlp_specs(4, [8]), seed=0)
         before = threading.active_count()
         predict(params, np.ones((4 * SCORE_ROWS, 4)))
         assert threading.active_count() == before
 
-    def test_helpers_keep_the_callers_error_state(self, monkeypatch):
+    def test_helpers_keep_the_callers_error_state(self, set_blas_threads):
         """Overflow in a helper's share is silent under the caller's
         ``np.errstate``; the suite turns a RuntimeWarning into an error."""
-        monkeypatch.setattr(network, "_score_cpus", 2)
+        set_blas_threads(2)
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
         params.flat[:] = 1.0
         with np.errstate(over="ignore"):
             got = predict(params, np.full((8 * SCORE_ROWS, 4), 1e306))
         assert np.isposinf(got).all()
 
-    def test_an_error_in_a_helper_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(network, "_score_cpus", 2)
+    def test_an_error_in_a_helper_reaches_the_caller(
+        self, monkeypatch, set_blas_threads
+    ):
+        set_blas_threads(2)
         real_finish = network._finish_layer
 
         def finish_or_fail(*args):
@@ -337,7 +366,6 @@ class TestPredict:
     def test_the_callers_error_wins_when_a_helper_fails_too(
         self, monkeypatch, blas_threads
     ):
-        monkeypatch.setattr(network, "_score_cpus", 2)
         helper_failed = threading.Event()
 
         def fail(*args):
@@ -375,12 +403,47 @@ class TestPredict:
         assert seen == [1, 1, 1, 2]
         assert blas_threads() == 2
 
+    @pytest.mark.parametrize("limit", [{"OPENBLAS_NUM_THREADS": "1"},
+                                       {"ONE_CPU": "1"}],
+                             ids=["OPENBLAS_NUM_THREADS=1", "one-cpu"])
+    def test_one_openblas_thread_scores_without_helpers(self, limit):
+        """A process whose OpenBLAS starts one thread, by its environment
+        or by a one-CPU affinity set before numpy loads, scores four blocks
+        on the calling thread alone."""
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(network.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-c", ONE_THREAD_PREDICT],
+                              env={**env, **limit}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == {"blas_threads": 1, "helper_shares": 0}
+
+    def test_without_openblas_scores_on_the_calling_thread(
+        self, monkeypatch, blas_threads
+    ):
+        """No OpenBLAS found: the pin yields 1 and sets nothing, predict
+        starts no thread and gives the same bits, and a worker's share
+        leaves the count alone."""
+        params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=3)
+        batch = np.random.default_rng(3).normal(size=(4 * SCORE_ROWS, 4))
+        want = predict(params, batch)
+        monkeypatch.setattr(network, "_openblas_thread_api", lambda: None)
+        with network._one_blas_thread() as threads:
+            assert threads == 1 and blas_threads() == 2
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", started.append)
+        assert predict(params, batch).tobytes() == want.tobytes()
+        assert started == []
+        network._share_blas_threads(2)
+        assert blas_threads() == 2
+
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_keeps_one_hidden_layer_output(self, monkeypatch, threads):
+    def test_keeps_one_hidden_layer_output(self, set_blas_threads, threads):
         """like_forward: one n x 256 float64 array plus about two
         SCORE_ROWS-row blocks per scoring thread at any n, where forward
         keeps all three hidden layers' outputs."""
-        monkeypatch.setattr(network, "_score_cpus", threads)
+        set_blas_threads(threads)
         params = init_network(mlp_specs(4, DEFAULT_HIDDEN), seed=0)
         block_bytes = SCORE_ROWS * 256 * 8
         # measured above the layer, at 20k and 60k rows: 2.1 and 2.4 blocks

@@ -11,12 +11,12 @@ import json
 import math
 import os
 import random
-from contextlib import contextmanager, nullcontext, redirect_stderr, redirect_stdout
+from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -37,7 +37,7 @@ from socbench import (
     optimizers,
     write_cycle_csv,
 )
-from socbench import cli, network
+from socbench import cli
 from socbench.cli import main
 from socbench.data import (
     CSV_HEADER,
@@ -47,7 +47,7 @@ from socbench.data import (
     write_design_matrix_csv,
 )
 from socbench.errors import ConfigError, ModelMismatchError
-from socbench.network import _one_blas_thread
+from socbench.network import _one_blas_thread, _openblas_thread_api
 from socbench.network import (
     DEFAULT_HIDDEN,
     SCORE_ROWS,
@@ -458,36 +458,32 @@ BLOCKED_EXAMPLES = [
 ]
 
 
-@contextmanager
-def scoring_cpus(cpus):
-    """predict() scores on ``cpus`` threads inside the block."""
-    saved = network._score_cpus
-    network._score_cpus = cpus
-    try:
-        yield
-    finally:
-        network._score_cpus = saved
-
-
-def check_blocked_predict(n, hidden, hidden_activation, output_activation, seed):
-    """The blocked path, on every thread the process may use, gives the
-    bits of a serial pass on one BLAS thread, which equal forward's there."""
+def check_blocked_predict(
+    set_threads, n, hidden, hidden_activation, output_activation, seed
+):
+    """The blocked path on two scoring threads gives the bits of a serial
+    pass on one, which equal forward's on one BLAS thread; ``set_threads``
+    sets OpenBLAS's thread count, on which predict scores."""
     params, rng = scoring_network(hidden, hidden_activation, output_activation, seed)
     batch = rng.normal(size=(n, 4))
+    set_threads(2)
     got = predict(params, batch)
-    with _one_blas_thread(), scoring_cpus(1):
-        serial = predict(params, batch)
-        want, _ = forward(params, batch)
+    set_threads(1)
+    serial = predict(params, batch)
+    want, _ = forward(params, batch)
     assert same_bits(got, serial)
     assert same_bits(serial, want)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=PREDICT_ROWS, **SCORING_NETWORKS)
 def test_blocked_predict_is_thread_invariant_and_forward_on_one_thread(
-    n, hidden, hidden_activation, output_activation, seed
+    set_blas_threads, n, hidden, hidden_activation, output_activation, seed
 ):
-    check_blocked_predict(n, hidden, hidden_activation, output_activation, seed)
+    check_blocked_predict(
+        set_blas_threads, n, hidden, hidden_activation, output_activation, seed
+    )
 
 
 for _case in BLOCKED_EXAMPLES:
@@ -504,8 +500,9 @@ def test_blocked_predict_examples_on_kernel(kernel):
     run_on_kernel(
         kernel,
         "import test_properties as t\n"
+        "_, set_threads = t._openblas_thread_api()\n"
         "for case in t.BLOCKED_EXAMPLES:\n"
-        "    t.check_blocked_predict(*case)\n",
+        "    t.check_blocked_predict(set_threads, *case)\n",
     )
 
 
