@@ -269,7 +269,7 @@ def _resolve(args: argparse.Namespace, schema: dict[str, Setting]) -> dict:
     """Each setting's value from its flag, config line, environment variable
     or default, in that order, through the setting's converter."""
     config = _read_kv_config(args.config, schema) if args.config else {}
-    resolved = {}
+    resolved = {"config": args.config}  # an input no output may name
     for key, setting in schema.items():
         if getattr(args, key) is not None:
             source, raw = _flag(key), getattr(args, key)
@@ -300,17 +300,27 @@ def _data_settings(cfg: dict) -> DataSettings:
                         window=cfg["window"], invert_current=cfg["invert_current"])
 
 
-def _check_outputs(cfg: dict, *keys: str, directory: str | None = None) -> None:
-    """Fail before any work on two outputs that name one path (a
-    ConfigError), on an output path that cannot take a file (a directory),
-    on a ``directory`` output that exists but is not one, and on any output
-    whose parent is not a directory. Unset optional outputs are skipped."""
+def _check_outputs(cfg: dict, *keys: str, directory: str | None = None,
+                   inputs: dict[str, list] | None = None) -> None:
+    """Fail before any work on a file output that names the config file or
+    an input (each of ``inputs``'s paths, by key), and on two outputs that
+    name one path (a ConfigError); on an output path that cannot take a
+    file (a directory), on a ``directory`` output that exists but is not
+    one, and on any output whose parent is not a directory. Unset optional
+    outputs are skipped."""
+    read = {os.path.realpath(path): key
+            for key, paths in {"config": [cfg["config"]], **(inputs or {})}.items()
+            for path in paths if path is not None}
     first_key: dict[str, str] = {}  # resolved output path -> its first key
     for key in [*keys, directory]:
         if key is None or cfg[key] is None:
             continue
         path = Path(cfg[key])
-        if (first := first_key.setdefault(os.path.realpath(path), key)) != key:
+        resolved = os.path.realpath(path)
+        first = first_key.setdefault(resolved, key)
+        if key != directory:  # a directory output cannot replace an input file
+            first = read.get(resolved, first)
+        if first != key:
             raise ConfigError(f"{_flag(first)} and {_flag(key)} name one path")
         if key == directory:
             if path.exists() and not path.is_dir():
@@ -331,6 +341,7 @@ def _warn_zero_lr(eta) -> None:
 
 
 def cmd_generate(cfg: dict) -> int:
+    _check_outputs(cfg, "out")
     params = SyntheticCellParams(
         **{f.name: cfg[f.name] for f in dataclasses.fields(SyntheticCellParams)}
     )
@@ -358,7 +369,8 @@ def cmd_train(cfg: dict) -> int:
     h = _hyperparameters(cfg, cfg["lr"])
     data = _data_settings(cfg)
     _warn_zero_lr(h.resolve_eta(algorithm))
-    _check_outputs(cfg, "out_model", "out_log", "export_features")
+    _check_outputs(cfg, "out_model", "out_log", "export_features",
+                   inputs={"data": [cfg["data"]]})
 
     raw_dm = battery_data.prepare_cycle(cfg["data"], data)
     stats = battery_data.fit_normalization(raw_dm)
@@ -384,7 +396,8 @@ def cmd_train(cfg: dict) -> int:
 
 def cmd_evaluate(cfg: dict) -> int:
     data = _data_settings(cfg)
-    _check_outputs(cfg, "predictions")
+    _check_outputs(cfg, "predictions",
+                   inputs={"model": [cfg["model"]], "data": [cfg["data"]]})
     params, stats, _seed = load_model(cfg["model"])
     raw_dm = battery_data.prepare_cycle(cfg["data"], data)
     if params.specs[0].input_dim != raw_dm.features.shape[1]:
@@ -412,15 +425,15 @@ def cmd_evaluate(cfg: dict) -> int:
 
 
 def cmd_compare(cfg: dict) -> int:
-    paths: list[Path] = [Path(p) for p in (cfg["data"] or [])]
+    inputs = {"data": [Path(p) for p in (cfg["data"] or [])], "data_dir": []}
     if cfg["data_dir"]:
         directory = Path(cfg["data_dir"])
         if not directory.is_dir():
             raise ConfigError(f"not a directory: {directory}")
-        found = sorted(directory.glob("*.csv"))
-        if not found:
+        inputs["data_dir"] = sorted(directory.glob("*.csv"))
+        if not inputs["data_dir"]:
             raise ConfigError(f"no .csv files in {directory}")
-        paths.extend(found)
+    paths = inputs["data"] + inputs["data_dir"]
     if not paths:
         raise ConfigError("no datasets: pass --data and/or --data-dir")
 
@@ -429,7 +442,7 @@ def cmd_compare(cfg: dict) -> int:
     data = _data_settings(cfg)
     for alg in cfg["optimizers"]:
         _warn_zero_lr(rates.get(alg, h.resolve_eta(alg)))
-    _check_outputs(cfg, "out", "out_table", directory="logs_dir")
+    _check_outputs(cfg, "out", "out_table", directory="logs_dir", inputs=inputs)
 
     report = run_comparison(
         paths,

@@ -327,12 +327,14 @@ def moving_average(series: np.ndarray, window: int = DEFAULT_WINDOW) -> np.ndarr
     """Trailing mean over ``window`` samples including the current one.
 
     During warm-up (i < window-1) the mean runs over the available prefix,
-    so output length always equals input length.
+    so output length always equals input length, and a window longer than
+    the series gives what one of its length does.
     """
     DataSettings(window=window)  # raises if bad
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         raise InputError("series must be non-empty")
+    window = min(window, x.size)  # also keeps idx - window within int64
     if window == 1:
         return x.copy()
     csum = np.concatenate(([0.0], np.cumsum(x)))

@@ -4,15 +4,13 @@ The comparison experiment mirrors the evaluation protocol end to end:
 chronological 80/20 train/test split per cycle, K-fold cross-validation on
 the training portion (normalization re-fit per fold to avoid leakage),
 then a final fit on the full training portion and metrics on the held-out
-test rows.
+test rows. ``_pool`` runs the training runs and reports each one's record
+or error; what an error means for the comparison is decided here.
 """
 
 from __future__ import annotations
 
 import csv
-import ctypes
-import os
-import signal
 import time
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -23,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._pool import outcomes
 from .data import (
     FEATURE_NAMES,
     DataSettings,
@@ -45,7 +44,6 @@ from .network import (
     LayerSpec,
     NetworkParameters,
     _one_blas_thread,
-    _share_blas_threads,
     backward,
     forward,
     init_network,
@@ -198,10 +196,8 @@ def train(
 
 def _diverged(what: str, epoch: int, batch: int | None = None) -> TrainingDivergedError:
     """The divergence error for a non-finite ``what`` in a batch or after an epoch."""
-    if batch is None:
-        where = f"after epoch {epoch}"
-    else:
-        where = f"at epoch {epoch}, batch {batch}"
+    where = (f"after epoch {epoch}" if batch is None
+             else f"at epoch {epoch}, batch {batch}")
     return TrainingDivergedError(f"training diverged: non-finite {what} {where}")
 
 
@@ -226,13 +222,9 @@ def run_fold(
         raise InputError(f"fold {fold} indexes beyond the {len(raw_dm)} rows")
     train_part = raw_dm.subset(train_idx)
     stats = fit_normalization(train_part)
-    _, log = train(
-        layer_specs,
-        apply_normalization(train_part, stats),
-        replace(h, seed=h.seed + fold),
-        algorithm,
-        val_dm=apply_normalization(raw_dm.subset(val_idx), stats),
-    )
+    _, log = train(layer_specs, apply_normalization(train_part, stats),
+                   replace(h, seed=h.seed + fold), algorithm,
+                   val_dm=apply_normalization(raw_dm.subset(val_idx), stats))
     last = log[-1]
     return last.val_mae, last.val_mse, log
 
@@ -245,10 +237,8 @@ def cross_validate(
     folds: Folds,
 ) -> list[RunOutcome]:
     """One fresh model per fold on unnormalized rows (see ``run_fold``)."""
-    return [
-        run_fold(layer_specs, raw_dm, h, algorithm, folds, fold)
-        for fold in range(len(folds))
-    ]
+    return [run_fold(layer_specs, raw_dm, h, algorithm, folds, fold)
+            for fold in range(len(folds))]
 
 
 def chronological_split(dm: DesignMatrix):
@@ -294,9 +284,7 @@ def _final_fit(
 ) -> RunOutcome:
     """Fit on the whole training portion and score the held-out test rows."""
     stats = fit_normalization(train_raw)
-    params, log = train(
-        layer_specs, apply_normalization(train_raw, stats), h, algorithm
-    )
+    params, log = train(layer_specs, apply_normalization(train_raw, stats), h, algorithm)
     _, mae, mse = score(params, stats, test_raw)
     return mae, mse, log
 
@@ -321,10 +309,10 @@ def _run_pairs(
             with _named(name, algorithm.value):
                 folds = make_folds(len(train_raw), k=k, seed=h.seed, mode=fold_mode)
             for fold in range(k):
-                runs.append(partial(_timed, name, algorithm, f"fold{fold}", run_fold,
-                                    layer_specs, train_raw, h, algorithm, folds, fold))
-            runs.append(partial(_timed, name, algorithm, "final", _final_fit,
-                                layer_specs, train_raw, test_raw, h, algorithm))
+                runs.append((name, algorithm, f"fold{fold}", run_fold,
+                             layer_specs, train_raw, h, algorithm, folds, fold))
+            runs.append((name, algorithm, "final", _final_fit,
+                         layer_specs, train_raw, test_raw, h, algorithm))
     records = _run_all(runs, jobs)
 
     results = []
@@ -366,97 +354,25 @@ def _named(*parts: str):
 
 def _timed(cycle: str, optimizer: Algorithm, run: str,
            work: Callable[..., RunOutcome], *args) -> RunRecord:
-    """The record of ``work(*args)``; an error it raises is named after the
-    run in the process that ran it."""
+    """The record of ``work(*args)``, in the process that runs it."""
     started = time.perf_counter()
-    with _named(cycle, optimizer.value, run):
-        mae, mse, log = work(*args)
+    mae, mse, log = work(*args)
     seconds = time.perf_counter() - started
     return RunRecord(cycle, optimizer, run, mae, mse, log, seconds)
 
 
-_worker_runs: list[partial] = []  # in a pool worker: the runs it inherited
-
-
-def _adopt_runs(runs: list[partial], workers: int) -> None:
-    """Pool worker initializer: die with the thread that forked this worker,
-    keep the runs the fork handed over, and score on one in ``workers`` of
-    the parent's OpenBLAS threads, so scoring threads do not outnumber them.
-
-    The forking thread is ``_run_all``'s, which outlives the pool unless its
-    process is killed; then the kernel sends this worker SIGKILL
-    (``prctl(PR_SET_PDEATHSIG)``, skipped where libc has no ``prctl``). A
-    parent killed before the call has already left this worker to another
-    process, and the worker exits at once.
-    """
-    from multiprocessing import parent_process  # loaded: this is a pool worker
-
-    prctl = getattr(ctypes.CDLL(None), "prctl", None)
-    if prctl is not None:
-        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
-        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG in <linux/prctl.h>
-    if os.getppid() != parent_process().pid:
-        os._exit(1)
-    _worker_runs[:] = runs
-    _share_blas_threads(workers)
-
-
-def _run_adopted(index: int) -> RunRecord:
-    return _worker_runs[index]()
-
-
-def _run_all(runs: list[partial], jobs: int) -> list[RunRecord]:
-    """The record of every run, a ``partial(_timed, cycle, optimizer, run,
-    work, ...)``, in task order, from ``jobs`` forked worker processes or,
-    when ``jobs`` is 1, from this one.
-
-    Each worker inherits the runs and their data from the fork: only a task
-    index goes to it, and only a ``RunRecord`` or an error comes back.
-    ``forkserver`` would instead re-import socbench and numpy in every
-    worker, pickle every run with its data, and miss what this process
-    patched (as tests do). The workers fork before the pool starts its
-    thread, OpenBLAS's at-fork handler stops its threads, and ``predict``
-    joins its own before it returns; a library caller's other threads take
-    the usual ``fork`` risk.
-
-    Records are read in task order, so the error raised is the earliest
-    failing run's, as in a serial loop. Whatever leaves the loop (a run's
-    error, a MemoryError, a bug, Ctrl-C) ends every worker at once, and only
-    the pool's own thread cancels the queued runs, in ``shutdown``: it would
-    fail a run cancelled from this thread as it finds the workers ended, and
-    print an InvalidStateError traceback. A worker that dies is a
-    SocBenchError naming the awaited run. Workers fork with SIGINT blocked,
-    so a Ctrl-C is this process's alone, and die with it (``_adopt_runs``):
-    none outlives the call.
-    """
-    if jobs == 1:
-        return [run() for run in runs]
-    # imported here: a serial run does not pay for the process pool
-    import multiprocessing
-    from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
-
-    workers = min(jobs, len(runs))
-    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_adopt_runs, initargs=(runs, workers))
+def _run_all(runs: list[tuple], jobs: int) -> list[RunRecord]:
+    """The record of each ``(cycle, optimizer, run, work, *args)`` that
+    ``_timed`` does, in task order, from ``jobs`` processes; the first error
+    in task order is raised, named after its run, and no later run starts
+    or goes on (``_pool.outcomes``)."""
     records = []
-    try:
-        unblocked = signal.pthread_sigmask(signal.SIG_BLOCK, [signal.SIGINT])
-        try:  # the first submit forks every worker
-            futures = [pool.submit(_run_adopted, i) for i in range(len(runs))]
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, unblocked)
-        for future in futures:
-            records.append(future.result())
-    except BrokenProcessPool as exc:
-        cycle, optimizer, run = runs[len(records)].args[:3]
-        with _named(cycle, optimizer.value, run):
-            raise SocBenchError("worker process ended unexpectedly") from exc
-    except BaseException:  # the one rule: whatever ends the loop ends every worker
-        for worker in list(pool._processes.values()):
-            worker.terminate()
-        raise
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with outcomes([partial(_timed, *run) for run in runs], jobs) as results:
+        for (cycle, optimizer, run, *_), outcome in zip(runs, results):
+            if isinstance(outcome, SocBenchError):
+                with _named(cycle, optimizer.value, run):
+                    raise outcome
+            records.append(outcome)
     return records
 
 
@@ -477,13 +393,15 @@ def run_comparison(
     InputError before any ingestion. A cycle that fails ingestion is
     skipped and recorded in the report; when every cycle fails, that is an
     IngestionError naming each one and its reason. Each training run (a
-    fold or a final fit) reports a ``RunRecord``; with ``jobs > 1`` the runs
-    go to forked worker processes, which any exception, Ctrl-C's
-    KeyboardInterrupt included, ends before it leaves this call (see
-    ``_run_all``), each scoring on its share of this process's OpenBLAS
-    threads. A run's products run on one OpenBLAS thread in the process that
-    runs it, so results come back sorted by (cycle, optimizer) regardless of
-    scheduling, and are bit-identical for a fixed seed and any ``jobs``.
+    fold or a final fit) reports its record or its error; with ``jobs > 1``
+    the runs go to forked worker processes, each scoring on its share of
+    this process's OpenBLAS threads (``_pool.outcomes``). The earliest
+    error in task order is raised, named after its run, and any exception,
+    Ctrl-C's KeyboardInterrupt included, ends every worker before it leaves
+    this call (``_run_all``). A run's products run on one OpenBLAS thread in
+    the process that runs it, so results come back sorted by (cycle,
+    optimizer) regardless of scheduling, and are bit-identical for a fixed
+    seed and any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")
@@ -536,17 +454,8 @@ def write_results_csv(
         writer.writerow(RESULT_COLUMNS)
         for r in results:
             seconds = 0.0 if omit_timing else r.seconds
-            writer.writerow(
-                [
-                    r.cycle,
-                    r.optimizer.value,
-                    repr(r.mae),
-                    repr(r.mse),
-                    repr(r.rmse),
-                    f"{seconds:.3f}",
-                    r.seed,
-                ]
-            )
+            writer.writerow([r.cycle, r.optimizer.value, repr(r.mae), repr(r.mse),
+                             repr(r.rmse), f"{seconds:.3f}", r.seed])
 
 
 def write_training_log_csv(log: TrainingLog, path: str | Path) -> None:
@@ -555,9 +464,8 @@ def write_training_log_csv(log: TrainingLog, path: str | Path) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(LOG_COLUMNS)
         for e in log:
-            writer.writerow(
-                [e.epoch, repr(e.train_loss), repr(e.val_mae), repr(e.val_mse)]
-            )
+            writer.writerow([e.epoch, repr(e.train_loss), repr(e.val_mae),
+                             repr(e.val_mse)])
 
 
 def format_results_table(report: ComparisonReport) -> str:

@@ -133,11 +133,18 @@ class ForwardCache:
 def init_network(specs: list[LayerSpec], seed: int) -> NetworkParameters:
     """Glorot-uniform weights (bounds +/- sqrt(6/(fan_in+fan_out))), zero biases.
 
-    The same seed always yields bit-identical parameters.
+    The same seed always yields bit-identical parameters. A network with
+    more parameters than numpy's largest array holds is a ConfigError.
     """
     validate_layer_chain(specs)
     rng = np.random.default_rng(seed)
-    params = NetworkParameters(list(specs), np.zeros(_parameter_count(specs)))
+    count = _parameter_count(specs)
+    try:
+        flat = np.zeros(count)
+    except ValueError:  # beyond numpy's largest array
+        raise ConfigError(f"a network of {count} parameters is more than can be "
+                          "allocated") from None
+    params = NetworkParameters(list(specs), flat)
     for spec, w in zip(params.specs, params.weights, strict=True):
         limit = np.sqrt(6.0 / (spec.input_dim + spec.output_dim))
         w[...] = rng.uniform(-limit, limit, size=w.shape)

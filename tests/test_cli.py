@@ -1064,6 +1064,91 @@ class TestOutputPaths:
         assert out == "" and started == []
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "mix.csv"]
 
+    @pytest.mark.parametrize("command, given, output", [
+        ("train", "--data", "--out-model"),
+        ("train", "--data", "--out-log"),
+        ("train", "--data", "--export-features"),
+        ("train", "--config", "--out-log"),
+        ("evaluate", "--data", "--predictions"),
+        ("evaluate", "--model", "--predictions"),
+        ("evaluate", "--config", "--predictions"),
+        ("compare", "--data", "--out"),
+        ("compare", "--data", "--out-table"),
+        ("compare", "--data-dir", "--out"),
+        ("compare", "--data-dir", "--out-table"),
+        ("compare", "--config", "--out"),
+        ("generate", "--config", "--out"),
+    ])
+    @pytest.mark.parametrize("spelling", ["same", "through-a-link"])
+    def test_an_output_naming_an_input_exits_2_and_leaves_it(
+        self, tmp_path, capsys, monkeypatch, command, given, output, spelling,
+    ):
+        """Else the command replaces its input with its output."""
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        cycle = generate_cycle(SyntheticCellParams(sample_period_s=1.0),
+                               Profile.RANDOM_MIX, 99.0, seed=5)
+        write_cycle_csv(cycle.records, inputs / "mix.csv")
+        save_model(inputs / "m.json", init_network(mlp_specs(4, [2]), seed=0),
+                   normalization=fit_normalization(prepare_cycle(inputs / "mix.csv")))
+        (inputs / "run.cfg").write_text("# no settings\n", encoding="utf-8")
+        before = {p.name: p.read_bytes() for p in inputs.iterdir()}
+        started = []
+
+        def refuse(*args, **kwargs):
+            started.append(args)
+            raise AssertionError("work started before the output check")
+
+        for owner, name in [(data_module, "ingest_csv"), (harness, "train"),
+                            (cli, "train"), (cli, "load_model"),
+                            (cli, "generate_cycle")]:
+            monkeypatch.setattr(owner, name, refuse)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(inputs)
+        argv = {
+            "train": ["--data", "in/mix.csv", "--optimizer", "sgd"],
+            "evaluate": ["--model", "in/m.json", "--data", "in/mix.csv"],
+            "compare": (["--data-dir", "in"] if given == "--data-dir"
+                        else ["--data", "in/mix.csv"]),
+            "generate": ["--profile", "random", "--duration", "30", "--seed", "1"],
+        }[command] + ["--config", "in/run.cfg"]
+        named = {"--model": "m.json", "--config": "run.cfg"}.get(given, "mix.csv")
+        folder = "in" if spelling == "same" else "link"
+        code, out, err = run_cli(capsys, command, *argv, output, f"{folder}/{named}")
+        assert code == 2
+        assert err == f"error: {given} and {output} name one path\n"
+        assert out == "" and started == []
+        assert {p.name: p.read_bytes() for p in inputs.iterdir()} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "link"]
+
+
+class TestTooLargeNetwork:
+    """A --hidden width whose network numpy cannot even size is a ConfigError
+    giving the parameter count, in the command or in a compare worker."""
+
+    WIDTH = "99999999999999999999"
+    COUNT = 6 * int(WIDTH) + 1  # 4 -> WIDTH -> 1: 5 * WIDTH + WIDTH + 1
+
+    @pytest.mark.parametrize("command, jobs, run", [
+        ("train", None, ""), ("compare", "1", "mix/sgd/fold0: "),
+        ("compare", "2", "mix/sgd/fold0: "),
+    ])
+    def test_is_exit_2_naming_its_size(self, cycle_file, tmp_path, capsys,
+                                       command, jobs, run):
+        argv = {
+            "train": ["--optimizer", "sgd", "--out-model", str(tmp_path / "m.json"),
+                      "--out-log", str(tmp_path / "l.csv")],
+            "compare": ["--optimizers", "sgd", "--k", "2", "--jobs", jobs,
+                        "--out", str(tmp_path / "r.csv")],
+        }[command]
+        code, out, err = run_cli(capsys, command, "--data", str(cycle_file),
+                                 "--epochs", "1", "--hidden", self.WIDTH, *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {run}a network of {self.COUNT} parameters is more "
+                       "than can be allocated\n")
+        assert multiprocessing.active_children() == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.csv"]
+
 
 class TestOutOfMemory:
     """A MemoryError, raised in the command's process or in a compare

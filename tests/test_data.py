@@ -309,6 +309,20 @@ class TestMovingAverage:
     def test_length_preserved(self):
         assert moving_average(np.ones(17), window=400).size == 17
 
+    def test_window_beyond_int64_gives_the_features_of_the_whole_series(
+        self, tmp_path
+    ):
+        """A window of 2**63 or more overflowed int64 in the warm-up's start
+        index; it averages what a window of the series' length does."""
+        f = tmp_path / "c.csv"
+        write_csv(f, [f"{t}.0,{4.2 - t / 97!r},{-1.0 - t % 3},{25 + t % 2}.0"
+                      for t in range(7)])
+        huge = prepare_cycle(f, DataSettings(window=99999999999999999999))
+        whole = prepare_cycle(f, DataSettings(window=7))
+        assert huge.features.tobytes() == whole.features.tobytes()
+        shorter = prepare_cycle(f, DataSettings(window=3))
+        assert huge.features.tobytes() != shorter.features.tobytes()
+
     def test_zero_window_rejected(self):
         with pytest.raises(InputError):
             moving_average(np.ones(5), window=0)

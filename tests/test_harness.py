@@ -6,7 +6,6 @@ import multiprocessing
 import os
 import pickle
 import re
-import signal
 import threading
 import time
 from contextlib import contextmanager
@@ -370,12 +369,13 @@ class TestRunComparison:
         assert_survives_pickling(info.value)
 
     @pytest.mark.parametrize("cls", ERROR_CLASSES, ids=lambda cls: cls.__name__)
-    def test_every_run_error_survives_pickling_with_its_run_name(self, cls):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_every_run_error_survives_pickling_with_its_run_name(self, cls, jobs):
         def fail():
             raise cls("failed")
 
         with pytest.raises(cls) as info:
-            harness._timed("mix", Algorithm.SGD, "fold1", fail)
+            harness._run_all([("mix", Algorithm.SGD, "fold1", fail)], jobs)
         assert str(info.value) == "mix/sgd/fold1: failed"
         assert_survives_pickling(info.value)
 
@@ -643,52 +643,6 @@ class TestRunComparison:
             in_caller = {pid == os.getpid() for pid, _ in entries}
             assert in_caller == {jobs == 1}
         assert blas_threads() == 2
-
-    def test_failing_pool_ends_without_a_thread_traceback(
-        self, small_cycle_files, monkeypatch
-    ):
-        """Only the pool's own thread cancels queued runs: a future cancelled
-        from the caller's thread, which the pool's thread then fails as it
-        finds the workers ended, raised InvalidStateError there, printed as
-        a traceback, in about 2 of 100 failing --jobs 2 comparisons; 150
-        take about 3 s."""
-        def diverge(*args, **kwargs):
-            raise TrainingDivergedError("training diverged")
-
-        monkeypatch.setattr(harness, "train", diverge)
-        raised = []
-        monkeypatch.setattr(threading, "excepthook", raised.append)
-        for _ in range(150):
-            with pytest.raises(TrainingDivergedError):
-                run_comparison(small_cycle_files,
-                               [Algorithm.SGD, Algorithm.ADAMAX, Algorithm.RMSPROP],
-                               small_h(), k=4, layer_specs=mlp_specs(4, [8]),
-                               jobs=2)
-        assert [hook.exc_value for hook in raised] == []
-
-    def test_pool_workers_hold_back_sigint(self, small_cycle_files, monkeypatch,
-                                           calls):
-        """A Ctrl-C is the caller's alone: a SIGINT that reaches a --jobs 2
-        worker stays pending there, and the comparison ends as usual; the
-        caller's signal mask is left as it was."""
-        real_train = harness.train
-
-        def interrupted_train(*args, **kwargs):
-            calls.add(0)
-            os.kill(os.getpid(), signal.SIGINT)  # to this worker alone
-            return real_train(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "train", interrupted_train)
-        try:
-            report = run_comparison(small_cycle_files, [Algorithm.SGD], small_h(),
-                                    k=2, learning_rates={Algorithm.SGD: 0.001},
-                                    layer_specs=mlp_specs(4, SMALL_NET), jobs=2)
-        except KeyboardInterrupt:
-            pytest.fail("a worker's SIGINT reached the caller")
-        assert len(report.results) == 2
-        assert os.getpid() not in {pid for pid, _ in calls.entries()}
-        assert len(calls.values()) == 2 * 3
-        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
 
     def test_requires_inputs(self):
         with pytest.raises(InputError):

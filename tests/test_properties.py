@@ -929,14 +929,19 @@ NUMBER_EDGES = ["-1", "0", "0.5", "nan", "inf", "-inf", "1e300", "1e-300",
 INT_EDGES = ["-1", "0", "1", "2", "4", "", "abc", "2.5", "1e400", "nan"]
 SWITCH_EDGES = ["true", "no", "1", "maybe", ""]
 # each drawn value of these stays small where it passes validation, so an
-# example never allocates or trains for real
+# example never allocates or trains for real; a width or window beyond int64
+# is cheap too: too large a network is refused, and a window is capped at
+# the series' length
+BEYOND_INT64 = "99999999999999999999"
 SPECIAL_EDGES = {
-    "hidden": ["", "2", "2,2", "0", "-1", "2,", "abc", "1e400"],
+    "hidden": ["", "2", "2,2", "0", "-1", "2,", "abc", "1e400",
+               BEYOND_INT64],
+    "window": INT_EDGES + [BEYOND_INT64],
     "optimizer": ["sgd", "ADAMAX", "nadam", ""],
     "optimizers": ["sgd", "rmsprop,adamax", ",", "", "foo"],
     "fold_mode": ["shuffled", "contiguous", "purged", ""],
     "profile": ["constant", "pulse", "random", "square", ""],
-    "seed": ["-1", "0", "7", "", "abc", "1e400", "99999999999999999999"],
+    "seed": ["-1", "0", "7", "", "abc", "1e400", BEYOND_INT64],
 }
 PATH_KEYS = {"data", "data_dir", "model", "out", "out_model", "out_log",
              "export_features", "predictions", "out_table", "logs_dir"}
