@@ -47,7 +47,6 @@ from .harness import (
     train,
 )
 from .network import (
-    Activation,
     LayerSpec,
     NetworkParameters,
     backward,

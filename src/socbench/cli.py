@@ -109,11 +109,14 @@ def _parse_lr_spec(text: str) -> dict[Algorithm, float]:
     """
     if "=" not in text:
         return dict.fromkeys(Algorithm, _float(text))
-    pairs = (part.partition("=") for part in text.split(",") if part.strip())
+    pairs = [part.partition("=") for part in text.split(",") if part.strip()]
     try:
-        return {_parse_optimizer(name): _float(value) for name, _, value in pairs}
+        rates = {_parse_optimizer(name): _float(value) for name, _, value in pairs}
     except ValueError:
         raise ValueError("must be one rate or optimizer=rate pairs") from None
+    if len(rates) < len(pairs):
+        raise ValueError("must name each optimizer once")
+    return rates
 
 
 def _optional_path(text: str) -> str | None:
@@ -302,11 +305,11 @@ def _data_settings(cfg: dict) -> DataSettings:
 
 def _check_outputs(cfg: dict, *keys: str, directory: str | None = None,
                    inputs: dict[str, list] | None = None) -> None:
-    """Fail before any work on a file output that names the config file or
-    an input (each of ``inputs``'s paths, by key), and on two outputs that
-    name one path (a ConfigError); on an output path that cannot take a
-    file (a directory), on a ``directory`` output that exists but is not
-    one, and on any output whose parent is not a directory. Unset optional
+    """Fail before any work on an output that names the config file or an
+    input (each of ``inputs``'s paths, files or directories, by key), and on
+    two outputs that name one path (a ConfigError); on a file output that
+    names a directory, on a ``directory`` output that exists but is not one,
+    and on any output whose parent is not a directory. Unset optional
     outputs are skipped."""
     read = {os.path.realpath(path): key
             for key, paths in {"config": [cfg["config"]], **(inputs or {})}.items()
@@ -317,9 +320,7 @@ def _check_outputs(cfg: dict, *keys: str, directory: str | None = None,
             continue
         path = Path(cfg[key])
         resolved = os.path.realpath(path)
-        first = first_key.setdefault(resolved, key)
-        if key != directory:  # a directory output cannot replace an input file
-            first = read.get(resolved, first)
+        first = read.get(resolved, first_key.setdefault(resolved, key))
         if first != key:
             raise ConfigError(f"{_flag(first)} and {_flag(key)} name one path")
         if key == directory:
@@ -430,10 +431,11 @@ def cmd_compare(cfg: dict) -> int:
         directory = Path(cfg["data_dir"])
         if not directory.is_dir():
             raise ConfigError(f"not a directory: {directory}")
-        inputs["data_dir"] = sorted(directory.glob("*.csv"))
-        if not inputs["data_dir"]:
+        found = sorted(directory.glob("*.csv"))
+        if not found:
             raise ConfigError(f"no .csv files in {directory}")
-    paths = inputs["data"] + inputs["data_dir"]
+        inputs["data_dir"] = [directory, *found]  # an output may name neither
+    paths = inputs["data"] + inputs["data_dir"][1:]
     if not paths:
         raise ConfigError("no datasets: pass --data and/or --data-dir")
 

@@ -389,24 +389,26 @@ def run_comparison(
 ) -> ComparisonReport:
     """Evaluate every optimizer on every cycle.
 
-    A cycle is named by its file's stem; two paths with one stem are an
-    InputError before any ingestion. A cycle that fails ingestion is
-    skipped and recorded in the report; when every cycle fails, that is an
-    IngestionError naming each one and its reason. Each training run (a
-    fold or a final fit) reports its record or its error; with ``jobs > 1``
-    the runs go to forked worker processes, each scoring on its share of
-    this process's OpenBLAS threads (``_pool.outcomes``). The earliest
-    error in task order is raised, named after its run, and any exception,
-    Ctrl-C's KeyboardInterrupt included, ends every worker before it leaves
-    this call (``_run_all``). A run's products run on one OpenBLAS thread in
-    the process that runs it, so results come back sorted by (cycle,
-    optimizer) regardless of scheduling, and are bit-identical for a fixed
-    seed and any ``jobs``.
+    A cycle is named by its file's stem; two paths with one stem, or an
+    optimizer listed twice, are an InputError before any ingestion. A cycle
+    that fails ingestion is skipped and recorded in the report; when every
+    cycle fails, that is an IngestionError naming each one and its reason.
+    Each training run (a fold or a final fit) reports its record or its
+    error; with ``jobs > 1`` the runs go to forked worker processes, each
+    scoring on its share of this process's OpenBLAS threads
+    (``_pool.outcomes``). The earliest error in task order is raised, named
+    after its run, and any exception, Ctrl-C's KeyboardInterrupt included,
+    ends every worker before it leaves this call (``_run_all``). A run's
+    products run on one OpenBLAS thread in the process that runs it, so
+    results come back sorted by (cycle, optimizer) regardless of
+    scheduling, and are bit-identical for a fixed seed and any ``jobs``.
     """
     if not cycle_paths:
         raise InputError("need at least one cycle")
     if not optimizers:
         raise InputError("need at least one optimizer")
+    if repeated := [alg.value for alg in optimizers if optimizers.count(alg) > 1]:
+        raise InputError(f"optimizer {repeated[0]!r} is listed more than once")
     if jobs < 1:
         raise InputError(f"need jobs >= 1, got {jobs}")
     if layer_specs is None:

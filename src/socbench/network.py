@@ -1,10 +1,11 @@
 """Dense feed-forward network with ReLU hidden layers and a linear output.
 
-All math is float64. Every parameter lives in one flat vector, and each
-layer's weights are an (output_dim, input_dim) view into it; a batch is
-(n, input_dim) and the forward pass computes ``a @ W.T + b`` layer by
-layer. Gradients come from exact reverse-mode differentiation of the
-mean-squared-error loss.
+A layer's role comes from its position: every layer but the last applies
+ReLU, and the last, the output layer, is linear. All math is float64.
+Every parameter lives in one flat vector, and each layer's weights are an
+(output_dim, input_dim) view into it; a batch is (n, input_dim) and the
+forward pass computes ``a @ W.T + b`` layer by layer. Gradients come from
+exact reverse-mode differentiation of the mean-squared-error loss.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from enum import Enum
 from functools import cache, partial
 from itertools import chain, pairwise
 from pathlib import Path
@@ -28,18 +28,12 @@ from .data import NormalizationStats
 from .errors import ConfigError, InputError, ModelMismatchError
 
 
-class Activation(Enum):
-    RELU = "relu"
-    IDENTITY = "identity"
-
-
 @dataclass(frozen=True)
 class LayerSpec:
-    """One dense layer: input_dim -> output_dim with an activation."""
+    """One dense layer: input_dim -> output_dim; its position sets its role."""
 
     input_dim: int
     output_dim: int
-    activation: Activation
 
     def __post_init__(self):
         if self.input_dim < 1 or self.output_dim < 1:
@@ -60,16 +54,11 @@ def validate_layer_chain(specs: list[LayerSpec]) -> None:
 
 
 def mlp_specs(input_dim: int, hidden: list[int]) -> list[LayerSpec]:
-    """ReLU hidden layers plus a linear single-unit output layer.
+    """Hidden layers of the given widths plus a single-unit output layer.
 
     ``hidden=[]`` yields a plain linear model.
     """
-    dims = [input_dim] + list(hidden)
-    specs = [
-        LayerSpec(dims[i], dims[i + 1], Activation.RELU) for i in range(len(hidden))
-    ]
-    specs.append(LayerSpec(dims[-1], 1, Activation.IDENTITY))
-    return specs
+    return [LayerSpec(a, b) for a, b in pairwise([input_dim, *hidden, 1])]
 
 
 DEFAULT_HIDDEN = [256, 256, 256]
@@ -169,11 +158,16 @@ def _checked_batch(params: NetworkParameters, batch: np.ndarray) -> np.ndarray:
     return x
 
 
-def _finish_layer(a: np.ndarray, spec: LayerSpec, b: np.ndarray) -> None:
-    """Adds the bias to the layer product ``a`` and applies the activation,
-    in place."""
+def _layers(params: NetworkParameters) -> list[tuple[np.ndarray, np.ndarray, bool]]:
+    """(weights, biases, relu) of each layer: ReLU on every layer but the last."""
+    pairs = zip(params.weights, params.biases, strict=True)
+    return [(w, b, layer < len(params.specs) - 1) for layer, (w, b) in enumerate(pairs)]
+
+
+def _finish_layer(a: np.ndarray, b: np.ndarray, relu: bool) -> None:
+    """Adds the bias to the layer product ``a``, then ReLU if ``relu``, in place."""
     a += b
-    if spec.activation is Activation.RELU:
+    if relu:
         np.maximum(a, 0.0, out=a)
 
 
@@ -185,16 +179,16 @@ def forward(
     Returns predictions of shape (n,) and the cache backward() needs,
     which holds ``params`` itself. The output layer must have a single
     unit. Each layer is computed in place in one fresh array, with the same
-    values, element for element, as ``np.maximum(a @ W.T + b, 0.0)`` (ReLU)
-    or ``a @ W.T + b`` (linear). Scoring, which needs no cache, goes
-    through predict().
+    values, element for element, as ``np.maximum(a @ W.T + b, 0.0)`` (a
+    hidden layer) or ``a @ W.T + b`` (the output layer). Scoring, which
+    needs no cache, goes through predict().
     """
     x = _checked_batch(params, batch)
     cache = ForwardCache(params, x)
     a = x
-    for spec, w, b in zip(params.specs, params.weights, params.biases, strict=True):
+    for w, b, relu in _layers(params):
         a = a @ w.T
-        _finish_layer(a, spec, b)
+        _finish_layer(a, b, relu)
         cache.post_activations.append(a)
     return a[:, 0], cache
 
@@ -289,16 +283,16 @@ SCORE_ROWS = 512  # rows per block of predict()
 def _score_share(
     layers: list, x: np.ndarray, out: np.ndarray, blocks: list[tuple[int, int]]
 ) -> None:
-    """Each ``(start, end)`` row block of ``x`` through ``layers``; the last
-    layer writes the block's rows of ``out``."""
-    *inner, (top_spec, top_w, top_b) = layers
+    """Each ``(start, end)`` row block of ``x`` through ``layers``, (weights,
+    biases, relu) triples; the last layer writes the block's rows of ``out``."""
+    *inner, (top_w, top_b, top_relu) = layers
     for start, end in blocks:
         rows = x[start:end]
-        for spec, w, b in inner:
+        for w, b, relu in inner:
             rows = rows @ w.T
-            _finish_layer(rows, spec, b)
+            _finish_layer(rows, b, relu)
         rows = np.matmul(rows, top_w.T, out=out[start:end])
-        _finish_layer(rows, top_spec, top_b)
+        _finish_layer(rows, top_b, top_relu)
 
 
 def predict(
@@ -342,12 +336,12 @@ def predict(
     predictions it has always written.
     """
     x = _checked_batch(params, batch)
-    layers = list(zip(params.specs, params.weights, params.biases, strict=True))
+    layers = _layers(params)
     blocked = layers[:-1] if like_forward else layers
     a = x
     if blocked:
         n = x.shape[0]
-        a = np.empty((n, blocked[-1][0].output_dim))
+        a = np.empty((n, blocked[-1][1].size))
         cuts = range(SCORE_ROWS, n - SCORE_ROWS + 1, SCORE_ROWS)
         blocks = list(pairwise([0, *cuts, n]))
         score = partial(_score_share, blocked, x, a)
@@ -366,9 +360,9 @@ def predict(
             for future in futures:
                 future.result()
     if like_forward:
-        out_spec, out_w, out_b = layers[-1]
+        out_w, out_b, out_relu = layers[-1]
         a = a @ out_w.T
-        _finish_layer(a, out_spec, out_b)
+        _finish_layer(a, out_b, out_relu)
     return a[:, 0]
 
 
@@ -401,9 +395,9 @@ def backward(
     as one vector laid out like ``params.flat``.
 
     The ReLU subgradient at exactly zero is taken as 0. For ReLU, z > 0
-    exactly where max(z, 0) > 0, so the mask comes from the cached layer
-    output. The cache must come from a forward() call on this very
-    ``params`` object (else InputError) with the targets' batch.
+    exactly where max(z, 0) > 0, so the mask of every hidden layer comes
+    from its cached output. The cache must come from a forward() call on
+    this very ``params`` object (else InputError) with the targets' batch.
     """
     if cache.params is not params:
         raise InputError("forward cache does not come from these network parameters")
@@ -424,35 +418,34 @@ def backward(
         delta.sum(axis=0, out=grads.biases[layer])
         if layer > 0:
             delta = delta @ params.weights[layer]  # a fresh array
-            if params.specs[layer - 1].activation is Activation.RELU:
-                delta *= cache.post_activations[layer - 1] > 0.0
+            delta *= cache.post_activations[layer - 1] > 0.0  # a hidden layer
     return grads
 
 
 # --- model persistence ----------------------------------------------------
 #
-# JSON schema: layer_specs (list of {in, out, activation}), weights (per
-# layer, row-major), biases, normalization ({means, stds} or null), seed.
-# repr() of a float round-trips exactly, and json uses it, so save/load is
-# value-exact at double precision.
+# JSON schema: layer_specs (list of {in, out, activation}: "relu" on every
+# layer but the last, "identity"), weights (per layer, row-major), biases,
+# normalization ({means, stds}), seed. repr() of a float round-trips
+# exactly, and json uses it, so save/load is value-exact at double precision.
 
 
 def save_model(
     path: str | Path,
     params: NetworkParameters,
-    normalization=None,
+    normalization: NormalizationStats,
     seed: int = 0,
 ) -> None:
     doc = {
         "layer_specs": [
-            {"in": s.input_dim, "out": s.output_dim, "activation": s.activation.value}
-            for s in params.specs
+            {"in": s.input_dim, "out": s.output_dim,
+             "activation": "relu" if relu else "identity"}
+            for s, (_, _, relu) in zip(params.specs, _layers(params), strict=True)
         ],
         "weights": [w.tolist() for w in params.weights],
         "biases": [b.tolist() for b in params.biases],
-        "normalization": None
-        if normalization is None
-        else {"means": list(normalization.means), "stds": list(normalization.stds)},
+        "normalization": {"means": list(normalization.means),
+                          "stds": list(normalization.stds)},
         "seed": seed,
     }
     Path(path).write_text(json.dumps(doc), encoding="utf-8")
@@ -478,19 +471,17 @@ def _json_numbers(value) -> np.ndarray:
     return array
 
 
-def load_model(path: str | Path):
-    """Returns (params, normalization_stats_or_None, seed).
+def load_model(path: str | Path) -> tuple[NetworkParameters, NormalizationStats, int]:
+    """Returns (params, normalization_stats, seed).
 
     Any file that is not a model this module could have saved, from broken
-    JSON and an output layer of more than one unit to arrays that do not
+    JSON, a misplaced activation or no normalization to arrays that do not
     fit ``layer_specs``, raises ModelMismatchError.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         specs = [
-            LayerSpec(
-                _json_int(s["in"]), _json_int(s["out"]), Activation(s["activation"])
-            )
+            LayerSpec(_json_int(s["in"]), _json_int(s["out"]))
             for s in doc["layer_specs"]
         ]
         validate_layer_chain(specs)
@@ -499,13 +490,19 @@ def load_model(path: str | Path):
                 f"model file {path}: output layer has {specs[-1].output_dim} "
                 "units, not 1"
             )
+        activations = [s["activation"] for s in doc["layer_specs"]]
+        if activations != ["relu"] * (len(specs) - 1) + ["identity"]:
+            raise ModelMismatchError(
+                f"model file {path}: activations {activations!r} are not relu on "
+                "every hidden layer and identity on the output layer"
+            )
         weights = [_json_numbers(w) for w in doc["weights"]]
         biases = [_json_numbers(b) for b in doc["biases"]]
         seed = _json_int(doc["seed"])
-        norm_doc = doc["normalization"]
-        if norm_doc is not None:
-            means = _json_numbers(norm_doc["means"])
-            stds = _json_numbers(norm_doc["stds"])
+        if doc.get("normalization") is None:
+            raise ModelMismatchError(f"model file {path}: no normalization")
+        means = _json_numbers(doc["normalization"]["means"])
+        stds = _json_numbers(doc["normalization"]["stds"])
     except (ConfigError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ModelMismatchError(f"malformed model file {path}: {exc}") from exc
 
@@ -523,21 +520,17 @@ def load_model(path: str | Path):
             raise ModelMismatchError(
                 f"model file {path}: non-finite weights or biases"
             )
-    norm = None
-    if norm_doc is not None:
-        input_dim = specs[0].input_dim
-        if means.shape != (input_dim,) or stds.shape != (input_dim,):
-            raise ModelMismatchError(
-                f"model file {path}: normalization has {means.size} means and "
-                f"{stds.size} stds for {input_dim} inputs"
-            )
-        if not np.all(np.isfinite(means)):
-            raise ModelMismatchError(
-                f"model file {path}: non-finite normalization means"
-            )
-        try:
-            norm = NormalizationStats(means, stds)
-        except InputError as exc:
-            raise ModelMismatchError(f"model file {path}: {exc}") from exc
+    input_dim = specs[0].input_dim
+    if means.shape != (input_dim,) or stds.shape != (input_dim,):
+        raise ModelMismatchError(
+            f"model file {path}: normalization has {means.size} means and "
+            f"{stds.size} stds for {input_dim} inputs"
+        )
+    if not np.all(np.isfinite(means)):
+        raise ModelMismatchError(f"model file {path}: non-finite normalization means")
+    try:
+        norm = NormalizationStats(means, stds)
+    except InputError as exc:
+        raise ModelMismatchError(f"model file {path}: {exc}") from exc
     flat = np.concatenate([a.ravel() for pair in zip(weights, biases) for a in pair])
     return NetworkParameters(specs, flat), norm, seed

@@ -33,7 +33,7 @@ from socbench import (
 from socbench.cli import main as cli_main
 from socbench.data import DesignMatrix, apply_normalization, fit_normalization
 from socbench.harness import FoldMode
-from socbench.network import LayerSpec, Activation, NetworkParameters
+from socbench.network import LayerSpec, NetworkParameters
 
 
 def report(criterion: int, name: str) -> None:
@@ -86,7 +86,7 @@ def test_criterion_2_gradient_correctness():
 
 
 def _scalar_setup(algorithm):
-    params = init_network([LayerSpec(1, 1, Activation.IDENTITY)], seed=0)
+    params = init_network([LayerSpec(1, 1)], seed=0)
     params.weights[0][:] = 0.0
     state = OptimizerState.initial(algorithm, params)
     grads = NetworkParameters(params.specs, np.array([1.0, 0.0]))  # w, b

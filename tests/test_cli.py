@@ -20,13 +20,13 @@ from socbench import cli, data as data_module, harness
 from socbench.cli import main
 from socbench.data import (
     DataSettings,
+    NormalizationStats,
     apply_normalization,
     fit_normalization,
     prepare_cycle,
 )
 from socbench.network import (
     DEFAULT_HIDDEN,
-    Activation,
     LayerSpec,
     forward,
     init_network,
@@ -310,7 +310,8 @@ class TestTrain:
         if command == "train":
             extra = ["--optimizer", "sgd", "--out-model", "out.json"]
         else:
-            save_model("m.json", init_network(mlp_specs(4, [2]), seed=0))
+            save_model("m.json", init_network(mlp_specs(4, [2]), seed=0),
+                       NormalizationStats(np.zeros(4), np.ones(4)))
             extra = ["--model", "m.json"]
         code, out, err = run_cli(capsys, command, "--data", "empty.csv", *extra)
         assert (code, out, err) == (1, "", "error: empty.csv: empty file\n")
@@ -486,8 +487,9 @@ class TestEvaluate:
 
     def test_model_with_two_outputs_exit_4(self, cycle_file, tmp_path, capsys):
         model = tmp_path / "m.json"
-        specs = [LayerSpec(4, 4, Activation.RELU), LayerSpec(4, 2, Activation.IDENTITY)]
-        save_model(model, init_network(specs, seed=0))
+        specs = [LayerSpec(4, 4), LayerSpec(4, 2)]
+        save_model(model, init_network(specs, seed=0),
+                   NormalizationStats(np.zeros(4), np.ones(4)))
         code, out, err = run_cli(
             capsys, "evaluate", "--model", str(model), "--data", str(cycle_file),
             "--soc0", "90",
@@ -495,6 +497,44 @@ class TestEvaluate:
         assert code == 4
         assert err == f"error: model file {model}: output layer has 2 units, not 1\n"
         assert out == ""
+
+    @pytest.mark.parametrize("defect, message", [
+        ("null-normalization", "no normalization"),
+        ("no-normalization", "no normalization"),
+        ("identity-hidden", "activations ['identity', 'identity'] are not relu on "
+         "every hidden layer and identity on the output layer"),
+        ("relu-output", "activations ['relu', 'relu'] are not relu on every hidden "
+         "layer and identity on the output layer"),
+    ], ids=["null-normalization", "no-normalization", "identity-hidden",
+            "relu-output"])
+    def test_model_that_breaks_the_contract_exit_4(
+        self, cycle_file, tmp_path, capsys, defect, message
+    ):
+        """A file train could not have written: each layer's activation is
+        set by its position, and the normalization is stored."""
+        model = tmp_path / "m.json"
+        run_cli(
+            capsys, "train", "--data", str(cycle_file), "--optimizer", "sgd",
+            "--epochs", "1", "--hidden", "4", "--soc0", "90",
+            "--out-model", str(model), "--out-log", str(tmp_path / "l.csv"),
+        )
+        doc = json.loads(model.read_text())
+        hidden, output = doc["layer_specs"]
+        if defect == "null-normalization":
+            doc["normalization"] = None
+        elif defect == "no-normalization":
+            del doc["normalization"]
+        elif defect == "identity-hidden":
+            hidden["activation"] = "identity"
+        else:
+            output["activation"] = "relu"
+        model.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "evaluate", "--model", str(model), "--data", str(cycle_file),
+            "--soc0", "90",
+        )
+        assert (code, out) == (4, "")
+        assert err == f"error: model file {model}: {message}\n"
 
     def test_normalization_length_mismatch_exit_4(self, cycle_file, tmp_path, capsys):
         model = tmp_path / "m.json"
@@ -961,6 +1001,39 @@ class TestCompare:
         assert err == f"error: data files share the cycle name 'mix': {first}, {second}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("optimizers, repeated", [
+        ("adamax,adamax", "adamax"), ("sgd,rmsprop,SGD", "sgd"),
+    ])
+    def test_repeated_optimizer_refused_before_ingestion(
+        self, cycle_file, tmp_path, capsys, monkeypatch, optimizers, repeated
+    ):
+        """Else the pair trains twice and the second's logs replace the
+        first's."""
+        def never(*args, **kwargs):
+            raise AssertionError("prepare_cycle was called")
+
+        monkeypatch.setattr(harness, "prepare_cycle", never)
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(
+            capsys, "compare", "--data", str(cycle_file), "--optimizers", optimizers,
+            "--epochs", "1", "--k", "2", "--hidden", "4", "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == f"error: optimizer {repeated!r} is listed more than once\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rates", ["sgd=0.1,sgd=0.01", "adam=1,rmsprop=1,ADAM=1"])
+    def test_repeated_rate_usage_error(self, cycle_file, tmp_path, capsys, rates):
+        out = tmp_path / "r.csv"
+        code, stdout, err = run_cli(
+            capsys, "compare", "--data", str(cycle_file), "--lr", rates,
+            "--out", str(out),
+        )
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: --lr: bad value {rates!r} "
+                       "(--lr must name each optimizer once)\n")
+        assert not out.exists()
+
     def test_no_datasets_usage_error(self, tmp_path, capsys):
         code, out, err = run_cli(capsys, "compare", "--out", str(tmp_path / "r.csv"))
         assert (code, out) == (2, "")
@@ -1022,13 +1095,15 @@ class TestOutputPaths:
         }[command]
         bad = tmp_path if kind == "directory" else tmp_path / "absent" / "f.csv"
         if flag == "--logs-dir" and kind == "directory":
-            bad = cycle_file  # a directory output's unusable kind is a file
+            bad = tmp_path / "f.txt"  # a directory output's unusable kind is a file
+            bad.write_text("", encoding="utf-8")
+        before = sorted(p.name for p in tmp_path.iterdir())
         code, out, err = run_cli(capsys, command, *argv, flag, str(bad))
         assert code == 1
         assert err.count("\n") == 1 and err.startswith(f"error: {flag} ")
         assert out == ""
         assert started == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["mix.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize("command, first, second", [
         ("train", "--out-model", "--out-log"),
@@ -1074,8 +1149,10 @@ class TestOutputPaths:
         ("evaluate", "--config", "--predictions"),
         ("compare", "--data", "--out"),
         ("compare", "--data", "--out-table"),
+        ("compare", "--data", "--logs-dir"),
         ("compare", "--data-dir", "--out"),
         ("compare", "--data-dir", "--out-table"),
+        ("compare", "--data-dir", "--logs-dir"),
         ("compare", "--config", "--out"),
         ("generate", "--config", "--out"),
     ])
@@ -1120,6 +1197,25 @@ class TestOutputPaths:
         assert out == "" and started == []
         assert {p.name: p.read_bytes() for p in inputs.iterdir()} == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["in", "link"]
+
+    @pytest.mark.parametrize("output", ["--out", "--out-table", "--logs-dir"])
+    @pytest.mark.parametrize("spelling", ["same", "through-a-link"])
+    def test_an_output_naming_the_data_dir_exits_2_and_leaves_it(
+        self, cycle_file, tmp_path, capsys, monkeypatch, output, spelling,
+    ):
+        """Else the logs land among the inputs, and the next run reads each
+        of them as a cycle."""
+        def never(*args, **kwargs):
+            raise AssertionError("work started before the output check")
+
+        monkeypatch.setattr(data_module, "ingest_csv", never)
+        (tmp_path / "link").symlink_to(tmp_path)
+        named = tmp_path if spelling == "same" else tmp_path / "link"
+        code, out, err = run_cli(capsys, "compare", "--data-dir", str(tmp_path),
+                                 output, str(named))
+        assert (code, out) == (2, "")
+        assert err == f"error: --data-dir and {output} name one path\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "mix.csv"]
 
 
 class TestTooLargeNetwork:

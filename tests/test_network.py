@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from socbench import (
-    Activation,
     InputError,
     LayerSpec,
     NetworkParameters,
@@ -32,9 +31,12 @@ from socbench.errors import ConfigError, ModelMismatchError
 from socbench import network
 from socbench.network import DEFAULT_HIDDEN, SCORE_ROWS
 
+UNIT_STATS = NormalizationStats(means=np.zeros(4), stds=np.ones(4))
 
-def tiny_net(weight, bias, activation=Activation.IDENTITY):
-    params = init_network([LayerSpec(1, 1, activation)], seed=0)
+
+def tiny_net(weight, bias):
+    """A single linear unit: the output layer alone."""
+    params = init_network([LayerSpec(1, 1)], seed=0)
     params.weights[0][:] = weight
     params.biases[0][:] = bias
     return params
@@ -132,8 +134,8 @@ class TestArchitecture:
 
     def test_dimension_chain_enforced(self):
         bad = [
-            LayerSpec(4, 8, Activation.RELU),
-            LayerSpec(9, 1, Activation.IDENTITY),
+            LayerSpec(4, 8),
+            LayerSpec(9, 1),
         ]
         with pytest.raises(ConfigError):
             init_network(bad, seed=0)
@@ -141,12 +143,12 @@ class TestArchitecture:
     @pytest.mark.parametrize("dims", [(0, 1), (1, 0), (0, 0)])
     def test_nonpositive_dims_rejected(self, dims):
         with pytest.raises(ConfigError, match="^layer dims must be >= 1"):
-            LayerSpec(*dims, Activation.RELU)
+            LayerSpec(*dims)
 
 
 class TestInit:
     def test_biases_zero(self):
-        params = init_network([LayerSpec(1, 1, Activation.IDENTITY)], seed=0)
+        params = init_network([LayerSpec(1, 1)], seed=0)
         assert params.biases[0][0] == 0.0
 
     def test_same_seed_identical(self):
@@ -175,39 +177,35 @@ class TestForward:
         assert preds[0] == 7.0  # 2*3 + 1
 
     def test_relu_clamps_negative(self):
-        params = tiny_net(2.0, 1.0, Activation.RELU)
+        params = init_network(mlp_specs(1, [1]), seed=0)
+        params.flat[:] = [2.0, 1.0, 1.0, 0.5]  # hidden w, b; output w, b
         preds, cache = forward(params, np.array([[-3.0]]))
         assert pre_activations(params, cache)[0][0, 0] == -5.0
-        assert preds[0] == 0.0
+        assert cache.post_activations[0][0, 0] == 0.0
+        assert preds[0] == 0.5
 
     def test_relu_equals_identity_when_nonnegative(self):
         rng = np.random.default_rng(2)
-        relu = init_network(mlp_specs(3, [6, 6]), seed=4)
-        relu_pos = NetworkParameters(relu.specs, relu.flat.copy())
-        for w in relu_pos.weights:
-            np.abs(w, out=w)
-        same = NetworkParameters(
-            [LayerSpec(s.input_dim, s.output_dim, Activation.IDENTITY)
-             for s in relu.specs],
-            relu_pos.flat.copy(),
-        )
+        params = init_network(mlp_specs(3, [6, 6]), seed=4)
+        np.abs(params.flat, out=params.flat)
         batch = np.abs(rng.normal(size=(5, 3)))  # nonneg input + nonneg weights
-        p_relu, cache = forward(relu_pos, batch)
-        assert all(np.min(z) >= 0 for z in pre_activations(relu_pos, cache))
-        p_id, _ = forward(same, batch)
-        np.testing.assert_array_equal(p_relu, p_id)
+        preds, cache = forward(params, batch)
+        assert all(np.min(z) >= 0 for z in pre_activations(params, cache))
+        affine = batch
+        for w, b in zip(params.weights, params.biases):
+            affine = affine @ w.T + b
+        np.testing.assert_array_equal(preds, affine[:, 0])
 
     def test_relu_output_nonnegative(self):
         rng = np.random.default_rng(3)
         params = init_network(mlp_specs(4, [8, 8]), seed=9)
         _, cache = forward(params, rng.normal(size=(20, 4)))
-        for z, a, spec in zip(
-            pre_activations(params, cache), cache.post_activations, params.specs
-        ):
-            if spec.activation is Activation.RELU:
-                assert np.min(a) >= 0.0
-            else:
-                np.testing.assert_array_equal(a, z)
+        *hidden, (z_out, a_out) = zip(pre_activations(params, cache),
+                                      cache.post_activations)
+        for z, a in hidden:
+            np.testing.assert_array_equal(a, np.maximum(z, 0.0))
+        assert min(np.min(z) for z, _ in hidden) < 0.0  # ReLU clamped some
+        np.testing.assert_array_equal(a_out, z_out)
 
     def test_pure_function(self):
         rng = np.random.default_rng(4)
@@ -260,7 +258,7 @@ class TestPredict:
             (mlp_specs(4, [8]), np.ones((5, 3))),  # wrong width
             (mlp_specs(2, [4]), np.array([[1.0, np.nan]])),
             (mlp_specs(2, [4]), np.array([[np.inf, 0.0]])),
-            ([LayerSpec(2, 4, Activation.RELU), LayerSpec(4, 2, Activation.IDENTITY)],
+            ([LayerSpec(2, 4), LayerSpec(4, 2)],
              np.ones((3, 2))),
         ],
         ids=["1-d", "width", "nan", "inf", "two-unit-output"],
@@ -559,7 +557,7 @@ class TestModelSerialization:
 
     def test_fewer_arrays_than_layer_specs_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(path, init_network(mlp_specs(4, [8, 8]), seed=1))
+        save_model(path, init_network(mlp_specs(4, [8, 8]), seed=1), UNIT_STATS)
         doc = json.loads(path.read_text())
         del doc["weights"][-1], doc["biases"][-1]
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -570,7 +568,7 @@ class TestModelSerialization:
     def test_arrays_of_another_shape_rejected(self, tmp_path, field):
         # a transposed weight matrix holds as many values as the right one
         path = tmp_path / "model.json"
-        save_model(path, init_network(mlp_specs(4, [8]), seed=1))
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), UNIT_STATS)
         doc = json.loads(path.read_text())
         if field == "weights":
             doc["weights"][0] = np.array(doc["weights"][0]).T.tolist()
@@ -579,6 +577,22 @@ class TestModelSerialization:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ModelMismatchError,
                            match="stored arrays do not match layer_specs$"):
+            load_model(path)
+
+    @pytest.mark.parametrize("missing", ["null", "absent"])
+    def test_model_without_normalization_rejected(self, tmp_path, missing):
+        path = tmp_path / "model.json"
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), UNIT_STATS)
+        doc = json.loads(path.read_text())
+        if missing == "null":
+            doc["normalization"] = None
+        else:
+            del doc["normalization"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(
+            ModelMismatchError,
+            match=f"^model file {re.escape(str(path))}: no normalization$",
+        ):
             load_model(path)
 
     def test_normalization_without_stds_rejected(self, tmp_path):
@@ -617,7 +631,7 @@ class TestModelSerialization:
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_parameters_rejected(self, tmp_path, field, value):
         path = tmp_path / "model.json"
-        save_model(path, init_network(mlp_specs(4, [8]), seed=1))
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), UNIT_STATS)
         doc = json.loads(path.read_text())
         if field == "weights":
             doc["weights"][1][0][3] = value
@@ -640,12 +654,18 @@ class TestModelSerialization:
             ('"in": 4,', '"in": false,', "expected an integer, got False"),
             ('"in": 4,', '"in": 0,', "layer dims must be >= 1"),
             ('"in": 8,', '"in": 7,', "layer 0 output_dim 8 does not match"),
-            ('"activation": "relu"', '"activation": "tanh"', "'tanh' is not a valid"),
+            ('"activation": "relu"', '"activation": "tanh"',
+             "activations ['tanh', 'identity'] are not relu on every hidden layer"),
+            ('"activation": "relu"', '"activation": "identity"',
+             "activations ['identity', 'identity'] are not relu"),
+            ('"activation": "identity"', '"activation": "relu"',
+             "activations ['relu', 'relu'] are not relu on every hidden layer and "
+             "identity on the output layer"),
         ],
     )
     def test_malformed_layer_specs_and_seed_rejected(self, tmp_path, old, new, message):
         path = tmp_path / "model.json"
-        save_model(path, init_network(mlp_specs(4, [8]), seed=1), seed=1)
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), UNIT_STATS, seed=1)
         text = path.read_text()
         assert text.count(old) == 1
         path.write_text(text.replace(old, new), encoding="utf-8")
@@ -666,9 +686,9 @@ class TestModelSerialization:
     @pytest.mark.parametrize("units", [2, 3])
     def test_output_layer_of_more_than_one_unit_rejected(self, tmp_path, units):
         path = tmp_path / "model.json"
-        specs = [LayerSpec(4, 8, Activation.RELU),
-                 LayerSpec(8, units, Activation.IDENTITY)]
-        save_model(path, init_network(specs, seed=1))
+        specs = [LayerSpec(4, 8),
+                 LayerSpec(8, units)]
+        save_model(path, init_network(specs, seed=1), UNIT_STATS)
         with pytest.raises(
             ModelMismatchError,
             match=f"^model file {re.escape(str(path))}: output layer has {units} "
@@ -681,7 +701,7 @@ class TestModelSerialization:
         # and floats mix within one array
         path = tmp_path / "model.json"
         params = init_network(mlp_specs(4, [8]), seed=1)
-        save_model(path, params)
+        save_model(path, params, UNIT_STATS)
         doc = json.loads(path.read_text())
         doc["biases"][0][0] = 0
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -690,7 +710,7 @@ class TestModelSerialization:
 
     def test_empty_layer_specs_rejected(self, tmp_path):
         path = tmp_path / "model.json"
-        save_model(path, init_network(mlp_specs(4, [8]), seed=1))
+        save_model(path, init_network(mlp_specs(4, [8]), seed=1), UNIT_STATS)
         doc = json.loads(path.read_text())
         doc["layer_specs"] = []
         path.write_text(json.dumps(doc), encoding="utf-8")
@@ -718,9 +738,10 @@ class TestModelSerialization:
         rng = np.random.default_rng(6)
         params = init_network(mlp_specs(4, [16]), seed=3)
         path = tmp_path / "model.json"
-        save_model(path, params, seed=3)
+        save_model(path, params, UNIT_STATS, seed=3)
         loaded, stats, _ = load_model(path)
-        assert stats is None
+        np.testing.assert_array_equal(stats.means, UNIT_STATS.means)
+        np.testing.assert_array_equal(stats.stds, UNIT_STATS.stds)
         batch = rng.normal(size=(10, 4))
         np.testing.assert_array_equal(
             forward(params, batch)[0], forward(loaded, batch)[0]

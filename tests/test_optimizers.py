@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from socbench import (
-    Activation,
     Algorithm,
     Hyperparameters,
     InputError,
@@ -25,7 +24,7 @@ from socbench.network import DEFAULT_HIDDEN
 from socbench.optimizers import DEFAULT_LEARNING_RATES
 
 def scalar_param(value=1.0):
-    params = init_network([LayerSpec(1, 1, Activation.IDENTITY)], seed=0)
+    params = init_network([LayerSpec(1, 1)], seed=0)
     params.weights[0][:] = value
     params.biases[0][:] = 0.0
     return params
@@ -41,7 +40,7 @@ def gradient(specs, weights, biases):
 
 def scalar_grad(value, bias=0.0):
     return gradient(
-        [LayerSpec(1, 1, Activation.IDENTITY)],
+        [LayerSpec(1, 1)],
         [np.full((1, 1), float(value))],
         [np.full(1, float(bias))],
     )
@@ -145,7 +144,7 @@ class TestAdamaxOracle:
 class TestSharedProperties:
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_zero_gradient_fixed_point(self, algorithm):
-        params = init_network([LayerSpec(3, 2, Activation.IDENTITY)], seed=8)
+        params = init_network([LayerSpec(3, 2)], seed=8)
         before = params.flat.copy()
         state = OptimizerState.initial(algorithm, params)
         grads = gradient(params.specs, [np.zeros((2, 3))], [np.zeros(2)])
@@ -161,7 +160,7 @@ class TestSharedProperties:
         perm = rng.permutation(6)
 
         def run(weights, grads):
-            params = init_network([LayerSpec(6, 1, Activation.IDENTITY)], seed=0)
+            params = init_network([LayerSpec(6, 1)], seed=0)
             params.weights[0][:] = weights
             state = OptimizerState.initial(algorithm, params)
             optimizer_step(
@@ -182,7 +181,7 @@ class TestSharedProperties:
         g = rng.normal(size=(2, 4))
 
         def first_update(scale):
-            params = init_network([LayerSpec(4, 2, Activation.IDENTITY)], seed=1)
+            params = init_network([LayerSpec(4, 2)], seed=1)
             before = params.weights[0].copy()
             state = OptimizerState.initial(algorithm, params)
             optimizer_step(
@@ -200,7 +199,7 @@ class TestSharedProperties:
         g = rng.normal(size=(2, 4))
 
         def update(scale):
-            params = init_network([LayerSpec(4, 2, Activation.IDENTITY)], seed=1)
+            params = init_network([LayerSpec(4, 2)], seed=1)
             before = params.weights[0].copy()
             state = OptimizerState.initial(Algorithm.SGD, params)
             optimizer_step(
@@ -216,7 +215,7 @@ class TestSharedProperties:
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_accumulators_stay_nonnegative_and_counter_counts(self, algorithm):
         rng = np.random.default_rng(31)
-        params = init_network([LayerSpec(4, 3, Activation.IDENTITY)], seed=2)
+        params = init_network([LayerSpec(4, 3)], seed=2)
         state = OptimizerState.initial(algorithm, params)
         h = Hyperparameters(eta=0.01)
         n_steps = 25
@@ -239,7 +238,7 @@ class TestSharedProperties:
         grad_values = [rng.normal(size=(3, 4)) for _ in range(10)]
 
         def trajectory():
-            params = init_network([LayerSpec(4, 3, Activation.IDENTITY)], seed=5)
+            params = init_network([LayerSpec(4, 3)], seed=5)
             state = OptimizerState.initial(algorithm, params)
             h = Hyperparameters(eta=0.02)
             seen = []
@@ -283,7 +282,7 @@ class TestValidation:
         params = scalar_param()
         state = OptimizerState.initial(Algorithm.SGD, params)
         bad = gradient(
-            [LayerSpec(2, 1, Activation.IDENTITY)], [np.ones((1, 2))], [np.zeros(1)]
+            [LayerSpec(2, 1)], [np.ones((1, 2))], [np.zeros(1)]
         )
         with pytest.raises(InputError):
             optimizer_step(params, bad, Hyperparameters(eta=0.01), state)

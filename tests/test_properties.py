@@ -13,6 +13,7 @@ import os
 import random
 from contextlib import nullcontext, redirect_stderr, redirect_stdout
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,8 +52,6 @@ from socbench.network import _one_blas_thread, _openblas_thread_api
 from socbench.network import (
     DEFAULT_HIDDEN,
     SCORE_ROWS,
-    Activation,
-    LayerSpec,
     NetworkParameters,
     backward,
     forward,
@@ -73,12 +72,14 @@ ELEMENTS = st.one_of(
 
 
 def reference_forward(params, batch):
-    """Layer by layer with fresh arrays: pre-activations and outputs."""
+    """Layer by layer with fresh arrays: pre-activations and outputs; ReLU
+    on every layer but the last."""
     pre, post = [], []
     a = batch
-    for spec, w, b in zip(params.specs, params.weights, params.biases):
+    last = len(params.specs) - 1
+    for layer, (w, b) in enumerate(zip(params.weights, params.biases)):
         z = a @ w.T + b
-        a = np.maximum(z, 0.0) if spec.activation is Activation.RELU else z
+        a = np.maximum(z, 0.0) if layer < last else z
         pre.append(z)
         post.append(a)
     return pre, post
@@ -96,8 +97,7 @@ def reference_backward(params, batch, targets):
         grad_b.insert(0, delta.sum(axis=0))
         if layer > 0:
             delta = delta @ params.weights[layer]
-            if params.specs[layer - 1].activation is Activation.RELU:
-                delta = delta * (pre[layer - 1] > 0.0)
+            delta = delta * (pre[layer - 1] > 0.0)  # a hidden layer
     return grad_w, grad_b
 
 
@@ -273,18 +273,13 @@ FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 @st.composite
-def models(draw):
-    input_dim = draw(st.integers(1, 5))
-    dims = [input_dim] + draw(st.lists(st.integers(1, 6), max_size=3)) + [1]
-    specs = [
-        LayerSpec(dims[i], dims[i + 1], draw(st.sampled_from(list(Activation))))
-        for i in range(len(dims) - 1)
-    ]
+def models(draw, input_dims=st.integers(1, 5)):
+    input_dim = draw(input_dims)
+    specs = mlp_specs(input_dim, draw(st.lists(st.integers(1, 6), max_size=3)))
     size = sum(s.output_dim * (s.input_dim + 1) for s in specs)
     flat = draw(arrays(np.float64, (size,), elements=FINITE))
     stats = draw(
-        st.none()
-        | st.builds(
+        st.builds(
             NormalizationStats,
             means=arrays(np.float64, (input_dim,), elements=FINITE),
             stds=arrays(
@@ -309,11 +304,8 @@ def test_model_file_round_trips_bit_for_bit(tmp_path_factory, model):
     assert loaded.specs == params.specs
     assert same_bits(loaded.flat, params.flat)
     assert loaded_seed == seed
-    if stats is None:
-        assert loaded_stats is None
-    else:
-        assert same_bits(loaded_stats.means, stats.means)
-        assert same_bits(loaded_stats.stds, stats.stds)
+    assert same_bits(loaded_stats.means, stats.means)
+    assert same_bits(loaded_stats.stds, stats.stds)
 
 
 # Stands for the literal 1e400 in a mutated model file: json reads it as
@@ -321,18 +313,20 @@ def test_model_file_round_trips_bit_for_bit(tmp_path_factory, model):
 HUGE = "__1e400__"
 NOT_INTEGERS = [True, False, None, 4.9, 4.0, math.nan, math.inf, HUGE, "4", [4], {}]
 NOT_NUMBERS = [True, False, None, math.nan, -math.inf, HUGE, "0.5", [], {}]
-NOT_CONTAINERS = [0, 1.5, True, "x", {}]
+NOT_CONTAINERS = [0, 1.5, True, "x", {}, None]
 
 
 def mutate_model(text, draw):
     """A model file text with one defect that makes it malformed: cut
     short, not an object, a missing key, a non-integer or wrong dim or seed,
     a non-number array entry, an array of the wrong length, an unknown
-    activation, or a list or object replaced by a scalar."""
+    activation, swapped roles (identity on a hidden layer, relu on the
+    last), no normalization, or a list or object replaced by a scalar or
+    null."""
     kind = draw(
         st.sampled_from(
             ["truncate", "not-object", "drop", "integer", "number", "shape",
-             "activation", "container"]
+             "activation", "roles", "normalization", "container"]
         )
     )
     if kind == "truncate":
@@ -371,6 +365,14 @@ def mutate_model(text, draw):
         spec["activation"] = draw(
             st.sampled_from(["tanh", "RELU", "", None, 1, ["relu"]])
         )
+    elif kind == "roles":
+        spec = draw(st.sampled_from(specs))
+        spec["activation"] = "relu" if spec is specs[-1] else "identity"
+    elif kind == "normalization":
+        if draw(st.booleans()):
+            doc["normalization"] = None
+        else:
+            del doc["normalization"]
     else:
         key = draw(
             st.sampled_from(["layer_specs", "weights", "biases", "normalization"])
@@ -400,6 +402,42 @@ def test_malformed_model_file_is_a_model_error(tmp_path_factory, model, data):
     assert err.getvalue().count("\n") == 1
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    model=models(input_dims=st.just(4)),
+    change=st.sampled_from(["none", "null-normalization", "defect"]),
+    data=st.data(),
+)
+def test_model_file_is_scored_or_refused_cleanly(
+    tmp_path_factory, cli_inputs, model, change, data
+):
+    """evaluate on a saved model file, as saved, with a null normalization
+    or with any one defect of mutate_model, scores it (exit 0), finds its
+    predictions non-finite (1) or refuses it (4), with one error line and
+    no exception; it scores only what load_model accepts."""
+    params, stats, seed = model
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    save_model(path, params, normalization=stats, seed=seed)
+    text = path.read_text()
+    if change == "null-normalization":
+        text = json.dumps({**json.loads(text), "normalization": None})
+    elif change == "defect":
+        text = mutate_model(text, data.draw)
+    path.write_text(text, encoding="utf-8")
+    try:
+        load_model(path)
+        accepted = True
+    except ModelMismatchError:
+        accepted = False
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(["evaluate", "--model", str(path),
+                     "--data", str(cli_inputs / "cycle.csv")])
+    assert code in ({0, 1, 4} if accepted else {4})
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) == (0 if code == 0 else 1), err.getvalue()
+
+
 # row counts for predict(): tiny batches, and either side of the first three
 # block edges, where the last block takes the remainder
 PREDICT_ROWS = st.one_of(
@@ -410,15 +448,10 @@ PREDICT_ROWS = st.one_of(
 )
 
 
-def scoring_network(hidden, hidden_activation, output_activation, seed):
-    """A network with the drawn activations and random biases, so that ReLU
-    clamps some outputs."""
+def scoring_network(hidden, seed):
+    """A network with random biases, so that ReLU clamps some outputs."""
     rng = np.random.default_rng(seed)
-    specs = [
-        LayerSpec(s.input_dim, s.output_dim, hidden_activation)
-        for s in mlp_specs(4, hidden)[:-1]
-    ] + [LayerSpec(hidden[-1] if hidden else 4, 1, output_activation)]
-    params = init_network(specs, seed)
+    params = init_network(mlp_specs(4, hidden), seed)
     for b in params.biases:
         b[:] = rng.normal(scale=0.5, size=b.shape)
     return params, rng
@@ -426,21 +459,17 @@ def scoring_network(hidden, hidden_activation, output_activation, seed):
 
 SCORING_NETWORKS = dict(
     hidden=st.sampled_from([[], [8], [256, 256, 256]]),
-    hidden_activation=st.sampled_from(list(Activation)),
-    output_activation=st.sampled_from(list(Activation)),
     seed=st.integers(0, 2**32 - 1),
 )
 
 
 @settings(max_examples=60, deadline=None)
-@example(8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, False, 0)
-@example(12290, [256, 256, 256], Activation.RELU, Activation.RELU, True, 1)
+@example(8194, [256, 256, 256], False, 0)
+@example(12290, [256, 256, 256], True, 1)
 @given(n=PREDICT_ROWS, one_blas_thread=st.booleans(), **SCORING_NETWORKS)
-def test_predict_matches_forward_bit_for_bit(
-    n, hidden, hidden_activation, output_activation, one_blas_thread, seed
-):
+def test_predict_matches_forward_bit_for_bit(n, hidden, one_blas_thread, seed):
     """``like_forward`` (evaluate's path) equals forward at any thread count."""
-    params, rng = scoring_network(hidden, hidden_activation, output_activation, seed)
+    params, rng = scoring_network(hidden, seed)
     batch = rng.normal(size=(n, 4))
     with _one_blas_thread() if one_blas_thread else nullcontext():
         got = predict(params, batch, like_forward=True)
@@ -448,23 +477,21 @@ def test_predict_matches_forward_bit_for_bit(
     assert same_bits(got, want)
 
 
-# n, hidden, hidden_activation, output_activation, seed: cases where an
-# OpenBLAS GEMM split between threads rounds some rows differently
+# n, hidden, seed: cases where an OpenBLAS GEMM split between threads rounds
+# some rows differently
 BLOCKED_EXAMPLES = [
-    (8194, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 0),
-    (8500, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 1),
-    (12290, [256, 256, 256], Activation.RELU, Activation.RELU, 2),
-    (100_001, [256, 256, 256], Activation.RELU, Activation.IDENTITY, 3),
+    (8194, [256, 256, 256], 0),
+    (8500, [256, 256, 256], 1),
+    (12290, [256, 256, 256], 2),
+    (100_001, [256, 256, 256], 3),
 ]
 
 
-def check_blocked_predict(
-    set_threads, n, hidden, hidden_activation, output_activation, seed
-):
+def check_blocked_predict(set_threads, n, hidden, seed):
     """The blocked path on two scoring threads gives the bits of a serial
     pass on one, which equal forward's on one BLAS thread; ``set_threads``
     sets OpenBLAS's thread count, on which predict scores."""
-    params, rng = scoring_network(hidden, hidden_activation, output_activation, seed)
+    params, rng = scoring_network(hidden, seed)
     batch = rng.normal(size=(n, 4))
     set_threads(2)
     got = predict(params, batch)
@@ -479,11 +506,9 @@ def check_blocked_predict(
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(n=PREDICT_ROWS, **SCORING_NETWORKS)
 def test_blocked_predict_is_thread_invariant_and_forward_on_one_thread(
-    set_blas_threads, n, hidden, hidden_activation, output_activation, seed
+    set_blas_threads, n, hidden, seed
 ):
-    check_blocked_predict(
-        set_blas_threads, n, hidden, hidden_activation, output_activation, seed
-    )
+    check_blocked_predict(set_blas_threads, n, hidden, seed)
 
 
 for _case in BLOCKED_EXAMPLES:
@@ -938,7 +963,7 @@ SPECIAL_EDGES = {
                BEYOND_INT64],
     "window": INT_EDGES + [BEYOND_INT64],
     "optimizer": ["sgd", "ADAMAX", "nadam", ""],
-    "optimizers": ["sgd", "rmsprop,adamax", ",", "", "foo"],
+    "optimizers": ["sgd", "rmsprop,adamax", ",", "", "foo", "adamax,adamax"],
     "fold_mode": ["shuffled", "contiguous", "purged", ""],
     "profile": ["constant", "pulse", "random", "square", ""],
     "seed": ["-1", "0", "7", "", "abc", "1e400", BEYOND_INT64],
@@ -981,7 +1006,8 @@ def edge_values(key, setting, inputs, out_dir):
     if key in SPECIAL_EDGES:
         return SPECIAL_EDGES[key]
     if setting.convert is cli._parse_lr_spec:
-        return ["0.01", "sgd=nan", "adam=-5,sgd=0.1", "foo=1", "=", ""]
+        return ["0.01", "sgd=nan", "adam=-5,sgd=0.1", "foo=1", "=", "",
+                "sgd=0.1,sgd=0.01"]
     if setting.flag == cli._SWITCH:
         return SWITCH_EDGES
     return INT_EDGES if key in INT_KEYS else NUMBER_EDGES
@@ -1089,6 +1115,44 @@ def test_cli_exits_with_a_documented_code(
     env_seed = data.draw(st.sampled_from([None] * 7 + SPECIAL_EDGES["seed"]))
 
     code, err = run_main(argv, env_seed, out_dir)
+    assert code in CLI_EXIT_CODES
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == (0 if code == 0 else 1), err
+
+
+def one_value_cases():
+    """A test case per edge value of every setting of every command, with
+    placeholder paths in its id."""
+    for command, (_, schema, _) in sorted(cli.COMMANDS.items()):
+        for key, setting in schema.items():
+            edges = edge_values(key, setting, Path("inputs"), Path("out"))
+            for index, raw in enumerate(edges):
+                yield pytest.param(command, key, index, id=f"{command}-{key}-{raw}")
+
+
+@pytest.mark.parametrize("command, key, index", one_value_cases())
+def test_each_edge_value_alone_exits_with_a_documented_code(
+    tmp_path, cli_inputs, command, key, index
+):
+    """Every edge value of every setting, in place of one value of a tiny
+    run: a documented exit code with no exception, and a failure prints
+    exactly one line starting with error:. Unlike the drawn mixes above,
+    this runs each edge, so a traceback that one edge of one key alone
+    triggers is found on every run. A switch's value goes through a config
+    file, every other value through its flag."""
+    schema = cli.COMMANDS[command][1]
+    raw = edge_values(key, schema[key], cli_inputs, tmp_path)[index]
+    argv = [command] + [
+        f"--{other.replace('_', '-')}={value}"
+        for other, value in base_values(command, cli_inputs, tmp_path).items()
+        if other != key
+    ]
+    if schema[key].flag == cli._SWITCH:  # its flag takes no value
+        (tmp_path / "run.cfg").write_text(f"{key}={raw}\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        argv.append(f"--{key.replace('_', '-')}={raw}")
+    code, err = run_main(argv, None, tmp_path)
     assert code in CLI_EXIT_CODES
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == (0 if code == 0 else 1), err
